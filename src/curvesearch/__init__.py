@@ -8,7 +8,7 @@ scores smooth-model point counts against Serre/Ihara/Lauter upper bounds.
 
 from .gf2m import FieldTable, build_field
 from .polyrep import PolyMask, encode, decode, evaluate, partials, substitute
-from .orbit import enumerate_gl3, orbit_of, select_representative, sieve
+from .orbit import enumerate_gl3, orbit_of, sieve
 from .count import PointCount, PointCounter, count_points, projective_points
 from .bounds import BoundTable, GenusInterval, serre_bound, ihara_bound, genus_interval
 from .search import CurveRecord, SearchConfig, run_search, verify, report
@@ -25,7 +25,6 @@ __all__ = [
     "substitute",
     "enumerate_gl3",
     "orbit_of",
-    "select_representative",
     "sieve",
     "PointCount",
     "PointCounter",

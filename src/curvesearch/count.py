@@ -5,21 +5,25 @@ representatives (1, y, z), then (0, 1, z), then (0, 0, 1), and for each
 point the values of all basis monomials of a degree are tabulated.  A curve
 with w monomials then costs w contiguous-row XOR passes per field, which is
 what makes the exhaustive search tractable.  The tables for the largest
-field/degree combination run to a few hundred MB; `PointCounter` can be
-built with tables disabled (or falls back automatically when allocation
-fails), evaluating in fixed-size chunks instead.
+field/degree combination run to a few hundred MB; when one cannot be
+allocated, `PointCounter` falls back to evaluating the curve's own monomials
+in fixed-size chunks of points.  Tables and chunks come from the same
+log-domain evaluator, so both paths give the same values.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .gf2m import FieldTable
 from .polyrep import PolyMask, bit_indices, monomials, partials
+
+# Points per evaluation pass; bounds the temporaries of the chunked fallback.
+CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,10 @@ class PointCounter:
     contiguous XOR passes.
     """
 
-    def __init__(self, field: FieldTable, *, use_tables: bool = True,
-                 chunk: int = 1 << 18):
+    def __init__(self, field: FieldTable):
         self.field = field
         self.q = field.order
         self.n_points = self.q * self.q + self.q + 1
-        self.use_tables = use_tables
-        self.chunk = chunk
         q = self.q
         coords = np.zeros((3, self.n_points), dtype=np.uint16)
         grid = np.arange(q, dtype=np.uint16)
@@ -68,28 +69,42 @@ class PointCounter:
         coords[2, q * q : q * q + q] = grid
         coords[2, -1] = 1
         self.coords = coords
-        self._tables: dict[int, np.ndarray] = {}
+        # None once a table allocation has failed: evaluate in chunks from then on.
+        self._tables: dict[int, np.ndarray] | None = {}
 
-    # -- table construction --------------------------------------------------
+    def _monomial_rows(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
+                       ) -> Iterator[np.ndarray]:
+        """Values of the degree-d basis monomials `cols` at the points `sel`
+        (a slice or an index array), one row per monomial.
 
-    def _power_rows(self, coord: np.ndarray, max_e: int) -> list[np.ndarray]:
-        rows = [np.ones_like(coord)]
-        for e in range(1, max_e + 1):
-            rows.append(self.field.mul_arr(rows[-1], coord))
-        return rows
+        Computed in the log domain: x^i y^j z^k = exp[(i log x + j log y +
+        k log z) mod (q - 1)], zeroed where a coordinate with a positive
+        exponent is 0 (log 0 is only a sentinel).
+        """
+        field = self.field
+        xyz = [self.coords[v][sel] for v in range(3)]
+        logs = [field.log[c] for c in xyz]
+        zeros = [np.flatnonzero(c == 0) for c in xyz]
+        basis = monomials(d)
+        for c in cols:
+            exps = basis[c]  # i + j + k = d >= 1, so the sum is an array
+            e = sum(k * lg for k, lg in zip(exps, logs) if k)
+            row = field.exp[e % (self.q - 1)]
+            for k, z in zip(exps, zeros):
+                if k:
+                    row[z] = 0
+            yield row
 
     def _build_table(self, d: int) -> np.ndarray:
         basis = monomials(d)
         out = np.empty((len(basis), self.n_points), dtype=np.uint16)
-        px = self._power_rows(self.coords[0], d)
-        py = self._power_rows(self.coords[1], d)
-        pz = self._power_rows(self.coords[2], d)
-        for t, (i, j, k) in enumerate(basis):
-            out[t] = self.field.mul_arr(self.field.mul_arr(px[i], py[j]), pz[k])
+        for t, row in enumerate(self._monomial_rows(d, range(len(basis)), slice(None))):
+            out[t] = row
         return out
 
     def monomial_table(self, d: int) -> np.ndarray | None:
-        if not self.use_tables:
+        """The degree-d table, built on first use; None on the chunked path."""
+        if self._tables is None:
             return None
         if d not in self._tables:
             try:
@@ -97,71 +112,37 @@ class PointCounter:
             except MemoryError:
                 warnings.warn(
                     f"monomial table for q={self.q}, d={d} does not fit in "
-                    "memory; falling back to the streaming evaluator"
+                    "memory; falling back to chunked evaluation"
                 )
-                self.use_tables = False
-                self._tables.clear()
+                self._tables = None
                 return None
         return self._tables[d]
 
     # -- evaluation ------------------------------------------------------------
 
-    def _accumulate(self, cols: list[int], d: int, lo: int, hi: int,
-                    table: np.ndarray | None) -> np.ndarray:
-        if table is not None:
-            acc = table[cols[0], lo:hi].copy()
-            for c in cols[1:]:
-                acc ^= table[c, lo:hi]
-            return acc
-        basis = monomials(d)
-        x, y, z = (self.coords[v, lo:hi] for v in range(3))
-        max_e = d
-        px = self._power_rows(x, max_e)
-        py = self._power_rows(y, max_e)
-        pz = self._power_rows(z, max_e)
-        acc = np.zeros(hi - lo, dtype=np.uint16)
-        for c in cols:
-            i, j, k = basis[c]
-            acc ^= self.field.mul_arr(self.field.mul_arr(px[i], py[j]), pz[k])
-        return acc
-
-    def values_at(self, f: PolyMask, idx: np.ndarray) -> np.ndarray:
-        """Curve values at a sparse set of point indices."""
+    def values_at(self, f: PolyMask, sel: slice | np.ndarray) -> np.ndarray:
+        """Curve values at the points `sel` (a slice or an index array)."""
         cols = bit_indices(f.bits)
         if not cols:
-            return np.zeros(len(idx), dtype=np.uint16)
+            return np.zeros_like(self.coords[0][sel])
         table = self.monomial_table(f.degree)
-        if table is not None:
-            acc = table[cols[0]][idx].copy()
-            for c in cols[1:]:
-                acc ^= table[c][idx]
-            return acc
-        basis = monomials(f.degree)
-        x, y, z = (self.coords[v][idx] for v in range(3))
-        acc = np.zeros(len(idx), dtype=np.uint16)
-        px = self._power_rows(x, f.degree)
-        py = self._power_rows(y, f.degree)
-        pz = self._power_rows(z, f.degree)
-        for c in cols:
-            i, j, k = basis[c]
-            acc ^= self.field.mul_arr(self.field.mul_arr(px[i], py[j]), pz[k])
+        if table is None:
+            rows = self._monomial_rows(f.degree, cols, sel)
+        else:
+            rows = (table[c][sel] for c in cols)
+        acc = next(rows).copy()
+        for row in rows:
+            acc ^= row
         return acc
 
     def zero_indices(self, f: PolyMask) -> np.ndarray:
         """Indices of points on the curve, in enumeration order."""
-        cols = bit_indices(f.bits)
-        if not cols:
+        if f.bits == 0:
             raise ValueError("zero polynomial")
-        table = self.monomial_table(f.degree)
-        if table is not None:
-            acc = self._accumulate(cols, f.degree, 0, self.n_points, table)
-            return np.flatnonzero(acc == 0)
-        parts = []
-        for lo in range(0, self.n_points, self.chunk):
-            hi = min(lo + self.chunk, self.n_points)
-            acc = self._accumulate(cols, f.degree, lo, hi, None)
-            parts.append(np.flatnonzero(acc == 0) + lo)
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return np.concatenate([
+            np.flatnonzero(self.values_at(f, slice(lo, lo + CHUNK)) == 0) + lo
+            for lo in range(0, self.n_points, CHUNK)
+        ])
 
     def count(self, f: PolyMask) -> PointCount:
         """Totals plus the singular points (all partials vanishing)."""
@@ -186,12 +167,11 @@ class PointCounter:
         return PointCount(self.q, total, total - len(singular), singular)
 
 
-def count_points(f: PolyMask, field: FieldTable, *, use_tables: bool = True
-                 ) -> PointCount:
+def count_points(f: PolyMask, field: FieldTable) -> PointCount:
     """One-shot count for a single curve (tables are only worth it in bulk)."""
     if f.bits == 0:
         raise ValueError("zero polynomial")
-    return PointCounter(field, use_tables=use_tables).count(f)
+    return PointCounter(field).count(f)
 
 
 def naive_count(f: PolyMask, field: FieldTable) -> PointCount:

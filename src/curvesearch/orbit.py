@@ -1,7 +1,9 @@
 """GL_3(F_2) enumeration and orbit sieving of the degree-d mask space.
 
-The sieve scans masks in ascending order over a live bit table (one bit per
-mask, 2^28 bits = 32 MiB packed for degree 6).  A mask whose bit is still
+The sieve scans masks in ascending order over a live table with one entry
+per mask.  The live table is a numpy bool array, one byte per mask, so
+degree 6 holds 2^28 bytes = 256 MiB; it is packed to one bit per mask
+(32 MiB) only when written to a checkpoint.  A mask whose entry is still
 set when the scan reaches it is the minimum of its orbit and is emitted as
 the orbit representative; all 168 images are then cleared.  Emission is an
 intrinsic property of the mask (being its orbit's minimum), so the result
@@ -57,30 +59,18 @@ def orbit_of(f: PolyMask) -> set[PolyMask]:
     return {substitute(f, m) for m in enumerate_gl3()}
 
 
-def select_representative(orbit: set[PolyMask]) -> PolyMask:
-    """Cheapest-to-evaluate member: fewest monomials, ties by smallest mask."""
-    if not orbit:
-        raise ValueError("empty orbit")
-    return min(orbit, key=lambda p: (bin(p.bits).count("1"), p.bits))
-
-
 @dataclass(frozen=True)
 class OrbitInfo:
     """One orbit as emitted by the sieve."""
 
     degree: int
     rep_bits: int  # orbit minimum (the scan representative)
-    eval_bits: int  # fewest-monomials member, ties by smallest mask
     orbit_size: int
     trivially_reducible: bool  # some member fires the cheap reducibility filter
 
     @property
     def rep(self) -> PolyMask:
         return PolyMask(self.degree, self.rep_bits)
-
-    @property
-    def eval_rep(self) -> PolyMask:
-        return PolyMask(self.degree, self.eval_bits)
 
 
 @dataclass
@@ -169,20 +159,13 @@ class SieveEngine:
                 srt = np.sort(rimgs, axis=0)
                 sizes = 1 + np.count_nonzero(np.diff(srt, axis=0), axis=0)
 
-                pc = np.bitwise_count(rimgs).astype(np.uint64)
-                key = (pc << np.uint64(32)) | rimgs.astype(np.uint64)
-                best = key.min(axis=0)
-                eval_bits = (best & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-
                 triv = np.zeros(len(reps), dtype=bool)
                 if self.degree >= 2:
                     for inv in inv_filters:
                         triv |= ((rimgs & inv) == 0).any(axis=0)
 
-                for rb, eb, sz, tv in zip(
-                    reps.tolist(), eval_bits.tolist(), sizes.tolist(), triv.tolist()
-                ):
-                    out.append(OrbitInfo(self.degree, rb, eb, int(sz), bool(tv)))
+                for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
+                    out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
                 self.stats.orbits_total += len(reps)
                 self.stats.orbits_trivial += int(triv.sum())
                 self.stats.size_sum += int(sizes.sum())
@@ -199,12 +182,19 @@ class SieveEngine:
         return self.position, packed.tobytes()
 
     def restore_state(self, position: int, table_bytes: bytes) -> None:
+        if not 1 <= position <= self.space + 1:
+            raise ValueError(
+                f"scan position {position} outside 1..{self.space + 1} "
+                f"for degree {self.degree}"
+            )
         packed = np.frombuffer(table_bytes, dtype=np.uint8)
         expect = (self.space + 1 + 7) // 8
         if len(packed) != expect:
             raise ValueError(
                 f"bit table length {len(packed)} does not match degree {self.degree}"
             )
+        if packed[0] & 1:
+            raise ValueError("bit table marks the zero mask as live")
         table = np.unpackbits(packed, bitorder="little")[: self.space + 1]
         self.table = table.astype(bool)
         self.position = position

@@ -1,10 +1,9 @@
 """Pipeline orchestration: sieve -> count -> bound -> analyze -> certify.
 
 Orbits stream out of the sieve in ascending-mask order; each is counted
-over every configured field on its cheapest member (point counts and
-singular-point tallies are GL_3(F_2) invariants), filtered against the
-keep rule, and survivors get the full treatment on the orbit-minimum mask
-so the record's singular coordinates match its printed polynomial.
+once over every configured field on its orbit-minimum mask, filtered
+against the keep rule, and survivors get the full analysis from those same
+counts, so the record's singular coordinates match its printed polynomial.
 A record is emitted only when absolute irreducibility is not refuted and
 some (q, g) pair inside the genus interval is within the configured margin
 of the effective bound (genus 0 never qualifies).
@@ -74,7 +73,6 @@ class SearchConfig:
     checkpoint_path: str | None = None
     lauter_path: str | None = None
     out_path: str | None = None
-    use_tables: bool = True
     range_bits: int = 22  # sieve span per checkpoint interval
     stop_after_ranges: int | None = None  # testing hook: abort mid-run
 
@@ -245,13 +243,11 @@ def distinct_singular_count(counts: dict[int, PointCount]) -> int:
 class CurvePipeline:
     """Analysis of single curves over a fixed field set (shared counters)."""
 
-    def __init__(self, fields: Iterable[int], bound_table: BoundTable,
-                 use_tables: bool = True):
+    def __init__(self, fields: Iterable[int], bound_table: BoundTable):
         self.orders = tuple(sorted(fields))
         self.bound_table = bound_table
         self.counters = {
-            q: PointCounter(build_field(q.bit_length() - 1), use_tables=use_tables)
-            for q in self.orders
+            q: PointCounter(build_field(q.bit_length() - 1)) for q in self.orders
         }
 
     def count_all(self, f: PolyMask) -> dict[int, PointCount]:
@@ -269,10 +265,11 @@ class CurvePipeline:
                     return True
         return False
 
-    def analyze(self, f: PolyMask, orbit_size: int) -> CurveRecord | None:
-        """Full record for one curve; None when the genus interval is
-        inconsistent (the curve cannot be absolutely irreducible)."""
-        counts = self.count_all(f)
+    def analyze(self, f: PolyMask, orbit_size: int,
+                counts: dict[int, PointCount]) -> CurveRecord | None:
+        """Full record for one curve from its `count_all` counts; None when
+        the genus interval is inconsistent (the curve cannot be absolutely
+        irreducible)."""
         r = distinct_singular_count(counts)
         try:
             gi = genus_interval(
@@ -379,8 +376,7 @@ def _process_orbits(batch: list[OrbitInfo]) -> tuple[list[CurveRecord], SearchSt
         if info.trivially_reducible:
             stats.orbits_trivial += 1
             continue
-        eval_rep = info.eval_rep
-        counts = pipe.count_all(eval_rep)
+        counts = pipe.count_all(info.rep)
         stats.counted += 1
         try:
             gi = pipe.quick_genus(info.degree, counts)
@@ -390,7 +386,7 @@ def _process_orbits(batch: list[OrbitInfo]) -> tuple[list[CurveRecord], SearchSt
         if not pipe.meets_threshold(counts, gi, _WORKER_MARGIN):
             stats.dropped_threshold += 1
             continue
-        record = pipe.analyze(info.rep, info.orbit_size)
+        record = pipe.analyze(info.rep, info.orbit_size, counts)
         if record is None:
             stats.dropped_inconsistent += 1
             continue
@@ -439,11 +435,14 @@ def _checkpoint_load(path: str, cfg: SearchConfig, engine: SieveEngine) -> None:
     if len(blob) < len(CHECKPOINT_MAGIC) + 6 or not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad checkpoint magic")
     off = len(CHECKPOINT_MAGIC)
-    degree, n_fields, margin = struct.unpack_from("<BBi", blob, off)
-    off += struct.calcsize("<BBi")
-    fields = struct.unpack_from(f"<{n_fields}H", blob, off)
-    off += n_fields * 2
-    position, table_len = struct.unpack_from("<QQ", blob, off)
+    try:
+        degree, n_fields, margin = struct.unpack_from("<BBi", blob, off)
+        off += struct.calcsize("<BBi")
+        fields = struct.unpack_from(f"<{n_fields}H", blob, off)
+        off += n_fields * 2
+        position, table_len = struct.unpack_from("<QQ", blob, off)
+    except struct.error:
+        raise CheckpointError(f"{path}: truncated checkpoint header") from None
     off += struct.calcsize("<QQ")
     if degree != cfg.degree or fields != cfg.fields or margin != cfg.keep_margin:
         raise CheckpointError(
@@ -479,7 +478,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         )
     global _WORKER_PIPELINE, _WORKER_MARGIN
     bound_table = load_lauter(cfg.lauter_path)
-    pipeline = CurvePipeline(cfg.fields, bound_table, use_tables=cfg.use_tables)
+    pipeline = CurvePipeline(cfg.fields, bound_table)
     _WORKER_PIPELINE = pipeline
     _WORKER_MARGIN = cfg.keep_margin
 
@@ -566,22 +565,25 @@ def read_catalog(path: str, *, lenient_tail: bool = False) -> list[CurveRecord]:
     behind by an interrupted writer (the range it came from gets rerun)."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    for n, line in enumerate(lines):
+        lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
+    for i, (n, line) in enumerate(lines):
         try:
             out.append(CurveRecord.from_json(line))
-        except (json.JSONDecodeError, KeyError):
-            if lenient_tail and n == len(lines) - 1:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            if lenient_tail and i == len(lines) - 1:
                 break
-            raise
+            raise ValueError(
+                f"{path}: line {n}: malformed catalog record "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     return out
 
 
 # -- single-curve verification -----------------------------------------------------------
 
 
-def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None,
-           use_tables: bool = True) -> CurveRecord:
+def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
+           ) -> CurveRecord:
     """Full analysis of one curve over one field (regression entry point)."""
     if isinstance(poly, str):
         poly = poly.strip()
@@ -598,15 +600,16 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None,
     if q not in SUPPORTED_FIELDS and q not in (2, 4):
         raise ConfigError(f"unsupported field order {q}")
     bound_table = load_lauter(lauter_path)
-    pipeline = CurvePipeline((q,), bound_table, use_tables=use_tables)
-    record = pipeline.analyze(f, orbit_size=len(orbit_of(f)))
+    pipeline = CurvePipeline((q,), bound_table)
+    counts = pipeline.count_all(f)
+    orbit_size = len(orbit_of(f))
+    record = pipeline.analyze(f, orbit_size, counts)
     if record is None:
         # Surface the inconsistency as a flagged record rather than an error:
         # corpus tooling reports it, nothing downstream trusts the bounds.
-        counts = pipeline.count_all(f)
         r = distinct_singular_count(counts)
         return CurveRecord(
-            degree=f.degree, mask=f.bits, orbit_size=len(orbit_of(f)),
+            degree=f.degree, mask=f.bits, orbit_size=orbit_size,
             counts=counts, singular=(), blowups={}, r_distinct=r,
             genus=GenusInterval(0, (f.degree - 1) * (f.degree - 2) // 2),
             n_range={}, absolute="reducible", certificate_field=None,

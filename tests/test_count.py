@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from curvesearch import count
 from curvesearch.count import PointCounter, count_points, naive_count, projective_points
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
@@ -80,20 +81,31 @@ def test_against_naive_oracle(m):
         )
 
 
-def test_streaming_fallback_matches_tables():
+def test_streaming_fallback_matches_tables(monkeypatch):
+    # Force the real fallback: table allocation fails, then small chunks.
     f16 = build_field(4)
-    with_tables = PointCounter(f16, use_tables=True)
-    streaming = PointCounter(f16, use_tables=False, chunk=41)
+    with_tables = PointCounter(f16)
+    streaming = PointCounter(f16)
+
+    def no_memory(d):
+        raise MemoryError
+
+    monkeypatch.setattr(streaming, "_build_table", no_memory)
+    monkeypatch.setattr(count, "CHUNK", 41)
     rng = random.Random(5)
+    with pytest.warns(UserWarning, match="falling back"):
+        assert streaming.monomial_table(3) is None
     for _ in range(40):
         d = rng.randint(1, 6)
         f = PolyMask(d, rng.randint(1, full_mask(d)))
         a, b = with_tables.count(f), streaming.count(f)
+        c = naive_count(f, f16)
         assert (a.total, a.smooth, a.singular_points) == (
             b.total,
             b.smooth,
             b.singular_points,
-        )
+        ) == (c.total, c.smooth, c.singular_points)
+    assert streaming.monomial_table(3) is None
 
 
 def test_counts_invariant_on_orbits():

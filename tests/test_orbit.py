@@ -9,7 +9,6 @@ from curvesearch.orbit import (
     SieveEngine,
     enumerate_gl3,
     orbit_of,
-    select_representative,
     sieve,
     sieve_all,
 )
@@ -149,26 +148,6 @@ def test_sieve_reps_are_orbit_minima_and_unique(d):
         assert len(orb) == info.orbit_size
         assert info.rep_bits not in seen
         seen.add(info.rep_bits)
-        # eval member: fewest monomials, ties broken by smallest mask
-        best = min((bin(p.bits).count("1"), p.bits) for p in orb)
-        assert (bin(info.eval_bits).count("1"), info.eval_bits) == best
-
-
-def test_select_representative():
-    h = parse_poly("x^5 + y^5 + z^5")
-    orb = orbit_of(h)
-    rep = select_representative(orb)
-    pc = bin(rep.bits).count("1")
-    assert pc == min(bin(p.bits).count("1") for p in orb)
-    assert all(
-        pc < bin(p.bits).count("1") or rep.bits <= p.bits
-        for p in orb
-        if bin(p.bits).count("1") == pc
-    )
-    single = {h}
-    assert select_representative(single) == h
-    with pytest.raises(ValueError):
-        select_representative(set())
 
 
 def test_sieve_trivial_skip_matches_filter():

@@ -2,12 +2,15 @@
 
 import json
 import os
+import struct
 
 import pytest
 
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
+from curvesearch.count import PointCounter
 from curvesearch.search import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     ConfigError,
     CurveRecord,
@@ -44,6 +47,24 @@ def test_degree4_f64_finds_the_two_record_quartics():
         assert rec.n_range[64] == (113, 113)
     assert stats.orbits_seen == 279
     assert stats.orbits_seen == stats.orbits_trivial + stats.counted
+
+
+def test_each_orbit_counted_once(monkeypatch):
+    calls = 0
+    real_count = PointCounter.count
+
+    def counting(self, f):
+        nonlocal calls
+        calls += 1
+        return real_count(self, f)
+
+    monkeypatch.setattr(PointCounter, "count", counting)
+    stats = SearchStats()
+    fields = (8, 64)
+    records = run_search(SearchConfig(degree=4, fields=fields, jobs=1),
+                         stats=stats)
+    assert records and stats.counted
+    assert calls == stats.counted * len(fields)
 
 
 def test_degree2_default_catalog_is_empty():
@@ -133,6 +154,35 @@ def test_checkpoint_config_mismatch_and_corruption(tmp_path):
         run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
                                 checkpoint_path=str(ck)))
 
+    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiHQQ")
+    for cut in range(header_len + 1):
+        ck.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
+                                    checkpoint_path=str(ck)))
+
+
+def test_checkpoint_position_and_table_validated(tmp_path):
+    ck = tmp_path / "ck.bin"
+    cfg = SearchConfig(degree=3, fields=(8,), range_bits=4,
+                       checkpoint_path=str(ck), stop_after_ranges=1)
+    with pytest.raises(InterruptedError):
+        run_search(cfg)
+    blob = ck.read_bytes()
+    pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH")
+    table_off = pos_off + struct.calcsize("<QQ")
+    resume = SearchConfig(degree=3, fields=(8,), range_bits=4,
+                          checkpoint_path=str(ck))
+    for position in (0, 10**6):
+        ck.write_bytes(blob[:pos_off] + struct.pack("<Q", position)
+                       + blob[pos_off + 8:])
+        with pytest.raises(CheckpointError, match="position"):
+            run_search(resume)
+    zero_live = bytes([blob[table_off] | 1])
+    ck.write_bytes(blob[:table_off] + zero_live + blob[table_off + 1:])
+    with pytest.raises(CheckpointError, match="zero mask"):
+        run_search(resume)
+
 
 def test_verify_reference_examples():
     rec = verify("x^5 + y^5 + z^5", 16)
@@ -211,12 +261,33 @@ def test_cli_error_codes(tmp_path):
     assert main(["verify", "--poly", "x^6", "--field", "8"]) == 2
 
     ck = tmp_path / "ck.bin"
-    ck.write_bytes(b"garbage")
-    rc = main([
-        "search", "--degree", "4", "--fields", "64",
-        "--checkpoint", str(ck),
-    ])
-    assert rc == 3
+    for blob in (b"garbage", CHECKPOINT_MAGIC + struct.pack("<BBi", 4, 1, 15)):
+        ck.write_bytes(blob)
+        rc = main([
+            "search", "--degree", "4", "--fields", "64",
+            "--checkpoint", str(ck),
+        ])
+        assert rc == 3
+
+
+def test_malformed_catalog_lines(tmp_path):
+    good = verify("x^5 + y^5 + z^5", 16).to_json()
+    cat = tmp_path / "cat.jsonl"
+
+    cat.write_text(good + "\n{}\n" + good + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_catalog(str(cat))
+    with pytest.raises(ValueError, match="line 2"):
+        read_catalog(str(cat), lenient_tail=True)
+    assert main(["report", "--catalog", str(cat)]) == 2
+
+    for tail in ("[1, 2]", "{}", '{"mask": 5}', '{"mask": "d5:0x00108001"'):
+        cat.write_text(good + "\n" + tail + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_catalog(str(cat))
+        assert [r.to_json() for r in read_catalog(str(cat), lenient_tail=True)] \
+            == [good]
+        assert main(["report", "--catalog", str(cat)]) == 2
 
 
 def test_write_catalog_atomic(tmp_path):
