@@ -15,23 +15,31 @@ degree d/s.  Only monic degree-(d/s) sweeps over F_{2^s} for s dividing k
 (s > 1, s | d) are needed, which keeps the degree-6/F_8 case at 8^5
 candidates instead of 8^9.
 
-A curve irreducible over the (perfect) field F_{2^k} that has a simple
-point over F_{2^k} is absolutely irreducible: the absolutely irreducible
-factors are conjugate, so a point of one is a point of all, and a simple
-point lies on exactly one factor.
+Absolute irreducibility is certified from smooth-point counts.  If f is
+irreducible over F_2 of degree d, its absolutely irreducible components form
+one Frobenius orbit of some size s | d, each defined over F_{2^s}.  An
+F_{2^m}-point P on a component C also lies on Frob^m(C) (P is fixed by
+Frob^m), a different component unless s | m, and a point on two components
+is singular.  So s divides g = gcd(d, every m with a smooth F_{2^m}-point):
+g = 1 proves absolute irreducibility, g = 2 or 3 leaves one F_{2^g} sweep,
+and the F_4/F_8 sweeps are the fallback for the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterator
 
-from .count import projective_points
+from .count import PointCounter, projective_points
 from .gf2m import FieldTable, build_field
 from .polyrep import PolyMask, Triple, decode, evaluate, monomials, partials
 
 HomPoly = dict[Triple, int]
+
+# Smooth points are looked for over F_{2^m}, m = 1..SMOOTH_SCAN_MAX.
+SMOOTH_SCAN_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -59,18 +67,9 @@ class Factor:
 
 @dataclass(frozen=True)
 class IrreducibilityStatus:
-    over_f2: str  # "irreducible" | "reducible"
-    simple_point: tuple[int, tuple[int, int, int]] | None  # (k, point)
     absolute: str  # "yes" | "reducible" | "unknown"
-    certificate_field: int | None
+    certificate_field: int | None  # "yes": first m with a smooth F_{2^m}-point
     witness: Factor | None
-
-    def to_json(self) -> dict:
-        return {
-            "absolute": self.absolute,
-            "k": self.certificate_field,
-            "witness": str(self.witness) if self.witness else None,
-        }
 
 
 def mask_to_dict(f: PolyMask) -> HomPoly:
@@ -186,7 +185,10 @@ def _witness(g: HomPoly, k: int) -> Factor:
 
 
 @lru_cache(maxsize=1 << 16)
-def _find_factor_mask(f: PolyMask, k: int) -> Factor | None:
+def find_factor(f: PolyMask, k: int) -> Factor | None:
+    """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
+    if not 1 <= k <= 3:
+        raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
     d = f.degree
     fd = mask_to_dict(f)
     f2 = build_field(1)
@@ -203,33 +205,14 @@ def _find_factor_mask(f: PolyMask, k: int) -> Factor | None:
     return None
 
 
-def find_factor(f: PolyMask | HomPoly, k: int, field: FieldTable | None = None
-                ) -> Factor | None:
-    """First divisor of f over F_{2^k} in sweep order, or None.
-
-    Mask inputs take the Galois-descent route; explicit coefficient dicts
-    are swept in full over F_{2^k} (feasible for the small degrees this
-    package certifies).
-    """
-    if not 1 <= k <= 3:
-        raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
-    if isinstance(f, PolyMask):
-        return _find_factor_mask(f, k)
-    field = field or build_field(k)
-    d = sum(_leading(f))
-    w = _sweep(f, range(1, d // 2 + 1), field)
-    return _witness(w, k) if w is not None else None
-
-
-def is_irreducible(f: PolyMask | HomPoly, k: int) -> bool:
+def is_irreducible(f: PolyMask, k: int) -> bool:
     return find_factor(f, k) is None
 
 
-def find_simple_point(f: PolyMask, max_k: int = 3
-                      ) -> tuple[int, tuple[int, int, int]] | None:
-    """First curve point with nonzero gradient, scanning F_2, then F_4, F_8."""
+def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:
+    """First curve point with nonzero gradient over F_2, then F_4, F_8 (an oracle)."""
     grads = partials(f)
-    for k in range(1, max_k + 1):
+    for k in (1, 2, 3):
         field = build_field(k)
         for p in projective_points(field):
             if evaluate(f, p, field) != 0:
@@ -239,22 +222,27 @@ def find_simple_point(f: PolyMask, max_k: int = 3
     return None
 
 
+@lru_cache(maxsize=None)
+def _counter(m: int) -> PointCounter:
+    return PointCounter(build_field(m))
+
+
 def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
-    """Theorem-of-the-simple-point certificate, escalating F_2 -> F_4 -> F_8."""
-    w2 = _find_factor_mask(f, 1)
-    over_f2 = "reducible" if w2 is not None else "irreducible"
-    if w2 is not None:
-        return IrreducibilityStatus(over_f2, None, "reducible", None, w2)
-    sp = find_simple_point(f)
-    if sp is None:
-        # No usable point; still report a factor over any tested field.
-        for k in (2, 3):
-            w = _find_factor_mask(f, k)
-            if w is not None:
-                return IrreducibilityStatus(over_f2, None, "reducible", None, w)
-        return IrreducibilityStatus(over_f2, None, "unknown", None, None)
-    k = sp[0]
-    w = _find_factor_mask(f, k)
+    """Smooth-point-count certificate (see the module docstring); the
+    certificate field is the first m with a smooth F_{2^m}-point."""
+    w = find_factor(f, 1)
     if w is not None:
-        return IrreducibilityStatus(over_f2, sp, "reducible", None, w)
-    return IrreducibilityStatus(over_f2, sp, "yes", k, None)
+        return IrreducibilityStatus("reducible", None, w)
+    k, g = None, f.degree
+    for m in range(1, SMOOTH_SCAN_MAX + 1):
+        if _counter(m).count(f).smooth:
+            k, g = k or m, gcd(g, m)
+            if g == 1:
+                break
+    if k is not None and g <= 3:
+        w = find_factor(f, g)
+        absolute = "yes" if w is None else "reducible"
+    else:  # no smooth point, or the orbit size s may still be 4..6
+        w = find_factor(f, 2) or find_factor(f, 3)
+        absolute = "unknown" if w is None else "reducible"
+    return IrreducibilityStatus(absolute, k if absolute == "yes" else None, w)

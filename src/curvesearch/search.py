@@ -12,7 +12,7 @@ The catalog is one JSON object per line, canonically sorted by
 (degree, mask) and deduplicated by mask at finalization, so interrupted and
 resumed runs converge to byte-identical files.  Checkpoints store the sieve
 scan position plus the packed bit table and refuse to load under a changed
-configuration.
+configuration or Lauter table.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .singular import (
 
 SUPPORTED_FIELDS = tuple(1 << m for m in range(3, 12))
 
-CHECKPOINT_MAGIC = b"CSCHKPT1"
+CHECKPOINT_MAGIC = b"CSCHKPT2"
 
 
 class ConfigError(ValueError):
@@ -362,13 +362,8 @@ def _dedup_multiplicities(singular: list[SingularPoint]) -> list[int]:
 # -- worker pool plumbing ----------------------------------------------------------
 
 
-_WORKER_PIPELINE: CurvePipeline | None = None
-_WORKER_MARGIN: int = 15
-
-
-def _process_orbits(batch: list[OrbitInfo]) -> tuple[list[CurveRecord], SearchStats]:
-    pipe = _WORKER_PIPELINE
-    assert pipe is not None
+def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
+                    ) -> tuple[list[CurveRecord], SearchStats]:
     stats = SearchStats()
     records: list[CurveRecord] = []
     for info in batch:
@@ -383,7 +378,7 @@ def _process_orbits(batch: list[OrbitInfo]) -> tuple[list[CurveRecord], SearchSt
         except GenusInconsistency:
             stats.dropped_inconsistent += 1
             continue
-        if not pipe.meets_threshold(counts, gi, _WORKER_MARGIN):
+        if not pipe.meets_threshold(counts, gi, margin):
             stats.dropped_threshold += 1
             continue
         record = pipe.analyze(info.rep, info.orbit_size, counts)
@@ -406,6 +401,21 @@ def _process_orbits(batch: list[OrbitInfo]) -> tuple[list[CurveRecord], SearchSt
     return records, stats
 
 
+# Set once in each pool worker by `_init_worker`; a forked worker inherits
+# the pipeline's tables instead of receiving them pickled.
+_worker_args: tuple[CurvePipeline, int] | None = None
+
+
+def _init_worker(pipe: CurvePipeline, margin: int) -> None:
+    global _worker_args
+    _worker_args = (pipe, margin)
+
+
+def _process_in_worker(batch: list[OrbitInfo]
+                       ) -> tuple[list[CurveRecord], SearchStats]:
+    return _process_orbits(batch, *_worker_args)
+
+
 def _merge_stats(total: SearchStats, part: SearchStats) -> None:
     for name in vars(part):
         setattr(total, name, getattr(total, name) + getattr(part, name))
@@ -414,12 +424,23 @@ def _merge_stats(total: SearchStats, part: SearchStats) -> None:
 # -- checkpointing -------------------------------------------------------------------
 
 
-def _checkpoint_save(path: str, cfg: SearchConfig, engine: SieveEngine) -> None:
+def _lauter_digest(table: BoundTable) -> bytes:
+    """SHA-256 of the loaded Lauter entries ("q g bound" lines, sorted): the
+    same table read from any file has the same digest."""
+    import hashlib  # loads OpenSSL (~3.5 MB RSS), which only checkpoints need
+
+    text = "".join(f"{q} {g} {b}\n" for (q, g), b in sorted(table.lauter.items()))
+    return hashlib.sha256(text.encode()).digest()
+
+
+def _checkpoint_save(path: str, cfg: SearchConfig, bounds: BoundTable,
+                     engine: SieveEngine) -> None:
     position, table = engine.pack_state()
-    header = struct.pack(
-        "<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin
-    ) + struct.pack(f"<{len(cfg.fields)}H", *cfg.fields) + struct.pack(
-        "<QQ", position, len(table)
+    header = (
+        struct.pack("<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin)
+        + struct.pack(f"<{len(cfg.fields)}H", *cfg.fields)
+        + _lauter_digest(bounds)
+        + struct.pack("<QQ", position, len(table))
     )
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -429,25 +450,31 @@ def _checkpoint_save(path: str, cfg: SearchConfig, engine: SieveEngine) -> None:
     os.replace(tmp, path)
 
 
-def _checkpoint_load(path: str, cfg: SearchConfig, engine: SieveEngine) -> None:
+def _checkpoint_load(path: str, cfg: SearchConfig, bounds: BoundTable,
+                     engine: SieveEngine) -> None:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 6 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: bad checkpoint magic")
+        raise CheckpointError(f"{path}: bad checkpoint magic {blob[:8]!r}, "
+                              f"expected {CHECKPOINT_MAGIC!r}")
     off = len(CHECKPOINT_MAGIC)
     try:
         degree, n_fields, margin = struct.unpack_from("<BBi", blob, off)
         off += struct.calcsize("<BBi")
         fields = struct.unpack_from(f"<{n_fields}H", blob, off)
         off += n_fields * 2
-        position, table_len = struct.unpack_from("<QQ", blob, off)
+        stored_digest, position, table_len = struct.unpack_from("<32sQQ", blob, off)
     except struct.error:
         raise CheckpointError(f"{path}: truncated checkpoint header") from None
-    off += struct.calcsize("<QQ")
+    off += struct.calcsize("<32sQQ")
     if degree != cfg.degree or fields != cfg.fields or margin != cfg.keep_margin:
         raise CheckpointError(
             f"{path}: checkpoint was written for degree={degree}, "
             f"fields={list(fields)}, margin={margin}; current config differs"
+        )
+    if stored_digest != _lauter_digest(bounds):
+        raise CheckpointError(
+            f"{path}: checkpoint was written under a different Lauter table"
         )
     table = blob[off:]
     if len(table) != table_len:
@@ -476,16 +503,13 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             "degree-6 search over fields beyond 2^9 is a multi-hour run; "
             "checkpointing is recommended"
         )
-    global _WORKER_PIPELINE, _WORKER_MARGIN
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)
-    _WORKER_PIPELINE = pipeline
-    _WORKER_MARGIN = cfg.keep_margin
 
     engine = SieveEngine(cfg.degree)
     out_fh = None
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
-        _checkpoint_load(cfg.checkpoint_path, cfg, engine)
+        _checkpoint_load(cfg.checkpoint_path, cfg, bound_table, engine)
     elif cfg.out_path and os.path.exists(cfg.out_path):
         os.remove(cfg.out_path)
     if cfg.out_path:
@@ -503,15 +527,17 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
                 pipeline.counters[q].monomial_table(cfg.degree)
                 if cfg.degree > 1:
                     pipeline.counters[q].monomial_table(cfg.degree - 1)
-            pool = multiprocessing.get_context("fork").Pool(cfg.jobs)
+            pool = multiprocessing.get_context("fork").Pool(
+                cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
         ranges_done = 0
         while not engine.done:
             infos = engine.run_range(span)
             batches = [infos[i: i + 64] for i in range(0, len(infos), 64)]
             if pool is not None:
-                results = pool.map(_process_orbits, batches)
+                results = pool.map(_process_in_worker, batches)
             else:
-                results = [_process_orbits(b) for b in batches]
+                results = [_process_orbits(b, pipeline, cfg.keep_margin)
+                           for b in batches]
             for recs, st in results:
                 _merge_stats(total_stats, st)
                 records.extend(recs)
@@ -521,7 +547,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             if out_fh is not None:
                 out_fh.flush()
             if cfg.checkpoint_path:
-                _checkpoint_save(cfg.checkpoint_path, cfg, engine)
+                _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, engine)
             ranges_done += 1
             if cfg.stop_after_ranges and ranges_done >= cfg.stop_after_ranges:
                 raise InterruptedError(

@@ -218,25 +218,6 @@ def factor_binary_form(form: FormT, field: FieldTable,
     return roots
 
 
-def _remainder_after_roots(form: FormT, field: FieldTable,
-                           elements: list[int]) -> tuple[list[tuple[int, int]], int]:
-    """(root multiplicity shape, degree of the rootless remainder)."""
-    m = len(form) - 1
-    p = _ptrim([form[m - i] for i in range(m + 1)])
-    shape = []
-    inf_mult = m - (len(p) - 1)
-    if inf_mult > 0:
-        shape.append((1, inf_mult))
-    for t0 in elements:
-        mult = 0
-        while len(p) > 1 and _peval(p, t0, field) == 0:
-            p = _deflate_root(p, t0, field)
-            mult += 1
-        if mult:
-            shape.append((1, mult))
-    return shape, len(p) - 1
-
-
 def cone_type(form: FormT, field: FieldTable, k: int) -> str:
     """Canonical factorization-shape string over the field of definition F_{2^k}."""
     squarefree = form_is_squarefree(form, field)
@@ -244,8 +225,9 @@ def cone_type(form: FormT, field: FieldTable, k: int) -> str:
     fallback = f"deg={m} squarefree={'true' if squarefree else 'false'}"
     if field.m % k:
         return fallback
-    elements = field.subfield_elements(k)
-    shape, rem_deg = _remainder_after_roots(form, field, elements)
+    roots = factor_binary_form(form, field, field.subfield_elements(k))
+    shape = [(1, mult) for _, mult in roots]
+    rem_deg = m - sum(mult for _, mult in roots)
     if rem_deg in (2, 3):
         # No rational root over the definition field, so the remainder is an
         # irreducible quadratic or cubic over it.

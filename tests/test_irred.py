@@ -15,16 +15,49 @@ from curvesearch.irred import (
     is_irreducible,
     mask_to_dict,
 )
+from curvesearch.orbit import SieveEngine
 from curvesearch.polyrep import (
     PolyMask,
+    encode,
     evaluate,
     full_mask,
     mul_masks,
+    parse_mask_id,
     parse_poly,
     partials,
 )
 
 F2 = build_field(1)
+
+
+def conjugate_cubic_norm() -> PolyMask:
+    """g * Frob(g) for g = x^3 + w y^3 + z^3 over F_4: F_2-irreducible,
+    reducible over F_4."""
+    f4 = build_field(2)
+    g = {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}  # coefficient 2 = generator
+    g_conj = {m: f4.mul(c, c) for m, c in g.items()}  # Frobenius image
+    f = hom_mul(g, g_conj, f4)
+    assert all(c in (0, 1) for c in f.values())  # F_2 coefficients
+    return encode([m for m, c in f.items() if c])
+
+
+def oracle_certificate(f: PolyMask) -> tuple[str, int | None, str | None]:
+    """(absolute, k, witness) from the scalar simple-point scan over
+    F_2..F_8 and trial division over F_2, then over the simple point's
+    field; with no simple point, the F_4/F_8 sweeps decide reducibility
+    only ("unknown" otherwise)."""
+    w = find_factor(f, 1)
+    if w is None:
+        sp = find_simple_point(f)
+        if sp is not None:
+            w = find_factor(f, sp[0])
+            if w is None:
+                return "yes", sp[0], None
+        else:
+            w = find_factor(f, 2) or find_factor(f, 3)
+            if w is None:
+                return "unknown", None, None
+    return "reducible", None, str(w)
 
 
 def test_divides_examples():
@@ -101,13 +134,7 @@ def test_galois_descent_conjugate_split():
     # A norm-form product of two conjugate cubics over F_4 is irreducible over
     # F_2 but must be caught at k = 2.
     f4 = build_field(2)
-    g = {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}  # coefficient 2 = generator
-    g_conj = {m: f4.mul(c, c) for m, c in g.items()}  # Frobenius image
-    f = hom_mul(g, g_conj, f4)
-    assert all(c in (0, 1) for c in f.values())  # F_2 coefficients
-    from curvesearch.polyrep import encode
-
-    fm = encode([m for m, c in f.items() if c])
+    fm = conjugate_cubic_norm()
     assert is_irreducible(fm, 1)
     w = find_factor(fm, 2)
     assert w is not None and w.k == 2 and w.degree == 3
@@ -131,9 +158,10 @@ def test_find_simple_point_examples():
 
 
 def test_certify_absolute_yes_and_reducible():
-    st = certify_absolute(parse_poly("x^5 + y^5 + z^5"))
+    f = parse_poly("x^5 + y^5 + z^5")
+    st = certify_absolute(f)
     assert st.absolute == "yes" and st.certificate_field == 1
-    assert st.over_f2 == "irreducible"
+    assert find_factor(f, 1) is None and find_simple_point(f)[0] == 1
 
     prod = mul_masks(
         PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
@@ -145,10 +173,56 @@ def test_certify_absolute_yes_and_reducible():
     quot, ok = hom_divmod(mask_to_dict(prod), st.witness.as_dict(), F2)
     assert ok
 
+    # Reducible over F_4 only: up to F_32 its smooth points lie over F_16
+    # alone, so g = gcd(6, 4) = 2 and the one F_4 sweep finds a cubic.
+    st = certify_absolute(conjugate_cubic_norm())
+    assert st.absolute == "reducible" and st.certificate_field is None
+    assert st.witness.k == 2 and st.witness.degree == 3
+
+
+def test_certificate_matches_simple_point_oracle():
+    # Every degree <= 4 orbit (trivially reducible ones included) and seeded
+    # random F_2-irreducible degree-5/6 masks.
+    masks = []
+    for d in range(1, 5):
+        engine = SieveEngine(d)
+        while not engine.done:
+            masks += [info.rep for info in engine.run_range(1 << 12)]
+    assert len(masks) == 305
+    rng = random.Random(2001)
+    for d, n in ((5, 60), (6, 12)):
+        while n:
+            f = PolyMask(d, rng.randint(1, full_mask(d)))
+            if is_irreducible(f, 1):
+                masks.append(f)
+                n -= 1
+    for f in masks:
+        st = certify_absolute(f)
+        got = (st.absolute, st.certificate_field,
+               str(st.witness) if st.witness else None)
+        want = oracle_certificate(f)
+        if want[0] == "unknown":
+            # No simple point over F_2..F_8 and no factor over F_4 or F_8.
+            assert st.absolute != "reducible", f
+            assert st.absolute == "unknown" or st.certificate_field > 3, f
+        else:
+            assert got == want, f
+
+
+def test_certificate_decides_oracle_unknowns():
+    # F_2-irreducible, no simple point over F_2..F_8 (so the F_4/F_8 sweeps
+    # alone left these "unknown"), smooth points over F_16 and F_32: g = 1.
+    for mask_id in ("d5:0x000091db", "d6:0x002001f1", "d6:0x0ea3d9bf"):
+        f = parse_mask_id(mask_id)
+        assert find_factor(f, 1) is None and find_simple_point(f) is None
+        st = certify_absolute(f)
+        assert (st.absolute, st.certificate_field, st.witness) == ("yes", 4, None)
+
 
 def test_certificate_hygiene_on_record_curves():
     # Re-validate stored certificates: no divisor over the certificate field,
-    # and the simple point re-evaluates to zero with nonzero gradient.
+    # and the oracle's first simple point lies over it, re-evaluating to zero
+    # with nonzero gradient.
     for text in (
         "x^3*y^2 + y^5 + x^3*y*z + y^3*z^2 + z^5",
         "x^4*y^2 + y^5*z + x*z^5",
@@ -159,7 +233,7 @@ def test_certificate_hygiene_on_record_curves():
         assert st.absolute == "yes"
         k = st.certificate_field
         assert find_factor(f, k) is None
-        ksp, p = st.simple_point
+        ksp, p = find_simple_point(f)
         assert ksp == k
         field = build_field(k)
         assert evaluate(f, p, field) == 0

@@ -3,9 +3,11 @@
 import json
 import os
 import struct
+import threading
 
 import pytest
 
+from curvesearch import search
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
 from curvesearch.count import PointCounter
@@ -50,15 +52,28 @@ def test_degree4_f64_finds_the_two_record_quartics():
 
 
 def test_each_orbit_counted_once(monkeypatch):
+    # Counts over the search fields only: the certificate's own smooth
+    # counts over F_2..F_32 are not counted.
     calls = 0
+    certifying = False
     real_count = PointCounter.count
+    real_certify = search.certify_absolute
 
     def counting(self, f):
         nonlocal calls
-        calls += 1
+        calls += not certifying
         return real_count(self, f)
 
+    def certify(f):
+        nonlocal certifying
+        certifying = True
+        try:
+            return real_certify(f)
+        finally:
+            certifying = False
+
     monkeypatch.setattr(PointCounter, "count", counting)
+    monkeypatch.setattr(search, "certify_absolute", certify)
     stats = SearchStats()
     fields = (8, 64)
     records = run_search(SearchConfig(degree=4, fields=fields, jobs=1),
@@ -102,6 +117,26 @@ def test_parallel_catalog_identity(tmp_path):
     base = run_search(SearchConfig(degree=4, fields=(8, 64), jobs=1))
     quad = run_search(SearchConfig(degree=4, fields=(8, 64), jobs=4))
     assert [r.to_json() for r in base] == [r.to_json() for r in quad]
+
+
+def test_run_search_is_reentrant():
+    # Concurrent searches keep their own pipeline and margin.
+    configs = [SearchConfig(degree=4, fields=(64,), keep_margin=m)
+               for m in (15, 80)]
+    serial = [[r.to_json() for r in run_search(cfg)] for cfg in configs]
+    assert serial[0] != serial[1]
+    results: list = [None, None]
+
+    def run(i: int) -> None:
+        results[i] = [r.to_json() for r in run_search(configs[i])]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=600)
+        assert not t.is_alive()
+    assert results == serial
 
 
 def test_checkpoint_resume_identity(tmp_path):
@@ -154,7 +189,7 @@ def test_checkpoint_config_mismatch_and_corruption(tmp_path):
         run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
                                 checkpoint_path=str(ck)))
 
-    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiHQQ")
+    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32sQQ")
     for cut in range(header_len + 1):
         ck.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
@@ -169,7 +204,7 @@ def test_checkpoint_position_and_table_validated(tmp_path):
     with pytest.raises(InterruptedError):
         run_search(cfg)
     blob = ck.read_bytes()
-    pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH")
+    pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32s")
     table_off = pos_off + struct.calcsize("<QQ")
     resume = SearchConfig(degree=3, fields=(8,), range_bits=4,
                           checkpoint_path=str(ck))
@@ -182,6 +217,32 @@ def test_checkpoint_position_and_table_validated(tmp_path):
     ck.write_bytes(blob[:table_off] + zero_live + blob[table_off + 1:])
     with pytest.raises(CheckpointError, match="zero mask"):
         run_search(resume)
+
+
+def test_checkpoint_keyed_to_lauter_table(tmp_path, capsys):
+    ck = tmp_path / "ck.bin"
+    with pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
+                                checkpoint_path=str(ck), stop_after_ranges=1))
+    blob = ck.read_bytes()
+    args = ["search", "--degree", "3", "--fields", "8", "--checkpoint", str(ck)]
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no entries\n")
+    assert main(args + ["--lauter", str(empty)]) == 3
+    assert "Lauter" in capsys.readouterr().err
+
+    ck.write_bytes(b"CSCHKPT1" + blob[len(CHECKPOINT_MAGIC):])
+    assert main(args) == 3
+    assert "CSCHKPT1" in capsys.readouterr().err
+
+    # The digest covers the loaded entries, not the file: the shipped table
+    # copied with extra comments resumes.
+    shipped = tmp_path / "lauter.txt"
+    shipped.write_text("# copy\n" + "".join(
+        f"{q} {g} {b}\n" for (q, g), b in load_lauter().lauter.items()))
+    ck.write_bytes(blob)
+    assert main(args + ["--lauter", str(shipped)]) == 0
 
 
 def test_verify_reference_examples():
