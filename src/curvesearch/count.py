@@ -1,14 +1,17 @@
 """Point enumeration and smooth/singular point counting over P^2(F_q).
 
 The projective plane is enumerated once per field as normalized
-representatives (1, y, z), then (0, 1, z), then (0, 0, 1), and for each
-point the values of all basis monomials of a degree are tabulated.  A curve
-with w monomials then costs w contiguous-row XOR passes per field, which is
-what makes the exhaustive search tractable.  The tables for the largest
-field/degree combination run to a few hundred MB; when one cannot be
-allocated, `PointCounter` falls back to evaluating the curve's own monomials
-in fixed-size chunks of points.  Tables and chunks come from the same
-log-domain evaluator, so both paths give the same values.
+representatives (1, y, z), then (0, 1, z), then (0, 0, 1).  A curve's
+values come from one log-domain evaluator over its own monomials, in
+fixed-size chunks of points.  Where many curves of one degree are counted
+over one field (the search, and the certificate's small fields), the caller
+builds that degree's monomial table up front with
+`PointCounter.monomial_table`: the values of every basis monomial at every
+point, so a curve with w monomials costs w contiguous-row XOR passes.  A
+table pays for itself after a few counts but runs to a few hundred MB for
+the largest fields, so single-curve counting (`count_points`, `verify`)
+builds none.  A table that cannot be allocated leaves its degree on the
+chunked path; both paths give the same values.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ class PointCounter:
         coords[2, q * q : q * q + q] = grid
         coords[2, -1] = 1
         self.coords = coords
-        # None once a table allocation has failed: evaluate in chunks from then on.
-        self._tables: dict[int, np.ndarray] | None = {}
+        # degree -> monomial table, or None where the allocation failed
+        self._tables: dict[int, np.ndarray | None] = {}
 
     def _monomial_rows(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
                        ) -> Iterator[np.ndarray]:
@@ -103,9 +106,9 @@ class PointCounter:
         return out
 
     def monomial_table(self, d: int) -> np.ndarray | None:
-        """The degree-d table, built on first use; None on the chunked path."""
-        if self._tables is None:
-            return None
+        """Build (once) and keep the degree-d table, so that later counts of
+        degree-d curves, or of degree-(d+1) curves' partials, use it; None
+        when it does not fit in memory (degree d then evaluates in chunks)."""
         if d not in self._tables:
             try:
                 self._tables[d] = self._build_table(d)
@@ -114,8 +117,7 @@ class PointCounter:
                     f"monomial table for q={self.q}, d={d} does not fit in "
                     "memory; falling back to chunked evaluation"
                 )
-                self._tables = None
-                return None
+                self._tables[d] = None
         return self._tables[d]
 
     # -- evaluation ------------------------------------------------------------
@@ -125,7 +127,7 @@ class PointCounter:
         cols = bit_indices(f.bits)
         if not cols:
             return np.zeros_like(self.coords[0][sel])
-        table = self.monomial_table(f.degree)
+        table = self._tables.get(f.degree)
         if table is None:
             rows = self._monomial_rows(f.degree, cols, sel)
         else:
@@ -169,8 +171,6 @@ class PointCounter:
 
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:
     """One-shot count for a single curve (tables are only worth it in bulk)."""
-    if f.bits == 0:
-        raise ValueError("zero polynomial")
     return PointCounter(field).count(f)
 
 

@@ -185,23 +185,25 @@ def _witness(g: HomPoly, k: int) -> Factor:
 
 
 @lru_cache(maxsize=1 << 16)
+def _factor_sweep(f: PolyMask, s: int) -> Factor | None:
+    """One sweep, run once per (f, s): for s = 1 the first F_2 factor of
+    degree 1..d/2; for s > 1 the first conjugate factor of degree d/s over
+    F_{2^s} (Galois descent; f must have no F_2 factor)."""
+    d = f.degree
+    degrees = range(1, d // 2 + 1) if s == 1 else [d // s]
+    w = _sweep(mask_to_dict(f), degrees, build_field(s))
+    return None if w is None else _witness(w, s)
+
+
 def find_factor(f: PolyMask, k: int) -> Factor | None:
     """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
     if not 1 <= k <= 3:
         raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
-    d = f.degree
-    fd = mask_to_dict(f)
-    f2 = build_field(1)
-    w = _sweep(fd, range(1, d // 2 + 1), f2)
-    if w is not None:
-        return _witness(w, 1)
-    for s in range(2, k + 1):
-        if k % s or d % s:
-            continue
-        field = build_field(s)
-        w = _sweep(fd, [d // s], field)
-        if w is not None:
-            return _witness(w, s)
+    for s in range(1, k + 1):
+        if s == 1 or (k % s == 0 and f.degree % s == 0):
+            w = _factor_sweep(f, s)
+            if w is not None:
+                return w
     return None
 
 
@@ -223,8 +225,14 @@ def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:
 
 
 @lru_cache(maxsize=None)
-def _counter(m: int) -> PointCounter:
-    return PointCounter(build_field(m))
+def _counter(m: int, d: int) -> PointCounter:
+    """Counter over F_{2^m} with the degree-d and (d-1) tables, as every
+    degree-d curve the search certifies is counted there."""
+    counter = PointCounter(build_field(m))
+    counter.monomial_table(d)
+    if d > 1:
+        counter.monomial_table(d - 1)
+    return counter
 
 
 def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
@@ -235,7 +243,7 @@ def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
         return IrreducibilityStatus("reducible", None, w)
     k, g = None, f.degree
     for m in range(1, SMOOTH_SCAN_MAX + 1):
-        if _counter(m).count(f).smooth:
+        if _counter(m, f.degree).count(f).smooth:
             k, g = k or m, gcd(g, m)
             if g == 1:
                 break

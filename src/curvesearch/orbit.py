@@ -39,6 +39,9 @@ from .polyrep import (
 
 GL3_ORDER = 168  # (2^3 - 1)(2^3 - 2)(2^3 - 4)
 
+# Candidate masks per kernel pass; bounds the (168, BLOCK) image array.
+BLOCK = 1 << 16
+
 
 @lru_cache(maxsize=1)
 def enumerate_gl3() -> tuple[Mat3, ...]:
@@ -73,17 +76,6 @@ class OrbitInfo:
         return PolyMask(self.degree, self.rep_bits)
 
 
-@dataclass
-class SieveStats:
-    orbits_total: int = 0
-    orbits_trivial: int = 0
-    size_sum: int = 0
-
-    @property
-    def orbits_emitted(self) -> int:
-        return self.orbits_total - self.orbits_trivial
-
-
 @lru_cache(maxsize=4)
 def _byte_luts(d: int) -> np.ndarray:
     """Per-matrix, per-byte-position image tables, shape (168, nbytes, 256)."""
@@ -105,21 +97,19 @@ def _byte_luts(d: int) -> np.ndarray:
 class SieveEngine:
     """Range-driven orbit sieve over the full degree-d mask space.
 
-    Owns the live bit table; `run_range` processes one span of the scan and
+    Owns the live table; `run_range` processes one span of the scan and
     returns the orbits whose minimum lies inside it.  `position` only
     advances when a range completes, which is the checkpoint granularity.
     """
 
-    def __init__(self, degree: int, *, block: int = 1 << 16):
+    def __init__(self, degree: int):
         if not 1 <= degree <= 6:
             raise ValueError(f"sieve degree must be 1..6, got {degree}")
         self.degree = degree
         self.space = full_mask(degree)  # masks 1 .. space inclusive
-        self.block = block
         self.table = np.ones(self.space + 1, dtype=bool)
         self.table[0] = False
         self.position = 1
-        self.stats = SieveStats()
 
     @property
     def done(self) -> bool:
@@ -138,8 +128,8 @@ class SieveEngine:
         ]
 
         cand_all = np.flatnonzero(self.table[lo:hi]).astype(np.int64) + lo
-        for start in range(0, len(cand_all), self.block):
-            cand = cand_all[start : start + self.block]
+        for start in range(0, len(cand_all), BLOCK):
+            cand = cand_all[start : start + BLOCK]
             cand = cand[self.table[cand]]  # drop masks claimed by earlier blocks
             if len(cand) == 0:
                 continue
@@ -166,9 +156,6 @@ class SieveEngine:
 
                 for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
                     out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
-                self.stats.orbits_total += len(reps)
-                self.stats.orbits_trivial += int(triv.sum())
-                self.stats.size_sum += int(sizes.sum())
 
             self.table[imgs.reshape(-1)] = False
 
@@ -198,30 +185,21 @@ class SieveEngine:
         table = np.unpackbits(packed, bitorder="little")[: self.space + 1]
         self.table = table.astype(bool)
         self.position = position
-        # Tallies restart from the resume point; totals are recomputed by the
-        # caller from the merged catalog, not from engine stats.
-        self.stats = SieveStats()
 
 
-def sieve(degree: int, *, include_trivial: bool = False, span: int = 1 << 20
-          ) -> Iterator[tuple[PolyMask, int]]:
-    """Stream (representative, orbit size) for every orbit of nonzero masks.
-
-    Orbits in which some member fires the cheap reducibility filter are
-    cleared but not emitted unless include_trivial is set.
-    """
+def _scan(degree: int) -> Iterator[OrbitInfo]:
     eng = SieveEngine(degree)
     while not eng.done:
-        for info in eng.run_range(span):
-            if info.trivially_reducible and not include_trivial:
-                continue
-            yield info.rep, info.orbit_size
+        yield from eng.run_range(1 << 20)
 
 
-def sieve_all(degree: int, *, span: int = 1 << 20) -> tuple[list[OrbitInfo], SieveStats]:
+def sieve(degree: int) -> Iterator[tuple[PolyMask, int]]:
+    """Stream (representative, orbit size) for every orbit of nonzero masks,
+    except orbits in which some member fires the cheap reducibility filter."""
+    return ((info.rep, info.orbit_size) for info in _scan(degree)
+            if not info.trivially_reducible)
+
+
+def sieve_all(degree: int) -> list[OrbitInfo]:
     """Run the whole sieve, returning every orbit (trivial ones included)."""
-    eng = SieveEngine(degree)
-    out: list[OrbitInfo] = []
-    while not eng.done:
-        out.extend(eng.run_range(span))
-    return out, eng.stats
+    return list(_scan(degree))

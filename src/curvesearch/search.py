@@ -219,25 +219,29 @@ class CurveRecord:
 # -- per-curve analysis ---------------------------------------------------------
 
 
-def distinct_singular_count(counts: dict[int, PointCount]) -> int:
-    """Deduplicated lower bound on the number of singular points.
+def distinct_singular_points(counts: dict[int, PointCount]
+                             ) -> list[tuple[int, tuple[int, int, int]]]:
+    """The deduplicated singular set as (q, point) pairs; its size r is a
+    lower bound on the number of singular points.
 
     F_2-rational points have the same {0,1} coordinates in every field table
-    and are counted once; non-F_2-rational points cannot be identified across
-    fields without embedding maps, so only the best single field's tally is
-    added (each field's set consists of genuinely distinct points).
+    and are kept once; non-F_2-rational points cannot be identified across
+    fields without embedding maps, so only the points of the field with the
+    most of them are added (the first such field in ascending q; each
+    field's set consists of genuinely distinct points).
     """
-    f2_points = set()
-    best_other = 0
-    for pc in counts.values():
-        other = 0
-        for p in pc.singular_points:
+    f2: dict[tuple[int, int, int], int] = {}
+    best: list[tuple[int, tuple[int, int, int]]] = []
+    for q in sorted(counts):
+        other = []
+        for p in counts[q].singular_points:
             if max(p) <= 1:
-                f2_points.add(p)
+                f2.setdefault(p, q)
             else:
-                other += 1
-        best_other = max(best_other, other)
-    return len(f2_points) + best_other
+                other.append((q, p))
+        if len(other) > len(best):
+            best = other
+    return [(q, p) for p, q in f2.items()] + best
 
 
 class CurvePipeline:
@@ -254,7 +258,7 @@ class CurvePipeline:
         return {q: self.counters[q].count(f) for q in self.orders}
 
     def quick_genus(self, d: int, counts: dict[int, PointCount]) -> GenusInterval:
-        r = distinct_singular_count(counts)
+        r = len(distinct_singular_points(counts))
         return genus_interval(d, r, {q: pc.smooth for q, pc in counts.items()})
 
     def meets_threshold(self, counts: dict[int, PointCount], gi: GenusInterval,
@@ -270,7 +274,8 @@ class CurvePipeline:
         """Full record for one curve from its `count_all` counts; None when
         the genus interval is inconsistent (the curve cannot be absolutely
         irreducible)."""
-        r = distinct_singular_count(counts)
+        distinct = distinct_singular_points(counts)
+        r = len(distinct)
         try:
             gi = genus_interval(
                 f.degree, r, {q: pc.smooth for q, pc in counts.items()}
@@ -323,7 +328,8 @@ class CurvePipeline:
             flags.append("genus-ambiguous")
 
         theorem1_ok: bool | None = None
-        mults = _dedup_multiplicities(singular)
+        by_point = {(s.q, s.point): s.multiplicity for s in singular}
+        mults = [by_point[key] for key in distinct]
         if len(mults) >= 2:
             theorem1_ok = check_theorem1(mults, f.degree)
 
@@ -343,20 +349,6 @@ class CurvePipeline:
             flags=tuple(flags),
             theorem1_ok=theorem1_ok,
         )
-
-
-def _dedup_multiplicities(singular: list[SingularPoint]) -> list[int]:
-    """Multiplicities of the deduplicated singular set (see
-    distinct_singular_count for the dedup rule)."""
-    f2: dict[tuple[int, int, int], int] = {}
-    per_field: dict[int, list[int]] = {}
-    for s in singular:
-        if max(s.point) <= 1:
-            f2[s.point] = s.multiplicity
-        else:
-            per_field.setdefault(s.q, []).append(s.multiplicity)
-    best: list[int] = max(per_field.values(), key=len, default=[])
-    return list(f2.values()) + best
 
 
 # -- worker pool plumbing ----------------------------------------------------------
@@ -520,13 +512,14 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     span = 1 << cfg.range_bits
     pool = None
     try:
+        # Every counted orbit is counted over every field, so the tables pay
+        # for themselves; built before forking, workers share the parent's
+        # read-only pages instead of each building their own.
+        for counter in pipeline.counters.values():
+            counter.monomial_table(cfg.degree)
+            if cfg.degree > 1:
+                counter.monomial_table(cfg.degree - 1)
         if cfg.jobs > 1:
-            # Build the monomial tables before forking so workers share the
-            # parent's read-only pages instead of each building their own.
-            for q in cfg.fields:
-                pipeline.counters[q].monomial_table(cfg.degree)
-                if cfg.degree > 1:
-                    pipeline.counters[q].monomial_table(cfg.degree - 1)
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
         ranges_done = 0
@@ -633,7 +626,7 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
     if record is None:
         # Surface the inconsistency as a flagged record rather than an error:
         # corpus tooling reports it, nothing downstream trusts the bounds.
-        r = distinct_singular_count(counts)
+        r = len(distinct_singular_points(counts))
         return CurveRecord(
             degree=f.degree, mask=f.bits, orbit_size=orbit_size,
             counts=counts, singular=(), blowups={}, r_distinct=r,

@@ -64,37 +64,58 @@ def test_total_is_smooth_plus_singular_and_bounded():
         assert 0 <= pc.total <= 73
 
 
+def _tabulated(field) -> PointCounter:
+    counter = PointCounter(field)
+    for d in range(1, 7):
+        assert counter.monomial_table(d) is not None
+    return counter
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_against_naive_oracle(m):
+    # Both count paths: the curve's own monomials, and prebuilt tables.
     field = build_field(m)
-    counter = PointCounter(field)
-    rng = random.Random(m)
-    for _ in range(200 // m):
-        d = rng.randint(1, 6)
-        f = PolyMask(d, rng.randint(1, full_mask(d)))
-        a = counter.count(f)
-        b = naive_count(f, field)
-        assert (a.total, a.smooth, a.singular_points) == (
-            b.total,
-            b.smooth,
-            b.singular_points,
-        )
+    for counter in (PointCounter(field), _tabulated(field)):
+        rng = random.Random(m)
+        for _ in range(200 // m):
+            d = rng.randint(1, 6)
+            f = PolyMask(d, rng.randint(1, full_mask(d)))
+            a = counter.count(f)
+            b = naive_count(f, field)
+            assert (a.total, a.smooth, a.singular_points) == (
+                b.total,
+                b.smooth,
+                b.singular_points,
+            )
 
 
 def test_streaming_fallback_matches_tables(monkeypatch):
     # Force the real fallback: table allocation fails, then small chunks.
     f16 = build_field(4)
-    with_tables = PointCounter(f16)
+    with_tables = _tabulated(f16)
     streaming = PointCounter(f16)
+    # Only the degree-3 table fails: degree 2 (its partials) stays tabulated.
+    partial = PointCounter(f16)
+    real_build = partial._build_table
 
     def no_memory(d):
         raise MemoryError
 
+    def no_memory_for_3(d):
+        if d == 3:
+            raise MemoryError
+        return real_build(d)
+
     monkeypatch.setattr(streaming, "_build_table", no_memory)
+    monkeypatch.setattr(partial, "_build_table", no_memory_for_3)
     monkeypatch.setattr(count, "CHUNK", 41)
     rng = random.Random(5)
     with pytest.warns(UserWarning, match="falling back"):
-        assert streaming.monomial_table(3) is None
+        for d in range(1, 7):
+            assert streaming.monomial_table(d) is None
+    with pytest.warns(UserWarning, match="q=16, d=3"):
+        assert partial.monomial_table(3) is None
+    assert (partial.monomial_table(2) == with_tables.monomial_table(2)).all()
     for _ in range(40):
         d = rng.randint(1, 6)
         f = PolyMask(d, rng.randint(1, full_mask(d)))
@@ -105,7 +126,16 @@ def test_streaming_fallback_matches_tables(monkeypatch):
             b.smooth,
             b.singular_points,
         ) == (c.total, c.smooth, c.singular_points)
+    for _ in range(20):
+        f = PolyMask(3, rng.randint(1, full_mask(3)))
+        a, b = with_tables.count(f), partial.count(f)
+        assert (a.total, a.smooth, a.singular_points) == (
+            b.total,
+            b.smooth,
+            b.singular_points,
+        )
     assert streaming.monomial_table(3) is None
+    assert partial.monomial_table(3) is None
 
 
 def test_counts_invariant_on_orbits():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from curvesearch import irred
 from curvesearch.gf2m import build_field
 from curvesearch.irred import (
     certify_absolute,
@@ -178,6 +179,32 @@ def test_certify_absolute_yes_and_reducible():
     st = certify_absolute(conjugate_cubic_norm())
     assert st.absolute == "reducible" and st.certificate_field is None
     assert st.witness.k == 2 and st.witness.degree == 3
+
+
+def test_each_certificate_sweep_runs_once(monkeypatch):
+    # The F_2 sweep of find_factor(f, 1) is reused by find_factor(f, 2) and
+    # find_factor(f, 3); witnesses and outcomes are unchanged.
+    sweeps = []
+    real_sweep = irred._sweep
+
+    def recording(f, degrees, field):
+        sweeps.append(field.order)
+        return real_sweep(f, degrees, field)
+
+    monkeypatch.setattr(irred, "_sweep", recording)
+    fm = conjugate_cubic_norm()
+    irred._factor_sweep.cache_clear()
+    st = certify_absolute(fm)
+    assert st.absolute == "reducible" and st.certificate_field is None
+    assert (st.witness.k, st.witness.degree) == (2, 3)
+    assert sweeps == [2, 4]
+
+    irred._factor_sweep.cache_clear()
+    sweeps.clear()
+    assert find_factor(fm, 1) is None
+    assert find_factor(fm, 3) is None  # 3 | 6, but the factors live over F_4
+    assert find_factor(fm, 2) == st.witness
+    assert sweeps == [2, 8, 4]
 
 
 def test_certificate_matches_simple_point_oracle():

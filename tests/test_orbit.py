@@ -91,8 +91,7 @@ def _union_find_orbit_count(d: int) -> int:
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_orbit_count_union_find_oracle(d):
     assert _union_find_orbit_count(d) == KNOWN_ORBITS[d]
-    _, stats = sieve_all(d)
-    assert stats.orbits_total == KNOWN_ORBITS[d]
+    assert len(sieve_all(d)) == KNOWN_ORBITS[d]
 
 
 def _f2_nullity(cols, n):
@@ -123,11 +122,11 @@ def test_burnside_oracle():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_sieve_partitions_space(d):
-    infos, stats = sieve_all(d)
-    assert stats.size_sum == full_mask(d)
-    assert stats.orbits_total == len(infos)
+    infos = sieve_all(d)
+    assert sum(info.orbit_size for info in infos) == full_mask(d)
+    assert len({info.rep_bits for info in infos}) == len(infos)
     if d in KNOWN_ORBITS:
-        assert stats.orbits_total == KNOWN_ORBITS[d]
+        assert len(infos) == KNOWN_ORBITS[d]
 
 
 def test_sieve_degree1_single_orbit():
@@ -140,7 +139,7 @@ def test_sieve_degree1_single_orbit():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_sieve_reps_are_orbit_minima_and_unique(d):
-    infos, _ = sieve_all(d)
+    infos = sieve_all(d)
     seen = set()
     for info in infos:
         orb = orbit_of(info.rep)
@@ -151,12 +150,14 @@ def test_sieve_reps_are_orbit_minima_and_unique(d):
 
 
 def test_sieve_trivial_skip_matches_filter():
-    # Emitted stream excludes orbits flagged trivially reducible, but the
-    # stats still account for the whole space.
-    infos, stats = sieve_all(4)
+    # Emitted stream excludes exactly the orbits flagged trivially reducible,
+    # while sieve_all still accounts for the whole space.
+    infos = sieve_all(4)
     emitted = list(sieve(4))
-    assert len(emitted) == stats.orbits_emitted
-    assert stats.orbits_total == len(infos)
+    kept = [(i.rep, i.orbit_size) for i in infos if not i.trivially_reducible]
+    assert len(emitted) == len(kept) < len(infos)
+    assert emitted == kept
+    assert sum(i.orbit_size for i in infos) == full_mask(4)
 
 
 def test_sieve_checkpoint_state_round_trip():
@@ -171,7 +172,7 @@ def test_sieve_checkpoint_state_round_trip():
     rest = []
     while not eng2.done:
         rest.extend(eng2.run_range(1 << 12))
-    full, _ = sieve_all(4)
+    full = sieve_all(4)
     done_bits = {i.rep_bits for i in rest}
     # All orbits with minimum beyond the restored position match exactly.
     assert done_bits == {i.rep_bits for i in full if i.rep_bits >= pos}

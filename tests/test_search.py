@@ -10,7 +10,9 @@ import pytest
 from curvesearch import search
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
-from curvesearch.count import PointCounter
+from curvesearch.count import PointCounter, count_points
+from curvesearch.gf2m import build_field
+from curvesearch.polyrep import parse_poly
 from curvesearch.search import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -80,6 +82,39 @@ def test_each_orbit_counted_once(monkeypatch):
                          stats=stats)
     assert records and stats.counted
     assert calls == stats.counted * len(fields)
+
+
+def test_tables_only_where_counting_repeats(monkeypatch):
+    # Single-curve calls evaluate the curve's own monomials; the search
+    # builds each (field, d) and (field, d - 1) table once, before counting.
+    events = []
+    real_build = PointCounter._build_table
+    real_count = PointCounter.count
+
+    def build(self, d):
+        events.append(("build", self.q, d))
+        return real_build(self, d)
+
+    def counting(self, f):
+        events.append(("count", self.q, f.degree))
+        return real_count(self, f)
+
+    monkeypatch.setattr(PointCounter, "_build_table", build)
+    monkeypatch.setattr(PointCounter, "count", counting)
+    f = parse_poly("x^5 + y^5 + z^5")
+    assert verify(f, 64).counts[64].smooth == count_points(f, build_field(6)).smooth
+    assert ("count", 64, 5) in events
+    assert not [e for e in events if e[0] == "build" and e[1] == 64]
+
+    # F_64 and F_128 lie above the certificate's F_2..F_32 counters.
+    events.clear()
+    fields = (64, 128)
+    assert run_search(SearchConfig(degree=4, fields=fields, jobs=1))
+    search_events = [e for e in events if e[1] in fields]
+    first_count = next(i for i, e in enumerate(search_events) if e[0] == "count")
+    builds = [e for e in search_events if e[0] == "build"]
+    assert sorted(builds) == [("build", q, d) for q in fields for d in (3, 4)]
+    assert search_events[:first_count] == builds
 
 
 def test_degree2_default_catalog_is_empty():
@@ -262,8 +297,6 @@ def test_verify_reference_examples():
 
 
 def test_verify_accepts_mask_ids():
-    from curvesearch.polyrep import parse_poly
-
     f = parse_poly("x^5 + y^5 + z^5")
     rec = verify(f.mask_id, 16)
     assert rec.counts[16].smooth == 65
