@@ -1,17 +1,34 @@
 """Point enumeration and smooth/singular point counting over P^2(F_q).
 
-The projective plane is enumerated once per field as normalized
-representatives (1, y, z), then (0, 1, z), then (0, 0, 1).  A curve's
-values come from one log-domain evaluator over its own monomials, in
-fixed-size chunks of points.  Where many curves of one degree are counted
-over one field (the search, and the certificate's small fields), the caller
-builds that degree's monomial table up front with
+The projective plane is enumerated as normalized points (1, y, z), then
+(0, 1, z), then (0, 0, 1), in that canonical order.  Every curve here has
+F_2 coefficients, so the Frobenius map (x : y : z) -> (x^2 : y^2 : z^2)
+permutes its zero set and its singular set, and it keeps the normalization.
+A `PointCounter` therefore stores only the minimum of each Frobenius orbit
+(its first point in canonical order), with the orbit's size as its weight:
+about (q^2 + q + 1)/m representatives over F_{2^m}.  They are built from
+q-length tables of the squaring map s(a) = a^2.  With deg a the size of
+a's orbit under s, (1, y, z) is a minimum iff y is minimal in its s-orbit
+and z is minimal in its orbit under s^(deg y), and its weight is
+lcm(deg y, deg z); (0, 1, z) is a minimum iff z is minimal in its s-orbit,
+weight deg z; (0, 0, 1) has weight 1.
+
+A count evaluates the curve at the representatives only: `total` is the
+sum of the weights of the zeros, and the partials are evaluated at the
+zeros alone.  Each singular representative is expanded back into its orbit
+by squaring its coordinates, and the singular points are reported in
+canonical order, exactly as a pass over every point would list them.
+
+A curve's values come from one log-domain evaluator over its own
+monomials, in fixed-size chunks of representatives.  Where many curves of
+one degree are counted over one field (the search, and the certificate's
+small fields), the caller builds that degree's monomial table up front with
 `PointCounter.monomial_table`: the values of every basis monomial at every
-point, so a curve with w monomials costs w contiguous-row XOR passes.  A
-table pays for itself after a few counts but runs to a few hundred MB for
-the largest fields, so single-curve counting (`count_points`, `verify`)
-builds none.  A table that cannot be allocated leaves its degree on the
-chunked path; both paths give the same values.
+representative, so a curve with w monomials costs w contiguous-row XOR
+passes.  A table pays for itself after a few counts (tens of MB for the
+largest fields), so single-curve counting (`count_points`, `verify`) builds
+none.  A table that cannot be allocated leaves its degree on the chunked
+path; both paths give the same values.
 """
 
 from __future__ import annotations
@@ -50,35 +67,69 @@ def projective_points(field: FieldTable) -> Iterator[tuple[int, int, int]]:
     yield (0, 0, 1)
 
 
-class PointCounter:
-    """Bulk curve evaluation over one field.
+def _point_index(p: tuple[int, int, int], q: int) -> int:
+    """Position of the normalized point p in the canonical enumeration."""
+    x, y, z = p
+    if x:
+        return y * q + z
+    return q * q + z if y else q * q + q
 
-    Monomial tables are stored monomial-major (row t = values of basis
-    monomial t at every point) so that accumulating a curve is a sequence of
-    contiguous XOR passes.
+
+class PointCounter:
+    """Bulk curve evaluation over one field, on Frobenius orbit minima.
+
+    `coords` holds the orbit minima of P^2(F_q) in canonical order (one
+    column each) and `weights` their orbit sizes, which sum to `n_points`
+    = q^2 + q + 1.  Monomial tables are stored monomial-major (row t =
+    values of basis monomial t at every representative) so that
+    accumulating a curve is a sequence of contiguous XOR passes.
     """
 
     def __init__(self, field: FieldTable):
         self.field = field
-        self.q = field.order
-        self.n_points = self.q * self.q + self.q + 1
-        q = self.q
-        coords = np.zeros((3, self.n_points), dtype=np.uint16)
-        grid = np.arange(q, dtype=np.uint16)
-        coords[0, : q * q] = 1
-        coords[1, : q * q] = np.repeat(grid, q)
-        coords[2, : q * q] = np.tile(grid, q)
-        coords[1, q * q : q * q + q] = 1
-        coords[2, q * q : q * q + q] = grid
+        self.q = q = field.order
+        self.n_points = q * q + q + 1
+        elems = np.arange(q)
+        # orbit[k] = a^(2^k); squaring has order m on F_q, so row m = row 0.
+        orbit = np.empty((field.m + 1, q), dtype=np.int64)
+        orbit[0] = elems
+        for k in range(field.m):
+            orbit[k + 1] = field.pow_arr(orbit[k], 2)
+        deg = (1 + np.argmax(orbit[1:] == elems, axis=0)).astype(np.uint8)
+
+        def minimal(e: int) -> np.ndarray:
+            """The elements minimal in their orbits under a -> a^(2^e), e | m."""
+            return np.flatnonzero((orbit[: field.m: e] >= elems).all(axis=0)
+                                  ).astype(np.uint16)
+
+        ys = minimal(1)
+        z_minima = {e: minimal(e) for e in set(deg[ys].tolist())}
+        zs = [z_minima[e] for e in deg[ys].tolist()]
+        y = np.repeat(ys, [len(z) for z in zs])
+        z = np.concatenate(zs)
+        n_affine = len(z)
+        n = n_affine + len(ys) + 1
+        coords = np.zeros((3, n), dtype=np.uint16)
+        coords[0, :n_affine] = 1
+        coords[1, :n_affine] = y
+        coords[2, :n_affine] = z
+        coords[1, n_affine:-1] = 1
+        coords[2, n_affine:-1] = ys
         coords[2, -1] = 1
+        weights = np.ones(n, dtype=np.uint8)
+        weights[:n_affine] = np.lcm(deg[y], deg[z])
+        weights[n_affine:-1] = deg[ys]
         self.coords = coords
+        self.weights = weights
+        self._square = orbit[1].tolist()
         # degree -> monomial table, or None where the allocation failed
         self._tables: dict[int, np.ndarray | None] = {}
 
     def _monomial_rows(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
                        ) -> Iterator[np.ndarray]:
-        """Values of the degree-d basis monomials `cols` at the points `sel`
-        (a slice or an index array), one row per monomial.
+        """Values of the degree-d basis monomials `cols` at the
+        representatives `sel` (a slice or an index array), one row per
+        monomial.
 
         Computed in the log domain: x^i y^j z^k = exp[(i log x + j log y +
         k log z) mod (q - 1)], zeroed where a coordinate with a positive
@@ -100,7 +151,7 @@ class PointCounter:
 
     def _build_table(self, d: int) -> np.ndarray:
         basis = monomials(d)
-        out = np.empty((len(basis), self.n_points), dtype=np.uint16)
+        out = np.empty((len(basis), len(self.weights)), dtype=np.uint16)
         for t, row in enumerate(self._monomial_rows(d, range(len(basis)), slice(None))):
             out[t] = row
         return out
@@ -123,7 +174,8 @@ class PointCounter:
     # -- evaluation ------------------------------------------------------------
 
     def values_at(self, f: PolyMask, sel: slice | np.ndarray) -> np.ndarray:
-        """Curve values at the points `sel` (a slice or an index array)."""
+        """Curve values at the representatives `sel` (a slice or an index
+        array)."""
         cols = bit_indices(f.bits)
         if not cols:
             return np.zeros_like(self.coords[0][sel])
@@ -138,35 +190,38 @@ class PointCounter:
         return acc
 
     def zero_indices(self, f: PolyMask) -> np.ndarray:
-        """Indices of points on the curve, in enumeration order."""
+        """Indices of the representatives on the curve, in canonical order."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
         return np.concatenate([
             np.flatnonzero(self.values_at(f, slice(lo, lo + CHUNK)) == 0) + lo
-            for lo in range(0, self.n_points, CHUNK)
+            for lo in range(0, len(self.weights), CHUNK)
         ])
 
     def count(self, f: PolyMask) -> PointCount:
         """Totals plus the singular points (all partials vanishing)."""
         zeros = self.zero_indices(f)
-        total = int(len(zeros))
+        total = int(self.weights[zeros].sum())
         if total == 0:
             return PointCount(self.q, 0, 0, ())
         if f.degree == 1:
             # The gradient of a nonzero linear form is a nonzero constant.
             return PointCount(self.q, total, total, ())
-        sing_sel = np.ones(total, dtype=bool)
+        sing_sel = np.ones(len(zeros), dtype=bool)
         for pmask in partials(f):
             if pmask.bits == 0:
                 continue
             vals = self.values_at(pmask, zeros)
             sing_sel &= vals == 0
-        sing_idx = zeros[sing_sel]
-        singular = tuple(
-            (int(self.coords[0, i]), int(self.coords[1, i]), int(self.coords[2, i]))
-            for i in sing_idx
-        )
-        return PointCount(self.q, total, total - len(singular), singular)
+        singular = []
+        square = self._square
+        for i in zeros[sing_sel]:
+            x, y, z = self.coords[:, i].tolist()
+            for _ in range(self.weights[i]):
+                singular.append((x, y, z))
+                x, y, z = square[x], square[y], square[z]
+        singular.sort(key=lambda p: _point_index(p, self.q))
+        return PointCount(self.q, total, total - len(singular), tuple(singular))
 
 
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:

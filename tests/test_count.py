@@ -1,14 +1,18 @@
 """Projective point enumeration and curve point counting."""
 
 import random
+from math import gcd
 
+import numpy as np
 import pytest
+from test_irred import conjugate_cubic_norm
 
 from curvesearch import count
 from curvesearch.count import PointCounter, count_points, naive_count, projective_points
 from curvesearch.gf2m import build_field
+from curvesearch.irred import hom_mul
 from curvesearch.orbit import enumerate_gl3
-from curvesearch.polyrep import PolyMask, full_mask, parse_poly, substitute
+from curvesearch.polyrep import PolyMask, encode, full_mask, parse_poly, substitute
 
 
 def test_projective_point_counts():
@@ -28,6 +32,46 @@ def test_no_two_points_proportional(m):
         inv = field.inv(first)
         normalized.add(tuple(field.mul(inv, c) for c in p))
     assert len(normalized) == len(pts)  # already normalized and distinct
+
+
+def brute_force_orbits(field) -> list[tuple[tuple[int, int, int], int]]:
+    """(minimum, size) of every Frobenius orbit of P^2(F_q), minima in
+    canonical order: square the coordinates of every point until it returns."""
+    pts = list(projective_points(field))
+    pos = {p: i for i, p in enumerate(pts)}
+    square = [field.mul(a, a) for a in range(field.order)]
+    orbits = {}
+    for p in pts:
+        orbit = [p]
+        while (nxt := tuple(square[c] for c in orbit[-1])) != p:
+            orbit.append(nxt)
+        orbits[min(orbit, key=pos.__getitem__)] = len(orbit)
+    return sorted(orbits.items(), key=lambda item: pos[item[0]])
+
+
+def representatives(counter) -> list[tuple[tuple[int, int, int], int]]:
+    return list(zip(map(tuple, counter.coords.T.tolist()), counter.weights.tolist()))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_representatives_against_brute_force(m):
+    field = build_field(m)
+    assert representatives(PointCounter(field)) == brute_force_orbits(field)
+
+
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_representatives_cover_the_plane(m):
+    counter = PointCounter(build_field(m))
+    q = counter.q
+    x, y, z = counter.coords.astype(np.int64)
+    index = np.where(x == 1, y * q + z, np.where(y == 1, q * q + z, q * q + q))
+    assert (np.diff(index) > 0).all()
+    assert int(counter.weights.sum(dtype=np.int64)) == counter.n_points == q * q + q + 1
+    # Burnside: sigma^k fixes the points of P^2(F_{2^gcd(k, m)}).
+    orbits = sum(4 ** gcd(k, m) + 2 ** gcd(k, m) + 1 for k in range(m)) // m
+    assert counter.coords.shape == (3, orbits) == (3, len(counter.weights))
+    if m == 11:
+        assert orbits < counter.n_points / 10
 
 
 def test_reference_count_examples():
@@ -71,22 +115,55 @@ def _tabulated(field) -> PointCounter:
     return counter
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_against_naive_oracle(m):
     # Both count paths: the curve's own monomials, and prebuilt tables.
+    # F_16 and F_64 mix orbit sizes 1, 2, 4 and 1, 2, 3, 6.
     field = build_field(m)
-    for counter in (PointCounter(field), _tabulated(field)):
-        rng = random.Random(m)
-        for _ in range(200 // m):
-            d = rng.randint(1, 6)
-            f = PolyMask(d, rng.randint(1, full_mask(d)))
+    counters = (PointCounter(field), _tabulated(field))
+    rng = random.Random(m)
+    for _ in range(200 // m if m < 6 else 12):
+        d = rng.randint(1, 6)
+        f = PolyMask(d, rng.randint(1, full_mask(d)))
+        b = naive_count(f, field)
+        for counter in counters:
             a = counter.count(f)
-            b = naive_count(f, field)
             assert (a.total, a.smooth, a.singular_points) == (
                 b.total,
                 b.smooth,
                 b.singular_points,
             )
+
+
+def conjugate_line_triangle() -> PolyMask:
+    """l * Frob(l) * Frob^2(l) for l = x + a y + a^2 z, a generating F_8:
+    three conjugate lines whose vertices are a conjugate triple."""
+    f8 = build_field(3)
+    a = f8.generator()
+    lines = [{(1, 0, 0): 1, (0, 1, 0): b, (0, 0, 1): f8.mul(b, b)}
+             for b in (a, f8.pow(a, 2), f8.pow(a, 4))]
+    f = hom_mul(hom_mul(lines[0], lines[1], f8), lines[2], f8)
+    assert all(c in (0, 1) for c in f.values())  # F_2 coefficients
+    return encode([mono for mono, c in f.items() if c])
+
+
+@pytest.mark.parametrize("make", [conjugate_cubic_norm, conjugate_line_triangle])
+def test_conjugate_singular_points_expanded_in_order(make):
+    # Singular points off P^2(F_2) (a conjugate pair over F_4, a triple over
+    # F_8) are found as one representative per orbit and expanded back into
+    # their orbits, in canonical order.
+    f = make()
+    f64 = build_field(6)
+    b = naive_count(f, f64)
+    assert len(b.singular_points) == 3
+    assert any(c > 1 for p in b.singular_points for c in p)
+    for counter in (PointCounter(f64), _tabulated(f64)):
+        a = counter.count(f)
+        assert (a.total, a.smooth, a.singular_points) == (
+            b.total,
+            b.smooth,
+            b.singular_points,
+        )
 
 
 def test_streaming_fallback_matches_tables(monkeypatch):

@@ -3,6 +3,10 @@
 import sys
 from pathlib import Path
 
+from curvesearch.count import PointCounter
+from curvesearch.gf2m import build_field
+from curvesearch.polyrep import parse_poly
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -10,6 +14,8 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
     # layers.install looks up every attribute it wraps (PointCounter.
     # monomial_table, CurvePipeline.quick_genus, irred.find_simple_point, ...),
     # so a renamed or removed one fails here rather than in a --trace 1 run.
+    # The count hooks also read counter attributes (q, n_points) after each
+    # call, so one table build and one count run under the tracer.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("layers", "tracer", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -20,8 +26,14 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
     try:
         layers.install(tracer)
         patched = list(tracer._patches)
+        with tracer.span("search", "root"):
+            counter = PointCounter(build_field(3))
+            counter.monomial_table(2)
+            counter.count(parse_poly("x^3 + y^3 + z^3 + x*y*z"))
     finally:
         tracer.uninstall()
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
+    assert tracer.counters["count.table_bytes"] == counter.monomial_table(2).nbytes > 0
+    assert tracer.counters["count.points_evaluated"] == counter.n_points == 73
