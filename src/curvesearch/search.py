@@ -22,7 +22,7 @@ import multiprocessing
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .bounds import (
@@ -287,12 +287,18 @@ class CurvePipeline:
         singular: list[SingularPoint] = []
         blowups: dict[int, tuple[tuple[int, bool], ...]] = {}
         credited: dict[int, int] = {}
+        # {0,1} coordinates encode the same F_2-point, with the same cone and
+        # cone type, in every field, so such a point is analysed once.
+        analysed: dict[tuple, SingularPoint] = {}
         for q in self.orders:
             field = self.counters[q].field
             per_field = []
             credit = 0
             for p in counts[q].singular_points:
-                s = analyze_singular_point(f, p, field)
+                key = p if max(p) <= 1 else (q, p)
+                if key not in analysed:
+                    analysed[key] = analyze_singular_point(f, p, field)
+                s = replace(analysed[key], q=q)
                 singular.append(s)
                 est = blowup_points_estimate(s, field)
                 per_field.append(est)
@@ -318,6 +324,13 @@ class CurvePipeline:
             # Both ends are sound for absolutely irreducible curves, so a
             # crossed range proves reducibility, like a crossed genus interval.
             if status.absolute == "yes":
+                for q, (lo, _) in n_range.items():
+                    bound, source = self.bound_table.effective(q, gi.hi)
+                    if source == "lauter" and lo > bound:
+                        raise ValueError(
+                            f"Lauter entry N_{q}({gi.hi}) <= {bound} is below "
+                            f"the {lo} points of certified curve {f.mask_id}"
+                        )
                 raise RuntimeError(
                     f"certified curve {f.mask_id} has N_lo > N_hi; pipeline bug"
                 )

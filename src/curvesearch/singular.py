@@ -14,7 +14,9 @@ The cone type string normalizes the factorization shape over the point's
 field of definition (the multiset of irreducible factor degrees with
 multiplicities), found by deflating rational roots and classifying the
 rootless remainder.  Shapes outside the catalog alphabet fall back to the
-generic "deg=m squarefree=b" form.
+generic "deg=m squarefree=b" form.  The blowup estimate needs only the
+number of distinct F_q-rational directions, which a gcd with t^q + t gives
+without scanning the q + 1 directions.
 """
 
 from __future__ import annotations
@@ -218,9 +220,31 @@ def factor_binary_form(form: FormT, field: FieldTable,
     return roots
 
 
-def cone_type(form: FormT, field: FieldTable, k: int) -> str:
-    """Canonical factorization-shape string over the field of definition F_{2^k}."""
-    squarefree = form_is_squarefree(form, field)
+def rational_direction_count(form: FormT, field: FieldTable) -> int:
+    """Distinct projective roots of the form over the field, without listing them.
+
+    With p(t) = form(t, 1), the finite roots are those of gcd(p, t^q + t),
+    and t^q mod p takes m squarings of t (squaring is coefficientwise in
+    characteristic 2); the direction (1:0) is a root when the u^m
+    coefficient vanishes.
+    """
+    if all(c == 0 for c in form):
+        raise ValueError("zero form")
+    m = len(form) - 1
+    p = _ptrim([form[m - i] for i in range(m + 1)])
+    r = _pdivmod([0, 1], p, field)[1]
+    for _ in range(field.m):
+        sq = [0] * (2 * len(r))
+        sq[::2] = (field.mul(c, c) for c in r)
+        r = _pdivmod(sq, p, field)[1]
+    r += [0] * (2 - len(r))
+    r[1] ^= 1
+    return len(_pgcd(p, r, field)) - 1 + (len(p) - 1 < m)
+
+
+def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:
+    """Canonical factorization-shape string over the field of definition F_{2^k};
+    `squarefree` is `form_is_squarefree(form, field)`."""
     m = len(form) - 1
     fallback = f"deg={m} squarefree={'true' if squarefree else 'false'}"
     if field.m % k:
@@ -256,14 +280,15 @@ def analyze_singular_point(f: PolyMask, point: PointT, field: FieldTable
     """Full classification of one singular point found over `field`."""
     cone = tangent_cone_at(f, point, field)
     k = field_of_definition(point, field)
+    squarefree = form_is_squarefree(cone, field)
     return SingularPoint(
         point=point,
         q=field.order,
         k=k,
         multiplicity=len(cone) - 1,
         cone=cone,
-        cone_type=cone_type(cone, field, k),
-        ordinary=form_is_squarefree(cone, field),
+        cone_type=cone_type(cone, field, k, squarefree),
+        ordinary=squarefree,
     )
 
 
@@ -279,8 +304,7 @@ def blowup_points_estimate(s: SingularPoint, field: FieldTable
     """
     if field.order != s.q:
         raise ValueError("estimate must use the field the point was found over")
-    roots = factor_binary_form(s.cone, field)
-    return len(roots), s.ordinary
+    return rational_direction_count(s.cone, field), s.ordinary
 
 
 def check_theorem1(multiplicities: list[int], d: int) -> bool:

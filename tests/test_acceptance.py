@@ -220,7 +220,8 @@ def test_criterion6_property_suites_present():
                     "test_substitution_evaluation_compatibility"),
         "orbit": ("test_group_closure", "test_orbit_count_union_find_oracle"),
         "count": ("test_counts_invariant_on_orbits",),
-        "singular": ("test_factor_binary_form_against_product_oracle",),
+        "singular": ("test_factor_binary_form_against_product_oracle",
+                     "test_rational_direction_count_against_factor_oracle"),
         "irred": ("test_exhaustive_degree_le4_against_product_oracle",),
         "bounds": ("test_bounds_monotone_in_genus_and_field",
                    "test_floor_two_sqrt_q_is_exact"),

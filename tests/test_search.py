@@ -84,6 +84,34 @@ def test_each_orbit_counted_once(monkeypatch):
     assert calls == stats.counted * len(fields)
 
 
+def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
+    # A singular point with {0,1} coordinates is the same F_2-point, with the
+    # same cone, in every field: each analysed curve analyses it once, and
+    # every other singular point once in the field it was found in.
+    calls = expected = per_field = 0
+    real_point = search.analyze_singular_point
+    real_analyze = search.CurvePipeline.analyze
+
+    def point(f, p, field):
+        nonlocal calls
+        calls += 1
+        return real_point(f, p, field)
+
+    def analyze(self, f, orbit_size, counts):
+        nonlocal expected, per_field
+        found = [p for pc in counts.values() for p in pc.singular_points]
+        expected += len({p for p in found if max(p) <= 1})
+        expected += sum(max(p) > 1 for p in found)
+        per_field += len(found)
+        return real_analyze(self, f, orbit_size, counts)
+
+    monkeypatch.setattr(search, "analyze_singular_point", point)
+    monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
+    records = run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
+    assert records
+    assert calls == expected < per_field
+
+
 def test_tables_only_where_counting_repeats(monkeypatch):
     # Single-curve calls evaluate the curve's own monomials; the search
     # builds each (field, d) and (field, d - 1) table once, before counting.
@@ -353,6 +381,10 @@ def test_cli_error_codes(tmp_path):
     assert main(["search", "--degree", "9", "--fields", "64"]) == 2
     assert main(["search", "--degree", "4", "--fields", "banana"]) == 2
     assert main(["verify", "--poly", "x^6", "--field", "8"]) == 2
+    low = tmp_path / "low.txt"
+    low.write_text("8 1 13\n")  # N_8(1) = 14: refuted by a certified cubic
+    assert main(["search", "--degree", "3", "--fields", "8",
+                 "--lauter", str(low)]) == 2
 
     ck = tmp_path / "ck.bin"
     for blob in (b"garbage", CHECKPOINT_MAGIC + struct.pack("<BBi", 4, 1, 15)):

@@ -17,6 +17,7 @@ from curvesearch.singular import (
     factor_binary_form,
     form_is_squarefree,
     multiplicity_at,
+    rational_direction_count,
     tangent_cone_at,
 )
 
@@ -136,6 +137,35 @@ def test_factor_binary_form_against_product_oracle():
         )
 
 
+def test_rational_direction_count_against_factor_oracle():
+    # The gcd count agrees with the q + 1 direction scan: exhaustively on
+    # nonzero F_2 forms of degree 1..5 over F_2..F_2048, and on seeded
+    # random forms over F_4, F_8 and F_16 inside fields that contain them.
+    fields = {m: build_field(m) for m in range(1, 12)}
+    for deg in range(1, 6):
+        for bits in range(1, 1 << (deg + 1)):
+            form = tuple((bits >> j) & 1 for j in range(deg + 1))
+            for m, field in fields.items():
+                assert rational_direction_count(form, field) == len(
+                    factor_binary_form(form, field)), (form, m)
+    rng = random.Random(7)
+    checked = 0
+    for k in (2, 3, 4):
+        for m in range(k, 12, k):
+            field = fields[m]
+            sub = field.subfield_elements(k)
+            for _ in range(40):
+                form = tuple(rng.choice(sub) for _ in range(rng.randint(2, 6)))
+                if not any(form):
+                    continue
+                assert rational_direction_count(form, field) == len(
+                    factor_binary_form(form, field)), (form, m)
+                checked += 1
+    assert checked > 350
+    with pytest.raises(ValueError):
+        rational_direction_count((0, 0, 0), F8)
+
+
 def test_factor_multiplicity_sum_bounded_by_degree():
     rng = random.Random(4)
     for _ in range(200):
@@ -150,9 +180,9 @@ def test_factor_multiplicity_sum_bounded_by_degree():
 
 def test_cone_type_fallbacks():
     # Square of a linear form: outside the catalog alphabet.
-    assert cone_type((1, 0, 0), F2, 1) == "deg=2 squarefree=false"
+    assert cone_type((1, 0, 0), F2, 1, False) == "deg=2 squarefree=false"
     # Irreducible cubic over F_2 (no rational roots): generic fallback.
-    assert cone_type((1, 0, 1, 1), F2, 1) == "deg=3 squarefree=true"
+    assert cone_type((1, 0, 1, 1), F2, 1, True) == "deg=3 squarefree=true"
 
 
 def test_multiplicity_invariant_under_coordinate_change():
