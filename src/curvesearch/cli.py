@@ -53,7 +53,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.out:
-        print(f"catalog: {len(records)} records -> {args.out}", file=sys.stderr)
+        print(f"catalog: {stats.kept} records appended -> {args.out}", file=sys.stderr)
     else:
         for rec in records:
             print(rec.to_json())

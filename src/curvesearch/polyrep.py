@@ -189,7 +189,7 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
 
 
 @lru_cache(maxsize=None)
-def _column_images(d: int, m: Mat3) -> tuple[int, ...]:
+def column_image_table(d: int, m: Mat3) -> tuple[int, ...]:
     """Image mask of each degree-d basis monomial under v -> v M."""
     # Variable c is replaced by the linear form with coefficient M[r][c] on
     # variable r, i.e. column c of M.
@@ -214,16 +214,11 @@ def substitute(f: PolyMask, m: Mat3) -> PolyMask:
     """f((x, y, z) M) reduced over F_2; M must be invertible."""
     if mat_det(m) != 1:
         raise ValueError(f"singular matrix {m}")
-    images = _column_images(f.degree, m)
+    images = column_image_table(f.degree, m)
     bits = 0
     for t in bit_indices(f.bits):
         bits ^= images[t]
     return PolyMask(f.degree, bits)
-
-
-def column_image_table(d: int, m: Mat3) -> tuple[int, ...]:
-    """Public accessor for the per-monomial substitution images (sieve kernel)."""
-    return _column_images(d, m)
 
 
 # -- cheap reducibility filters ----------------------------------------------
@@ -296,10 +291,6 @@ def parse_poly(text: str) -> PolyMask:
             exps[var] += exp
         triples.append((exps["x"], exps["y"], exps["z"]))
     return encode(triples)
-
-
-def format_mask_id(f: PolyMask) -> str:
-    return f.mask_id
 
 
 def parse_mask_id(text: str) -> PolyMask:

@@ -8,11 +8,11 @@ A record is emitted only when absolute irreducibility is not refuted and
 some (q, g) pair inside the genus interval is within the configured margin
 of the effective bound (genus 0 never qualifies).
 
-The catalog is one JSON object per line, canonically sorted by
-(degree, mask) and deduplicated by mask at finalization, so interrupted and
-resumed runs converge to byte-identical files.  Checkpoints store the sieve
-scan position plus the packed bit table and refuse to load under a changed
-configuration or Lauter table.
+The catalog is one JSON object per line in sieve order, the canonical
+(degree, mask) order; a resume first cuts the file back to the checkpoint's
+scan position, so interrupted and resumed runs converge to byte-identical
+files.  Checkpoints store the sieve scan position plus the packed bit table
+and refuse to load under a changed configuration or Lauter table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import IO, Iterable
 
 from .bounds import (
     BoundTable,
@@ -118,7 +118,6 @@ class CurveRecord:
     orbit_size: int
     counts: dict[int, PointCount]
     singular: tuple[SingularPoint, ...]
-    blowups: dict[int, tuple[tuple[int, bool], ...]]  # q -> per-point (lower, exact)
     r_distinct: int
     genus: GenusInterval
     n_range: dict[int, tuple[int, int]]
@@ -204,7 +203,6 @@ class CurveRecord:
             orbit_size=obj["orbit_size"],
             counts=counts,
             singular=singular,
-            blowups={},
             r_distinct=obj["r_distinct"],
             genus=GenusInterval(*obj["genus"]),
             n_range={int(q): tuple(v) for q, v in obj["n_range"].items()},
@@ -285,14 +283,12 @@ class CurvePipeline:
 
         flags: list[str] = []
         singular: list[SingularPoint] = []
-        blowups: dict[int, tuple[tuple[int, bool], ...]] = {}
         credited: dict[int, int] = {}
         # {0,1} coordinates encode the same F_2-point, with the same cone and
         # cone type, in every field, so such a point is analysed once.
         analysed: dict[tuple, SingularPoint] = {}
         for q in self.orders:
             field = self.counters[q].field
-            per_field = []
             credit = 0
             for p in counts[q].singular_points:
                 key = p if max(p) <= 1 else (q, p)
@@ -300,15 +296,13 @@ class CurvePipeline:
                     analysed[key] = analyze_singular_point(f, p, field)
                 s = replace(analysed[key], q=q)
                 singular.append(s)
-                est = blowup_points_estimate(s, field)
-                per_field.append(est)
-                if est[1]:
-                    credit += est[0]
+                lower, exact = blowup_points_estimate(s, field)
+                if exact:
+                    credit += lower
                 else:
                     flags.append(
                         f"nonordinary-singularity q={q} point=({p[0]}:{p[1]}:{p[2]})"
                     )
-            blowups[q] = tuple(per_field)
             credited[q] = credit
 
         n_range = {
@@ -352,7 +346,6 @@ class CurvePipeline:
             orbit_size=orbit_size,
             counts=counts,
             singular=tuple(singular),
-            blowups=blowups,
             r_distinct=r,
             genus=gi,
             n_range=n_range,
@@ -497,11 +490,10 @@ def _checkpoint_load(path: str, cfg: SearchConfig, bounds: BoundTable,
 
 def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
                ) -> list[CurveRecord]:
-    """Run the full pipeline and return the canonically sorted catalog.
-
-    With cfg.out_path set, records are also streamed to the file as they are
-    found and the file is rewritten in canonical order at the end.  With
-    cfg.checkpoint_path set, progress resumes from a compatible checkpoint.
+    """Run the full pipeline; records come in sieve order, which is the
+    canonical order.  With cfg.out_path set, each range's records are only
+    appended to the file and [] is returned.  With cfg.checkpoint_path set,
+    progress resumes from a compatible checkpoint (see `_open_catalog`).
     """
     if cfg.long_run:
         warnings.warn(
@@ -512,13 +504,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     pipeline = CurvePipeline(cfg.fields, bound_table)
 
     engine = SieveEngine(cfg.degree)
-    out_fh = None
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         _checkpoint_load(cfg.checkpoint_path, cfg, bound_table, engine)
-    elif cfg.out_path and os.path.exists(cfg.out_path):
-        os.remove(cfg.out_path)
-    if cfg.out_path:
-        out_fh = open(cfg.out_path, "a", encoding="utf-8")
+    out_fh = _open_catalog(cfg.out_path, engine.position) if cfg.out_path else None
 
     total_stats = stats if stats is not None else SearchStats()
     records: list[CurveRecord] = []
@@ -546,10 +534,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
                            for b in batches]
             for recs, st in results:
                 _merge_stats(total_stats, st)
-                records.extend(recs)
-                if out_fh is not None:
-                    for rec in recs:
-                        out_fh.write(rec.to_json() + "\n")
+                if out_fh is None:
+                    records.extend(recs)
+                else:
+                    out_fh.writelines(rec.to_json() + "\n" for rec in recs)
             if out_fh is not None:
                 out_fh.flush()
             if cfg.checkpoint_path:
@@ -565,15 +553,37 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             pool.join()
         if out_fh is not None:
             out_fh.close()
-
-    if cfg.out_path:
-        # A resumed run appended to an existing file; the file is the full
-        # record set, the in-memory list only covers this process's ranges.
-        records = read_catalog(cfg.out_path, lenient_tail=True)
-    records = finalize_catalog(records)
-    if cfg.out_path:
-        write_catalog(cfg.out_path, records)
     return records
+
+
+def _open_catalog(path: str, position: int) -> IO[str]:
+    """Open the catalog for appending, truncated after its last complete
+    record below the sieve's scan `position`.  This drops a torn last line,
+    records written but not yet checkpointed, and on a fresh run (position
+    1) the old file.  A complete line that does not parse raises ValueError.
+    """
+    with open(path, "a+b") as fh:
+        keep = 0
+        if position > 1:
+            fh.seek(0)
+            for n, line in enumerate(fh, 1):
+                if not line.endswith(b"\n"):
+                    break  # torn by a kill during a write
+                if line.strip() and _parse_record(path, n, line).mask >= position:
+                    break
+                keep = fh.tell()
+        fh.truncate(keep)
+    return open(path, "a", encoding="utf-8")
+
+
+def _parse_record(path: str, n: int, line: str | bytes) -> CurveRecord:
+    try:
+        return CurveRecord.from_json(line)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{path}: line {n}: malformed catalog record "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def finalize_catalog(records: Iterable[CurveRecord]) -> list[CurveRecord]:
@@ -600,14 +610,11 @@ def read_catalog(path: str, *, lenient_tail: bool = False) -> list[CurveRecord]:
         lines = [(n, ln) for n, ln in enumerate(fh, 1) if ln.strip()]
     for i, (n, line) in enumerate(lines):
         try:
-            out.append(CurveRecord.from_json(line))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            out.append(_parse_record(path, n, line))
+        except ValueError:
             if lenient_tail and i == len(lines) - 1:
                 break
-            raise ValueError(
-                f"{path}: line {n}: malformed catalog record "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
+            raise
     return out
 
 
@@ -642,7 +649,7 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
         r = len(distinct_singular_points(counts))
         return CurveRecord(
             degree=f.degree, mask=f.bits, orbit_size=orbit_size,
-            counts=counts, singular=(), blowups={}, r_distinct=r,
+            counts=counts, singular=(), r_distinct=r,
             genus=GenusInterval(0, (f.degree - 1) * (f.degree - 2) // 2),
             n_range={}, absolute="reducible", certificate_field=None,
             witness=None, flags=("bounds-inconsistent",), theorem1_ok=None,

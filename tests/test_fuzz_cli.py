@@ -1,11 +1,13 @@
 """Damaged input files through the CLI: only the documented exit codes.
 
 Checkpoints, catalogs and Lauter files are truncated or have one bit
-flipped, then fed to `cli.main`.  Whatever the damage, the command ends
-with exit code 0 (the damage left a usable file), 2 (configuration or input
-error) or 3 (checkpoint error); no exception escapes.  The searches are
-degree 3 over F_8 (a few milliseconds each), and the examples are derandomized
-so that the suite stays deterministic.
+flipped, then fed to `cli.main`; a damaged catalog is read both by `report`
+and as the `--out` file that a `search --checkpoint` resume cuts back.
+Whatever the damage, the command ends with exit code 0 (the damage left a
+usable file), 2 (configuration or input error) or 3 (checkpoint error); no
+exception escapes.  The searches are degree 3 over F_8 (a few milliseconds
+each), and the examples are derandomized so that the suite stays
+deterministic.
 """
 
 import pytest
@@ -45,11 +47,19 @@ def files(tmp_path_factory):
                                 checkpoint_path=str(ck), stop_after_ranges=1))
     cat = root / "cat.jsonl"
     write_catalog(str(cat), run_search(SearchConfig(degree=3, fields=(8,))))
+    # Interrupted at scan position 113: three of the six records lie below
+    # it, so the resume keeps some and appends the rest.
+    part, part_ck = root / "part.jsonl", root / "part-ck.bin"
+    with pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
+                                checkpoint_path=str(part_ck), out_path=str(part),
+                                stop_after_ranges=7))
     # (8, 1) is the genus that degree-3 records have; 14 is N_8(1).
     lauter = root / "lauter.txt"
     lauter.write_text("# q g bound\n8 1 14\n8 4 28\n16 4 46\n")
     return root, {"ck": ck.read_bytes(), "cat": cat.read_bytes(),
-                  "lauter": lauter.read_bytes()}
+                  "lauter": lauter.read_bytes(), "part": part.read_bytes(),
+                  "part-ck": part_ck.read_bytes()}
 
 
 def _run(capsys, argv: list[str]) -> int:
@@ -65,6 +75,9 @@ def test_undamaged_fuzz_inputs_succeed(files, capsys):
     assert _run(capsys, SEARCH + ["--checkpoint", str(root / "ck")]) == 0
     assert _run(capsys, ["report", "--catalog", str(root / "cat")]) == 0
     assert _run(capsys, SEARCH + ["--lauter", str(root / "lauter")]) == 0
+    assert _run(capsys, SEARCH + ["--checkpoint", str(root / "part-ck"),
+                                  "--out", str(root / "part")]) == 0
+    assert (root / "part").read_bytes() == blobs["cat"]
 
 
 @FUZZ
@@ -94,3 +107,14 @@ def test_damaged_lauter_file_exit_codes(files, capsys, how):
     assert _run(capsys, SEARCH + ["--lauter", str(path)]) in (0, 2)
     assert _run(capsys, ["verify", "--poly", "x^3 + y^3 + z^3", "--field", "8",
                          "--lauter", str(path)]) in (0, 2)
+
+
+@FUZZ
+@given(DAMAGE)
+def test_damaged_catalog_resume_exit_codes(files, capsys, how):
+    root, blobs = files
+    ck, path = root / "part-ck", root / "part"
+    ck.write_bytes(blobs["part-ck"])
+    path.write_bytes(damage(blobs["part"], *how))
+    assert _run(capsys, SEARCH + ["--checkpoint", str(ck), "--out", str(path)]) \
+        in (0, 2)

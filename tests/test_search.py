@@ -4,10 +4,12 @@ import json
 import os
 import struct
 import threading
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
-from curvesearch import search
+from curvesearch import cli, search
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
 from curvesearch.count import PointCounter, count_points
@@ -165,12 +167,14 @@ def test_emitted_records_are_certified_and_consistent():
 
 def test_catalog_round_trip(tmp_path):
     out = tmp_path / "catalog.jsonl"
-    records = run_search(
-        SearchConfig(degree=4, fields=(64,), out_path=str(out))
-    )
-    assert out.exists()
+    cfg = SearchConfig(degree=4, fields=(64,))
+    # A file-backed run holds no records: the file is the catalog.
+    assert run_search(replace(cfg, out_path=str(out))) == []
+    lines = [r.to_json() for r in run_search(cfg)]
+    assert lines
+    assert out.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in lines)
     loaded = read_catalog(str(out))
-    assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
+    assert [r.to_json() for r in loaded] == lines
     # canonical order
     masks = [(r.degree, r.mask) for r in loaded]
     assert masks == sorted(masks)
@@ -203,10 +207,11 @@ def test_run_search_is_reentrant():
 
 
 def test_checkpoint_resume_identity(tmp_path):
+    full = run_search(SearchConfig(degree=4, fields=(64,), range_bits=12))
     out_a = tmp_path / "full.jsonl"
-    full = run_search(
+    assert run_search(
         SearchConfig(degree=4, fields=(64,), range_bits=12, out_path=str(out_a))
-    )
+    ) == []
 
     out_b = tmp_path / "resumed.jsonl"
     ck = tmp_path / "ck.bin"
@@ -221,10 +226,54 @@ def test_checkpoint_resume_identity(tmp_path):
         degree=4, fields=(64,), range_bits=12, out_path=str(out_b),
         checkpoint_path=str(ck),
     )
-    resumed = run_search(cfg2)
-    assert [r.to_json() for r in resumed] == [r.to_json() for r in full]
-    # byte-identical files after canonical sort
-    assert out_a.read_bytes() == out_b.read_bytes()
+    assert run_search(cfg2) == []
+    # byte-identical files, in canonical order
+    expected = "".join(r.to_json() + "\n" for r in full).encode()
+    assert out_a.read_bytes() == out_b.read_bytes() == expected
+    masks = [(r.degree, r.mask) for r in read_catalog(str(out_b))]
+    assert masks == sorted(masks)
+
+
+@pytest.mark.parametrize("range_bits, stop, stale", [
+    (10, 3, True), (12, 1, True),
+    (12, 3, False),  # one record past the checkpoint, torn
+])
+def test_resume_cuts_stale_records_and_torn_tail(tmp_path, monkeypatch, range_bits,
+                                                 stop, stale):
+    # A kill after a range's records were written but before its checkpoint
+    # was saved leaves records at or past the checkpoint's scan position, and
+    # a kill during a write leaves a torn last line.  The resumed file must
+    # equal an uninterrupted run's, byte for byte.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a file-backed run re-read or rewrote its catalog")
+
+    for name in ("read_catalog", "write_catalog", "finalize_catalog"):
+        monkeypatch.setattr(search, name, forbidden)
+
+    def run(argv, **hooks) -> int:
+        monkeypatch.setattr(cli, "SearchConfig",
+                            partial(SearchConfig, range_bits=range_bits, **hooks))
+        return main(["search", "--degree", "4", "--fields", "64"] + argv)
+
+    full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
+    assert run(["--out", str(full)]) == 0
+    # The testing hook's InterruptedError is an OSError: exit code 2.
+    assert run(["--out", str(out), "--checkpoint", str(ck)],
+               stop_after_ranges=stop) == 2
+    position = 1 + stop * (1 << range_bits)
+    lines = full.read_bytes().splitlines(keepends=True)
+    later = [ln for ln in lines
+             if int(json.loads(ln)["mask"].split(":")[1], 16) >= position]
+    assert len(later) >= 1 + stale
+    assert out.read_bytes() == b"".join(lines[:-len(later)])
+    torn = later[stale]
+    with open(out, "ab") as fh:
+        fh.write(b"".join(later[:stale]) + torn[: len(torn) // 2])
+    assert run(["--out", str(out), "--checkpoint", str(ck)]) == 0
+    assert out.read_bytes() == full.read_bytes()
+    # The finished checkpoint keeps the whole file and appends nothing.
+    assert run(["--out", str(out), "--checkpoint", str(ck)]) == 0
+    assert out.read_bytes() == full.read_bytes()
 
 
 def test_checkpoint_config_mismatch_and_corruption(tmp_path):
