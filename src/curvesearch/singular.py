@@ -16,14 +16,18 @@ multiplicities), found by deflating rational roots and classifying the
 rootless remainder.  Shapes outside the catalog alphabet fall back to the
 generic "deg=m squarefree=b" form.  The blowup estimate needs only the
 number of distinct F_q-rational directions, which a gcd with t^q + t gives
-without scanning the q + 1 directions.
+without scanning the q + 1 directions.  The cone of an F_2-rational point
+has F_2 coefficients, and its squaring chain t, t^2, t^4, ... mod p serves
+every field, so it is built once per such cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
-from .gf2m import FieldTable
+from .gf2m import MAX_M, FieldTable, build_field
 from .polyrep import PolyMask, decode
 
 PointT = tuple[int, int, int]
@@ -226,20 +230,42 @@ def rational_direction_count(form: FormT, field: FieldTable) -> int:
     With p(t) = form(t, 1), the finite roots are those of gcd(p, t^q + t),
     and t^q mod p takes m squarings of t (squaring is coefficientwise in
     characteristic 2); the direction (1:0) is a root when the u^m
-    coefficient vanishes.
+    coefficient vanishes.  A form with F_2 coefficients has the same chain
+    and gcds in every field, so its counts come from `_f2_direction_counts`.
     """
     if all(c == 0 for c in form):
         raise ValueError("zero form")
-    m = len(form) - 1
-    p = _ptrim([form[m - i] for i in range(m + 1)])
-    r = _pdivmod([0, 1], p, field)[1]
-    for _ in range(field.m):
-        sq = [0] * (2 * len(r))
-        sq[::2] = (field.mul(c, c) for c in r)
-        r = _pdivmod(sq, p, field)[1]
-    r += [0] * (2 - len(r))
-    r[1] ^= 1
-    return len(_pgcd(p, r, field)) - 1 + (len(p) - 1 < m)
+    if max(form) == 1:
+        return _f2_direction_counts(form)[field.m - 1]
+    return _direction_counts(form, field, (field.m,))[0]
+
+
+@lru_cache(maxsize=None)
+def _f2_direction_counts(form: FormT) -> tuple[int, ...]:
+    """Root counts of an F_2 form over F_{2^m}, m = 1..MAX_M, from one chain;
+    fewer than 256 such forms have degree <= 6."""
+    return _direction_counts(form, build_field(1), range(1, MAX_M + 1))
+
+
+def _direction_counts(form: FormT, field: FieldTable, ms: Iterable[int]
+                      ) -> tuple[int, ...]:
+    """Root counts over F_{2^m} for the ascending m in `ms`, all read off one
+    squaring chain; the form's coefficients must lie in each F_{2^m}."""
+    deg = len(form) - 1
+    p = _ptrim([form[deg - i] for i in range(deg + 1)])
+    r = _pdivmod([0, 1], p, field)[1]  # t^(2^done) mod p
+    done = 0
+    counts = []
+    for m in ms:
+        for _ in range(m - done):
+            sq = [0] * (2 * len(r))
+            sq[::2] = (field.mul(c, c) for c in r)
+            r = _pdivmod(sq, p, field)[1]
+        done = m
+        g = r + [0] * (2 - len(r))
+        g[1] ^= 1
+        counts.append(len(_pgcd(p, g, field)) - 1 + (len(p) - 1 < deg))
+    return tuple(counts)
 
 
 def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:

@@ -1,4 +1,5 @@
-"""Trial-division irreducibility and absolute-irreducibility certificates."""
+"""Parity-check and trial-division irreducibility, and absolute-irreducibility
+certificates."""
 
 import random
 
@@ -128,7 +129,29 @@ def test_exhaustive_degree_le4_against_product_oracle():
     for d in range(2, 5):
         for bits in range(1, full_mask(d) + 1):
             f = PolyMask(d, bits)
+            assert irred._f2_reducible(f) == (bits in products[d]), f
             assert is_irreducible(f, 1) == (bits not in products[d]), f
+
+
+def test_parity_checks_against_trial_division():
+    # The parity-check test agrees with the trial-division sweep on every
+    # mask of degree <= 4, and on seeded uniform degree-5 and degree-6 masks
+    # topped up with random products (uniform masks are mostly irreducible).
+    masks = [PolyMask(d, bits) for d in range(1, 5)
+             for bits in range(1, full_mask(d) + 1)]
+    rng = random.Random(8)
+    for d in (5, 6):
+        masks += [PolyMask(d, rng.randint(1, full_mask(d))) for _ in range(500)]
+        for _ in range(100):
+            e = rng.randint(1, d // 2)
+            g = PolyMask(e, rng.randint(1, full_mask(e)))
+            masks.append(mul_masks(g, PolyMask(d - e, rng.randint(1, full_mask(d - e)))))
+    reducible = 0
+    for f in masks:
+        want = irred._sweep(mask_to_dict(f), range(1, f.degree // 2 + 1), F2)
+        assert irred._f2_reducible(f) == (want is not None), f
+        reducible += want is not None
+    assert reducible > 7_000
 
 
 def test_galois_descent_conjugate_split():
@@ -197,14 +220,36 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
     st = certify_absolute(fm)
     assert st.absolute == "reducible" and st.certificate_field is None
     assert (st.witness.k, st.witness.degree) == (2, 3)
-    assert sweeps == [2, 4]
+    assert sweeps == [4]
 
     irred._factor_sweep.cache_clear()
     sweeps.clear()
     assert find_factor(fm, 1) is None
     assert find_factor(fm, 3) is None  # 3 | 6, but the factors live over F_4
     assert find_factor(fm, 2) == st.witness
-    assert sweeps == [2, 8, 4]
+    assert sweeps == [8, 4]
+
+
+def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
+    # An F_2-irreducible curve is certified without any trial division; a
+    # reducible one gets one F_2 sweep, whose witness is the sweep's own.
+    prod = mul_masks(
+        PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
+    )
+    real_sweep = irred._sweep
+    want = irred._witness(real_sweep(mask_to_dict(prod), range(1, 4), F2), 1)
+    sweeps = []
+
+    def recording(f, degrees, field):
+        sweeps.append(field.order)
+        return real_sweep(f, degrees, field)
+
+    monkeypatch.setattr(irred, "_sweep", recording)
+    irred._factor_sweep.cache_clear()
+    st = certify_absolute(parse_poly("x^5 + y^5 + z^5"))
+    assert (st.absolute, st.certificate_field, sweeps) == ("yes", 1, [])
+    st = certify_absolute(prod)
+    assert (st.absolute, st.witness, sweeps) == ("reducible", want, [2])
 
 
 def test_certificate_matches_simple_point_oracle():

@@ -276,6 +276,34 @@ def test_resume_cuts_stale_records_and_torn_tail(tmp_path, monkeypatch, range_bi
     assert out.read_bytes() == full.read_bytes()
 
 
+def test_resume_refuses_catalog_the_checkpoint_did_not_write(tmp_path, capsys):
+    # Degree 3 over F_8 interrupted at scan position 113 leaves three records,
+    # all below it.  An emptied file, one with a record removed, and one with
+    # a digit changed are each refused with exit code 3 and left as they were.
+    out, ck = tmp_path / "out.jsonl", tmp_path / "ck.bin"
+    with pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
+                                checkpoint_path=str(ck), out_path=str(out),
+                                stop_after_ranges=7))
+    good = out.read_bytes()
+    lines = good.splitlines(keepends=True)
+    assert len(lines) == 3
+    digit = good.index(b'"total": ') + len(b'"total": ')
+    changed = good[:digit] + bytes([good[digit] ^ 1]) + good[digit + 1:]
+    args = ["search", "--degree", "3", "--fields", "8", "--checkpoint", str(ck),
+            "--out", str(out)]
+    for damaged in (b"", b"".join(lines[:2]), lines[0] + lines[2], changed):
+        out.write_bytes(damaged)
+        assert main(args) == 3
+        assert "checkpoint" in capsys.readouterr().err
+        assert out.read_bytes() == damaged
+    out.write_bytes(good)
+    assert main(args) == 0
+    assert out.read_bytes() == b"".join(
+        rec.to_json().encode() + b"\n"
+        for rec in run_search(SearchConfig(degree=3, fields=(8,))))
+
+
 def test_checkpoint_config_mismatch_and_corruption(tmp_path):
     ck = tmp_path / "ck.bin"
     cfg = SearchConfig(
@@ -301,7 +329,7 @@ def test_checkpoint_config_mismatch_and_corruption(tmp_path):
         run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
                                 checkpoint_path=str(ck)))
 
-    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32sQQ")
+    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32sQQQI")
     for cut in range(header_len + 1):
         ck.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
@@ -317,7 +345,7 @@ def test_checkpoint_position_and_table_validated(tmp_path):
         run_search(cfg)
     blob = ck.read_bytes()
     pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32s")
-    table_off = pos_off + struct.calcsize("<QQ")
+    table_off = pos_off + struct.calcsize("<QQQI")
     resume = SearchConfig(degree=3, fields=(8,), range_bits=4,
                           checkpoint_path=str(ck))
     for position in (0, 10**6):
@@ -344,9 +372,10 @@ def test_checkpoint_keyed_to_lauter_table(tmp_path, capsys):
     assert main(args + ["--lauter", str(empty)]) == 3
     assert "Lauter" in capsys.readouterr().err
 
-    ck.write_bytes(b"CSCHKPT1" + blob[len(CHECKPOINT_MAGIC):])
-    assert main(args) == 3
-    assert "CSCHKPT1" in capsys.readouterr().err
+    for old_magic in (b"CSCHKPT1", b"CSCHKPT2"):
+        ck.write_bytes(old_magic + blob[len(CHECKPOINT_MAGIC):])
+        assert main(args) == 3
+        assert old_magic.decode() in capsys.readouterr().err
 
     # The digest covers the loaded entries, not the file: the shipped table
     # copied with extra comments resumes.

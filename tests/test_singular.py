@@ -139,10 +139,11 @@ def test_factor_binary_form_against_product_oracle():
 
 def test_rational_direction_count_against_factor_oracle():
     # The gcd count agrees with the q + 1 direction scan: exhaustively on
-    # nonzero F_2 forms of degree 1..5 over F_2..F_2048, and on seeded
-    # random forms over F_4, F_8 and F_16 inside fields that contain them.
+    # nonzero F_2 forms of degree 1..6 over F_2..F_2048 (counts read off one
+    # squaring chain per form), and on seeded random forms over F_4, F_8 and
+    # F_16 inside fields that contain them.
     fields = {m: build_field(m) for m in range(1, 12)}
-    for deg in range(1, 6):
+    for deg in range(1, 7):
         for bits in range(1, 1 << (deg + 1)):
             form = tuple((bits >> j) & 1 for j in range(deg + 1))
             for m, field in fields.items():
