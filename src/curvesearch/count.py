@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -173,15 +174,15 @@ class PointCounter:
 
     # -- evaluation ------------------------------------------------------------
 
-    def values_at(self, f: PolyMask, sel: slice | np.ndarray) -> np.ndarray:
-        """Curve values at the representatives `sel` (a slice or an index
-        array)."""
-        cols = bit_indices(f.bits)
+    def values_at(self, d: int, cols: tuple[int, ...], sel: slice | np.ndarray
+                  ) -> np.ndarray:
+        """Values of the degree-d form with basis monomials `cols` at the
+        representatives `sel` (a slice or an index array)."""
         if not cols:
             return np.zeros_like(self.coords[0][sel])
-        table = self._tables.get(f.degree)
+        table = self._tables.get(d)
         if table is None:
-            rows = self._monomial_rows(f.degree, cols, sel)
+            rows = self._monomial_rows(d, cols, sel)
         else:
             rows = (table[c][sel] for c in cols)
         acc = next(rows).copy()
@@ -189,18 +190,15 @@ class PointCounter:
             acc ^= row
         return acc
 
-    def zero_indices(self, f: PolyMask) -> np.ndarray:
-        """Indices of the representatives on the curve, in canonical order."""
-        if f.bits == 0:
-            raise ValueError("zero polynomial")
-        return np.concatenate([
-            np.flatnonzero(self.values_at(f, slice(lo, lo + CHUNK)) == 0) + lo
-            for lo in range(0, len(self.weights), CHUNK)
-        ])
-
     def count(self, f: PolyMask) -> PointCount:
         """Totals plus the singular points (all partials vanishing)."""
-        zeros = self.zero_indices(f)
+        if f.bits == 0:
+            raise ValueError("zero polynomial")
+        d, (cols, partial_cols) = f.degree, _columns(f)
+        zeros = np.concatenate([
+            np.flatnonzero(self.values_at(d, cols, slice(lo, lo + CHUNK)) == 0) + lo
+            for lo in range(0, len(self.weights), CHUNK)
+        ])
         total = int(self.weights[zeros].sum())
         if total == 0:
             return PointCount(self.q, 0, 0, ())
@@ -208,11 +206,8 @@ class PointCounter:
             # The gradient of a nonzero linear form is a nonzero constant.
             return PointCount(self.q, total, total, ())
         sing_sel = np.ones(len(zeros), dtype=bool)
-        for pmask in partials(f):
-            if pmask.bits == 0:
-                continue
-            vals = self.values_at(pmask, zeros)
-            sing_sel &= vals == 0
+        for pcols in partial_cols:
+            sing_sel &= self.values_at(d - 1, pcols, zeros) == 0
         singular = []
         square = self._square
         for i in zeros[sing_sel]:
@@ -222,6 +217,14 @@ class PointCounter:
                 x, y, z = square[x], square[y], square[z]
         singular.sort(key=lambda p: _point_index(p, self.q))
         return PointCount(self.q, total, total - len(singular), tuple(singular))
+
+
+@lru_cache(maxsize=256)
+def _columns(f: PolyMask) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The basis columns of f and of its nonzero partials, read off once
+    per curve although the curve is counted over several fields."""
+    return (tuple(bit_indices(f.bits)),
+            tuple(tuple(bit_indices(p.bits)) for p in partials(f) if p.bits))
 
 
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:

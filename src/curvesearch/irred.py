@@ -1,4 +1,4 @@
-"""Irreducibility by parity checks, trial division for witnesses, and
+"""Irreducibility by parity checks, conjugate sweeps by trial division, and
 absolute-irreducibility certificates.
 
 Reducibility over F_2 is decided by linear algebra.  A degree-d mask f is
@@ -7,15 +7,15 @@ fixed g, h -> g h is F_2-linear and injective on masks, so its image is a
 subspace, cut out by the parity-check rows read off the reduced echelon
 form of {g m : m a degree-(d-e) monomial}: f is a multiple of g iff
 popcount(row & f) is even for every row of g.  The rows of all g are built
-once per degree (19,282 rows at degree 6) and tested against f at once.
+once per degree (19,282 rows at degree 6) and tested against f at once;
+the witness is the divisor g that trial division would meet first.
 
-Trial division finds the witness factor of a reducible f and runs the
-extension sweeps: candidate homogeneous divisors are swept in the
-graded-lex term order, pruned by Newton-corner compatibility (the leading
-and trailing monomials of a divisor must divide those of the target).
-Multivariate division by a single divisor gives an exact test: the
-quotient ring of a principal ideal leaves remainder zero exactly on
-multiples.
+Trial division runs the extension sweeps (over F_2 it is the tests'
+oracle): candidate homogeneous divisors are swept in the graded-lex term
+order, pruned by Newton-corner compatibility (the leading and trailing
+monomials of a divisor must divide those of the target).  Multivariate
+division by a single divisor gives an exact test: the quotient ring of a
+principal ideal leaves remainder zero exactly on multiples.
 
 For mask inputs (coefficients in F_2) the extension sweeps shrink by Galois
 descent: if f is irreducible over F_2, the Frobenius permutes the monic
@@ -31,8 +31,9 @@ one Frobenius orbit of some size s | d, each defined over F_{2^s}.  An
 F_{2^m}-point P on a component C also lies on Frob^m(C) (P is fixed by
 Frob^m), a different component unless s | m, and a point on two components
 is singular.  So s divides g = gcd(d, every m with a smooth F_{2^m}-point):
-g = 1 proves absolute irreducibility, g = 2 or 3 leaves one F_{2^g} sweep,
-and the F_4/F_8 sweeps are the fallback for the rest.
+g = 1 proves absolute irreducibility.  Otherwise the sweep over F_{2^s}
+runs for each s in {2, 3} that divides g: it settles g = 2 or 3 and is the
+fallback for the rest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -190,14 +191,15 @@ def _monic_forms(e: int, field: FieldTable, lead_f: Triple, trail_f: Triple
                 break
 
 
-def _sweep(f: HomPoly, degrees: Iterator[int] | list[int], field: FieldTable
-           ) -> HomPoly | None:
-    lead_f = _leading(f)
-    trail_f = _trailing(f)
+def _sweep(f: PolyMask, degrees: Iterable[int], k: int) -> Factor | None:
+    """Trial division: the first monic divisor of f over F_{2^k} whose
+    degree is in `degrees`, or None."""
+    fd = mask_to_dict(f)
+    field = build_field(k)
     for e in degrees:
-        for g in _monic_forms(e, field, lead_f, trail_f):
-            if hom_divmod(f, g, field)[1]:
-                return g
+        for g in _monic_forms(e, field, _leading(fd), _trailing(fd)):
+            if hom_divmod(fd, g, field)[1]:
+                return _witness(g, k)
     return None
 
 
@@ -251,45 +253,34 @@ def _parity_checks(d: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _f2_reducible(f: PolyMask) -> bool:
-    """True iff f has a factor of degree 1..d/2 over F_2 (see the module
-    docstring)."""
+def _f2_factor(f: PolyMask) -> Factor | None:
+    """The F_2 divisor of degree 1..d/2 that the sweep meets first, or None:
+    of the forms g with no failing check, the lowest degree, then the lowest
+    set bit of g (its leading monomial), then g bit-reversed (the odometer)."""
     x = np.uint32(f.bits)
-    for block in _parity_checks(f.degree):
+    for e, block in enumerate(_parity_checks(f.degree), start=1):
         v = block & x
         v ^= v >> 16
         v ^= v >> 8
         v ^= v >> 4
         odd = (0x6996 >> (v & 0xF)) & 1  # parity of the low nibble
-        if not odd.any(axis=1).all():
-            return True
-    return False
-
-
-@lru_cache(maxsize=1 << 16)
-def _factor_sweep(f: PolyMask, s: int) -> Factor | None:
-    """One sweep, run once per (f, s): for s = 1 the first F_2 factor of
-    degree 1..d/2, swept only once the parity checks have shown that one
-    exists; for s > 1 the first conjugate factor of degree d/s over F_{2^s}
-    (Galois descent; f must have no F_2 factor)."""
-    d = f.degree
-    if s == 1 and not _f2_reducible(f):
-        return None
-    degrees = range(1, d // 2 + 1) if s == 1 else [d // s]
-    w = _sweep(mask_to_dict(f), degrees, build_field(s))
-    return None if w is None else _witness(w, s)
+        fails = odd.any(axis=1)
+        if not fails.all():
+            width = basis_size(e)
+            g = min((np.flatnonzero(~fails) + 1).tolist(), key=lambda h: (
+                h & -h, int(f"{h:0{width}b}"[::-1], 2)))
+            return _witness(mask_to_dict(PolyMask(e, g)), 1)
+    return None
 
 
 def find_factor(f: PolyMask, k: int) -> Factor | None:
     """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
     if not 1 <= k <= 3:
         raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
-    for s in range(1, k + 1):
-        if s == 1 or (k % s == 0 and f.degree % s == 0):
-            w = _factor_sweep(f, s)
-            if w is not None:
-                return w
-    return None
+    w = _f2_factor(f)
+    if w is None and k > 1 and f.degree % k == 0:
+        w = _sweep(f, [f.degree // k], k)  # conjugate factors (Galois descent)
+    return w
 
 
 def is_irreducible(f: PolyMask, k: int) -> bool:
@@ -323,7 +314,7 @@ def _counter(m: int, d: int) -> PointCounter:
 def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
     """Smooth-point-count certificate (see the module docstring); the
     certificate field is the first m with a smooth F_{2^m}-point."""
-    w = find_factor(f, 1)
+    w = _f2_factor(f)
     if w is not None:
         return IrreducibilityStatus("reducible", None, w)
     k, g = None, f.degree
@@ -332,10 +323,14 @@ def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
             k, g = k or m, gcd(g, m)
             if g == 1:
                 break
-    if k is not None and g <= 3:
-        w = find_factor(f, g)
-        absolute = "yes" if w is None else "reducible"
-    else:  # no smooth point, or the orbit size s may still be 4..6
-        w = find_factor(f, 2) or find_factor(f, 3)
-        absolute = "unknown" if w is None else "reducible"
+    # The orbit size s of the components divides g; only s = 2, 3 are swept.
+    for s in (2, 3):
+        if w is None and g % s == 0:
+            w = _sweep(f, [f.degree // s], s)
+    if w is not None:
+        absolute = "reducible"
+    elif k is not None and g <= 3:
+        absolute = "yes"
+    else:  # no smooth point, or the orbit size may still be 4..6
+        absolute = "unknown"
     return IrreducibilityStatus(absolute, k if absolute == "yes" else None, w)

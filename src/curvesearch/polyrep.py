@@ -134,11 +134,11 @@ def _partial_maps(d: int) -> tuple[tuple[int, ...], ...]:
 
 def partials(f: PolyMask) -> tuple[PolyMask, PolyMask, PolyMask]:
     """Formal characteristic-2 partials (f_x, f_y, f_z), each of degree d-1."""
+    cols = bit_indices(f.bits)
     out = []
-    for var in range(3):
-        m = _partial_maps(f.degree)[var]
+    for m in _partial_maps(f.degree):
         bits = 0
-        for t in bit_indices(f.bits):
+        for t in cols:
             bits ^= m[t]
         out.append(PolyMask(f.degree - 1, bits))
     return tuple(out)  # type: ignore[return-value]

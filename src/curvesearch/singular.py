@@ -10,15 +10,15 @@ when s is a bit-submask of n.
 Binary forms of degree m are stored as coefficient tuples c, with c[j] the
 coefficient of u^(m-j) v^j.
 
-The cone type string normalizes the factorization shape over the point's
-field of definition (the multiset of irreducible factor degrees with
-multiplicities), found by deflating rational roots and classifying the
-rootless remainder.  Shapes outside the catalog alphabet fall back to the
-generic "deg=m squarefree=b" form.  The blowup estimate needs only the
-number of distinct F_q-rational directions, which a gcd with t^q + t gives
-without scanning the q + 1 directions.  The cone of an F_2-rational point
-has F_2 coefficients, and its squaring chain t, t^2, t^4, ... mod p serves
-every field, so it is built once per such cone.
+The number of distinct F_{2^k}-rational directions of a cone is the degree
+of a gcd with t^(2^k) + t, without scanning the 2^k + 1 directions (the
+scan, `factor_binary_form`, is the tests' oracle).  A cone with F_2
+coefficients has one squaring chain t, t^2, t^4, ... mod p for every field.
+The blowup estimate needs the count over F_q.  The cone type names the
+factorization shape over the point's field of definition F_{2^k}, which
+for degree 2 or 3 is fixed by the degree, the count over F_{2^k} and
+squarefreeness; shapes outside the catalog alphabet fall back to the
+generic "deg=m squarefree=b" form.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from .polyrep import PolyMask, decode
 PointT = tuple[int, int, int]
 FormT = tuple[int, ...]
 
-# Catalog alphabet, keyed by sorted (factor degree, multiplicity) multisets.
-_SHAPE_NAMES = {
-    ((1, 1), (1, 1)): "u v",
-    ((2, 1),): "u^2+u v+v^2",
-    ((1, 1), (1, 2)): "u v^2",
-    ((1, 1), (2, 1)): "(u+v)(u^2+u v+v^2)",
-    ((1, 1), (1, 1), (1, 1)): "u v(u+v)",
+# Catalog alphabet, keyed by (cone degree, distinct rational directions over
+# the field of definition, squarefree).
+_CONE_NAMES = {
+    (2, 2, True): "u v",
+    (2, 0, True): "u^2+u v+v^2",
+    (3, 2, False): "u v^2",
+    (3, 1, True): "(u+v)(u^2+u v+v^2)",
+    (3, 3, True): "u v(u+v)",
 }
 
 
@@ -230,14 +231,19 @@ def rational_direction_count(form: FormT, field: FieldTable) -> int:
     With p(t) = form(t, 1), the finite roots are those of gcd(p, t^q + t),
     and t^q mod p takes m squarings of t (squaring is coefficientwise in
     characteristic 2); the direction (1:0) is a root when the u^m
-    coefficient vanishes.  A form with F_2 coefficients has the same chain
-    and gcds in every field, so its counts come from `_f2_direction_counts`.
+    coefficient vanishes.
     """
+    return _direction_count(form, field, field.m)
+
+
+def _direction_count(form: FormT, field: FieldTable, k: int) -> int:
+    """The count over the subfield F_{2^k}; a form with F_2 coefficients has
+    the same chain in every field, so `_f2_direction_counts` serves it."""
     if all(c == 0 for c in form):
         raise ValueError("zero form")
     if max(form) == 1:
-        return _f2_direction_counts(form)[field.m - 1]
-    return _direction_counts(form, field, (field.m,))[0]
+        return _f2_direction_counts(form)[k - 1]
+    return _direction_counts(form, field, (k,))[0]
 
 
 @lru_cache(maxsize=None)
@@ -269,23 +275,14 @@ def _direction_counts(form: FormT, field: FieldTable, ms: Iterable[int]
 
 
 def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:
-    """Canonical factorization-shape string over the field of definition F_{2^k};
-    `squarefree` is `form_is_squarefree(form, field)`."""
+    """Catalog name of the cone's factorization shape over its field of
+    definition F_{2^k}, which must hold the coefficients; `squarefree` is
+    `form_is_squarefree(form, field)`."""
     m = len(form) - 1
-    fallback = f"deg={m} squarefree={'true' if squarefree else 'false'}"
-    if field.m % k:
-        return fallback
-    roots = factor_binary_form(form, field, field.subfield_elements(k))
-    shape = [(1, mult) for _, mult in roots]
-    rem_deg = m - sum(mult for _, mult in roots)
-    if rem_deg in (2, 3):
-        # No rational root over the definition field, so the remainder is an
-        # irreducible quadratic or cubic over it.
-        shape.append((rem_deg, 1))
-    elif rem_deg != 0:
-        return fallback
-    key = tuple(sorted(shape))
-    return _SHAPE_NAMES.get(key, fallback)
+    key = (m, _direction_count(form, field, k), squarefree)
+    if key in _CONE_NAMES:
+        return _CONE_NAMES[key]
+    return f"deg={m} squarefree={'true' if squarefree else 'false'}"
 
 
 # -- assembly and estimates -------------------------------------------------------

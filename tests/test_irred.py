@@ -129,12 +129,12 @@ def test_exhaustive_degree_le4_against_product_oracle():
     for d in range(2, 5):
         for bits in range(1, full_mask(d) + 1):
             f = PolyMask(d, bits)
-            assert irred._f2_reducible(f) == (bits in products[d]), f
+            assert (irred._f2_factor(f) is not None) == (bits in products[d]), f
             assert is_irreducible(f, 1) == (bits not in products[d]), f
 
 
 def test_parity_checks_against_trial_division():
-    # The parity-check test agrees with the trial-division sweep on every
+    # The parity-check witness is the trial-division sweep's witness on every
     # mask of degree <= 4, and on seeded uniform degree-5 and degree-6 masks
     # topped up with random products (uniform masks are mostly irreducible).
     masks = [PolyMask(d, bits) for d in range(1, 5)
@@ -148,8 +148,8 @@ def test_parity_checks_against_trial_division():
             masks.append(mul_masks(g, PolyMask(d - e, rng.randint(1, full_mask(d - e)))))
     reducible = 0
     for f in masks:
-        want = irred._sweep(mask_to_dict(f), range(1, f.degree // 2 + 1), F2)
-        assert irred._f2_reducible(f) == (want is not None), f
+        want = irred._sweep(f, range(1, f.degree // 2 + 1), 1)
+        assert irred._f2_factor(f) == want, f
         reducible += want is not None
     assert reducible > 7_000
 
@@ -205,24 +205,22 @@ def test_certify_absolute_yes_and_reducible():
 
 
 def test_each_certificate_sweep_runs_once(monkeypatch):
-    # The F_2 sweep of find_factor(f, 1) is reused by find_factor(f, 2) and
-    # find_factor(f, 3); witnesses and outcomes are unchanged.
+    # The certificate runs only the F_4 sweep that g = 2 calls for, and
+    # find_factor(f, k) only the F_{2^k} sweep; no call sweeps over F_2.
     sweeps = []
     real_sweep = irred._sweep
 
-    def recording(f, degrees, field):
-        sweeps.append(field.order)
-        return real_sweep(f, degrees, field)
+    def recording(f, degrees, k):
+        sweeps.append(1 << k)
+        return real_sweep(f, degrees, k)
 
     monkeypatch.setattr(irred, "_sweep", recording)
     fm = conjugate_cubic_norm()
-    irred._factor_sweep.cache_clear()
     st = certify_absolute(fm)
     assert st.absolute == "reducible" and st.certificate_field is None
     assert (st.witness.k, st.witness.degree) == (2, 3)
     assert sweeps == [4]
 
-    irred._factor_sweep.cache_clear()
     sweeps.clear()
     assert find_factor(fm, 1) is None
     assert find_factor(fm, 3) is None  # 3 | 6, but the factors live over F_4
@@ -231,25 +229,24 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
 
 
 def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
-    # An F_2-irreducible curve is certified without any trial division; a
-    # reducible one gets one F_2 sweep, whose witness is the sweep's own.
+    # Neither an F_2-irreducible curve nor a reducible one is swept over F_2:
+    # the parity checks give the witness the sweep would find.
     prod = mul_masks(
         PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
     )
     real_sweep = irred._sweep
-    want = irred._witness(real_sweep(mask_to_dict(prod), range(1, 4), F2), 1)
+    want = real_sweep(prod, range(1, 4), 1)
     sweeps = []
 
-    def recording(f, degrees, field):
-        sweeps.append(field.order)
-        return real_sweep(f, degrees, field)
+    def recording(f, degrees, k):
+        sweeps.append(1 << k)
+        return real_sweep(f, degrees, k)
 
     monkeypatch.setattr(irred, "_sweep", recording)
-    irred._factor_sweep.cache_clear()
     st = certify_absolute(parse_poly("x^5 + y^5 + z^5"))
     assert (st.absolute, st.certificate_field, sweeps) == ("yes", 1, [])
     st = certify_absolute(prod)
-    assert (st.absolute, st.witness, sweeps) == ("reducible", want, [2])
+    assert (st.absolute, st.witness, sweeps) == ("reducible", want, [])
 
 
 def test_certificate_matches_simple_point_oracle():

@@ -9,12 +9,14 @@ from functools import partial
 
 import pytest
 
-from curvesearch import cli, search
+from curvesearch import cli, irred, search, singular
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
+from curvesearch.corpus import load_corpus
 from curvesearch.count import PointCounter, count_points
 from curvesearch.gf2m import build_field
-from curvesearch.polyrep import parse_poly
+from curvesearch.orbit import SieveEngine
+from curvesearch.polyrep import PolyMask, mul_masks, parse_poly
 from curvesearch.search import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -145,6 +147,50 @@ def test_tables_only_where_counting_repeats(monkeypatch):
     builds = [e for e in search_events if e[0] == "build"]
     assert sorted(builds) == [("build", q, d) for q in fields for d in (3, 4)]
     assert search_events[:first_count] == builds
+
+
+def test_production_decides_without_scans(monkeypatch):
+    # F_2 witnesses come from the parity checks and cone types from gcd root
+    # counts: the search and `verify` run no F_2 trial division and no
+    # direction scan, both of which stay as test oracles.
+    sweeps, scans, witnesses = [], 0, []
+    real_sweep = irred._sweep
+    real_scan = singular.factor_binary_form
+    real_certify = search.certify_absolute
+
+    def sweep(f, degrees, k):
+        sweeps.append(k)
+        return real_sweep(f, degrees, k)
+
+    def scan(*args):
+        nonlocal scans
+        scans += 1
+        return real_scan(*args)
+
+    def certify(f):
+        status = real_certify(f)
+        witnesses.append(status.witness and status.witness.k)
+        return status
+
+    monkeypatch.setattr(irred, "_sweep", sweep)
+    monkeypatch.setattr(singular, "factor_binary_form", scan)
+    monkeypatch.setattr(search, "certify_absolute", certify)
+    pipe = search.CurvePipeline(search.SUPPORTED_FIELDS, load_lauter())
+    for counter in pipe.counters.values():
+        counter.monomial_table(5)
+        counter.monomial_table(4)
+    engine = SieveEngine(5)
+    engine.run_range(1 << 15)  # trivially reducible masks only
+    records, stats = search._process_orbits(engine.run_range(1 << 11), pipe, 80)
+    assert stats.counted > 200 and len(records) > 200
+    assert {"u v", "u^2+u v+v^2", "u v^2", "(u+v)(u^2+u v+v^2)"} <= {
+        s.cone_type for r in records for s in r.singular}
+    for entry in load_corpus():
+        assert verify(entry.poly, entry.q).absolute == "yes", entry.id
+    prod = mul_masks(PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5"))
+    assert verify(prod, 8).witness == "F_{2^1}: x + y"
+    assert witnesses.count(1) == 1
+    assert 1 not in sweeps and scans == 0
 
 
 def test_degree2_default_catalog_is_empty():

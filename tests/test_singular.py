@@ -1,5 +1,6 @@
 """Singularity classification: multiplicity, cones, factorization, blowups."""
 
+import itertools
 import random
 
 import pytest
@@ -184,6 +185,80 @@ def test_cone_type_fallbacks():
     assert cone_type((1, 0, 0), F2, 1, False) == "deg=2 squarefree=false"
     # Irreducible cubic over F_2 (no rational roots): generic fallback.
     assert cone_type((1, 0, 1, 1), F2, 1, True) == "deg=3 squarefree=true"
+
+
+# The catalog alphabet by factorization shape over the field of definition:
+# sorted (factor degree, multiplicity) pairs.
+SHAPE_NAMES = {
+    ((1, 1), (1, 1)): "u v",
+    ((2, 1),): "u^2+u v+v^2",
+    ((1, 1), (1, 2)): "u v^2",
+    ((1, 1), (2, 1)): "(u+v)(u^2+u v+v^2)",
+    ((1, 1), (1, 1), (1, 1)): "u v(u+v)",
+}
+
+
+def shape_name(form, field, k, squarefree):
+    """Oracle cone type: the rational roots over F_{2^k} and their
+    multiplicities from the direction scan, and a rootless remainder of
+    degree 2 or 3, which is irreducible over F_{2^k}."""
+    m = len(form) - 1
+    fallback = f"deg={m} squarefree={'true' if squarefree else 'false'}"
+    roots = factor_binary_form(form, field, field.subfield_elements(k))
+    shape = [(1, mult) for _, mult in roots]
+    rest = m - sum(mult for _, mult in roots)
+    if rest in (2, 3):
+        shape.append((rest, 1))
+    elif rest:
+        return fallback
+    return SHAPE_NAMES.get(tuple(sorted(shape)), fallback)
+
+
+def test_cone_type_against_factor_oracle():
+    # Exhaustively over F_2 (degree 2..6), F_4 (2..5), F_8 (2..3) and F_16
+    # (2), for every field of definition F_{2^k}, k | m, on every form with
+    # coefficients in F_{2^k}; then on seeded products of linear and
+    # quadratic forms over F_{2^k} inside F_64, F_512 and F_2048.
+    checked = 0
+    for m, degrees in ((1, range(2, 7)), (2, range(2, 6)), (3, range(2, 4)),
+                       (4, range(2, 3))):
+        field = build_field(m)
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            sub = field.subfield_elements(k)
+            for deg in degrees:
+                for form in itertools.product(sub, repeat=deg + 1):
+                    if not any(form):
+                        continue
+                    sf = form_is_squarefree(form, field)
+                    assert cone_type(form, field, k, sf) == shape_name(
+                        form, field, k, sf), (form, m, k)
+                    checked += 1
+    assert checked == 14_588
+
+    rng = random.Random(9)
+    names = set()
+    for m in (6, 9, 11):
+        field = build_field(m)
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            sub = field.subfield_elements(k)
+            for _ in range(60):
+                form = (1,)
+                for _ in range(rng.randint(1, 3)):
+                    factor = tuple(rng.choice(sub) for _ in range(rng.choice((2, 3))))
+                    if not any(factor):
+                        continue
+                    prod = [0] * (len(form) + len(factor) - 1)
+                    for i, a in enumerate(form):
+                        for j, b in enumerate(factor):
+                            prod[i + j] ^= field.mul(a, b)
+                    form = tuple(prod)
+                if len(form) < 3:
+                    continue
+                sf = form_is_squarefree(form, field)
+                want = shape_name(form, field, k, sf)
+                assert cone_type(form, field, k, sf) == want, (form, m, k)
+                names.add(want)
+    assert set(SHAPE_NAMES.values()) <= names
 
 
 def test_multiplicity_invariant_under_coordinate_change():
