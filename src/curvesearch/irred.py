@@ -1,5 +1,5 @@
-"""Irreducibility by parity checks, conjugate sweeps by trial division, and
-absolute-irreducibility certificates.
+"""Irreducibility by parity checks, exact absolute-irreducibility certificates
+from smooth-point counts, and trial division as the tests' oracle.
 
 Reducibility over F_2 is decided by linear algebra.  A degree-d mask f is
 reducible iff f = g h for a nonzero form g of degree 1 <= e <= d/2.  For a
@@ -10,30 +10,29 @@ popcount(row & f) is even for every row of g.  The rows of all g are built
 once per degree (19,282 rows at degree 6) and tested against f at once;
 the witness is the divisor g that trial division would meet first.
 
-Trial division runs the extension sweeps (over F_2 it is the tests'
-oracle): candidate homogeneous divisors are swept in the graded-lex term
-order, pruned by Newton-corner compatibility (the leading and trailing
-monomials of a divisor must divide those of the target).  Multivariate
-division by a single divisor gives an exact test: the quotient ring of a
-principal ideal leaves remainder zero exactly on multiples.
+Absolute irreducibility is decided from smooth-point counts.  Let f be
+irreducible over F_2 of degree d <= 6.  Its absolutely irreducible
+components form one Frobenius orbit of some size s | d.
+- A smooth point forces g = 1, where g = gcd(d, every m with a smooth
+  F_{2^m}-point).  A point P of F_{2^m} on a component C also lies on
+  Frob^m(C), since P is fixed by Frob^m; that is a different component
+  unless s | m, and a point on two components is singular.  So s | g, and
+  a smooth point at m = 11 gives s | gcd(d, 11) = 1.
+- An absolutely irreducible f has one.  Take its smooth model X of genus
+  g_X, and p_a = (d-1)(d-2)/2 <= 10.  At most sum m_P <= 2 sum delta_P =
+  2(p_a - g_X) points of X lie over singular points, as delta_P >=
+  m_P(m_P-1)/2 >= m_P/2.  By the Weil bound the smooth plane points over
+  F_q number at least q + 1 - 2 g_X sqrt(q) - 2(p_a - g_X), which at
+  q = 2048 is more than 1,143.
+So scanning m = 1..11 and stopping at g = 1 is exact: "yes" with k the
+first m with a smooth point, or "reducible" when g never reaches 1.
 
-For mask inputs (coefficients in F_2) the extension sweeps shrink by Galois
-descent: if f is irreducible over F_2, the Frobenius permutes the monic
-irreducible factors of f over F_{2^s}; an orbit of size 1 would be a proper
-F_2 factor, so every factorization consists of s conjugate factors of
-degree d/s.  Only monic degree-(d/s) sweeps over F_{2^s} for s dividing k
-(s > 1, s | d) are needed, which keeps the degree-6/F_8 case at 8^5
-candidates instead of 8^9.
-
-Absolute irreducibility is certified from smooth-point counts.  If f is
-irreducible over F_2 of degree d, its absolutely irreducible components form
-one Frobenius orbit of some size s | d, each defined over F_{2^s}.  An
-F_{2^m}-point P on a component C also lies on Frob^m(C) (P is fixed by
-Frob^m), a different component unless s | m, and a point on two components
-is singular.  So s divides g = gcd(d, every m with a smooth F_{2^m}-point):
-g = 1 proves absolute irreducibility.  Otherwise the sweep over F_{2^s}
-runs for each s in {2, 3} that divides g: it settles g = 2 or 3 and is the
-fallback for the rest.
+Trial division (`find_factor`, `is_irreducible`, `_sweep`) is the tests'
+oracle.  Candidate monic divisors are swept in the graded-lex term order,
+pruned by Newton-corner compatibility (the leading and trailing monomials
+of a divisor must divide those of the target); division by a single
+divisor leaves remainder zero exactly on multiples.  Over F_{2^s} only the
+s conjugate factors of degree d/s of an F_2-irreducible f are swept.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .count import PointCounter, projective_points
-from .gf2m import FieldTable, build_field
+from .gf2m import MAX_M, FieldTable, build_field
 from .polyrep import (
     PolyMask,
     Triple,
@@ -61,8 +60,8 @@ from .polyrep import (
 
 HomPoly = dict[Triple, int]
 
-# Smooth points are looked for over F_{2^m}, m = 1..SMOOTH_SCAN_MAX.
-SMOOTH_SCAN_MAX = 5
+# Certificates over F_{2^m}, m <= TABLE_MAX_M, count with monomial tables.
+TABLE_MAX_M = 5
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,9 @@ class Factor:
 
 @dataclass(frozen=True)
 class IrreducibilityStatus:
-    absolute: str  # "yes" | "reducible" | "unknown"
+    absolute: str  # "yes" | "reducible"
     certificate_field: int | None  # "yes": first m with a smooth F_{2^m}-point
-    witness: Factor | None
+    witness: Factor | None  # the F_2 factor, when f has one
 
 
 def mask_to_dict(f: PolyMask) -> HomPoly:
@@ -302,35 +301,28 @@ def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:
 
 @lru_cache(maxsize=None)
 def _counter(m: int, d: int) -> PointCounter:
-    """Counter over F_{2^m} with the degree-d and (d-1) tables, as every
-    degree-d curve the search certifies is counted there."""
+    """Counter over F_{2^m}.  Up to TABLE_MAX_M, where the certificates of
+    the searches have stopped so far, it keeps the degree-d and (d-1)
+    tables; larger fields, reached only by curves with no early smooth
+    point, count without tables."""
     counter = PointCounter(build_field(m))
-    counter.monomial_table(d)
-    if d > 1:
-        counter.monomial_table(d - 1)
+    if m <= TABLE_MAX_M:
+        counter.monomial_table(d)
+        if d > 1:
+            counter.monomial_table(d - 1)
     return counter
 
 
 def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
-    """Smooth-point-count certificate (see the module docstring); the
-    certificate field is the first m with a smooth F_{2^m}-point."""
+    """Exact smooth-point certificate (see the module docstring): "yes" with
+    the first m that had a smooth F_{2^m}-point, else "reducible"."""
     w = _f2_factor(f)
     if w is not None:
         return IrreducibilityStatus("reducible", None, w)
     k, g = None, f.degree
-    for m in range(1, SMOOTH_SCAN_MAX + 1):
+    for m in range(1, MAX_M + 1):
         if _counter(m, f.degree).count(f).smooth:
             k, g = k or m, gcd(g, m)
             if g == 1:
-                break
-    # The orbit size s of the components divides g; only s = 2, 3 are swept.
-    for s in (2, 3):
-        if w is None and g % s == 0:
-            w = _sweep(f, [f.degree // s], s)
-    if w is not None:
-        absolute = "reducible"
-    elif k is not None and g <= 3:
-        absolute = "yes"
-    else:  # no smooth point, or the orbit size may still be 4..6
-        absolute = "unknown"
-    return IrreducibilityStatus(absolute, k if absolute == "yes" else None, w)
+                return IrreducibilityStatus("yes", k, None)
+    return IrreducibilityStatus("reducible", None, None)

@@ -4,7 +4,7 @@ Orbits stream out of the sieve in ascending-mask order; each is counted
 once over every configured field on its orbit-minimum mask, filtered
 against the keep rule, and survivors get the full analysis from those same
 counts, so the record's singular coordinates match its printed polynomial.
-A record is emitted only when absolute irreducibility is not refuted and
+A record is emitted only when absolute irreducibility is certified and
 some (q, g) pair inside the genus interval is within the configured margin
 of the effective bound (genus 0 never qualifies).
 
@@ -332,8 +332,6 @@ class CurvePipeline:
                     f"certified curve {f.mask_id} has N_lo > N_hi; pipeline bug"
                 )
             return None
-        if status.absolute == "unknown":
-            flags.append("irreducibility-unknown")
         if gi.lo < gi.hi:
             flags.append("genus-ambiguous")
 
@@ -390,13 +388,10 @@ def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
             stats.dropped_reducible += 1
             continue
         if record.theorem1_ok is False:
-            if record.absolute == "yes":
-                raise RuntimeError(
-                    f"certified curve {record.poly.mask_id} violates the "
-                    "multiplicity-sum bound; pipeline bug"
-                )
-            stats.dropped_reducible += 1
-            continue
+            raise RuntimeError(
+                f"certified curve {record.poly.mask_id} violates the "
+                "multiplicity-sum bound; pipeline bug"
+            )
         stats.kept += 1
         records.append(record)
     return records, stats

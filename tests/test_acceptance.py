@@ -224,7 +224,8 @@ def test_criterion6_property_suites_present():
                      "test_rational_direction_count_against_factor_oracle",
                      "test_cone_type_against_factor_oracle"),
         "irred": ("test_exhaustive_degree_le4_against_product_oracle",
-                  "test_parity_checks_against_trial_division"),
+                  "test_parity_checks_against_trial_division",
+                  "test_certificate_exact_on_conjugate_norms"),
         "bounds": ("test_bounds_monotone_in_genus_and_field",
                    "test_floor_two_sqrt_q_is_exact"),
         "search": ("test_parallel_catalog_identity",

@@ -2,12 +2,15 @@
 certificates."""
 
 import random
+import time
 
 import pytest
 
 from curvesearch import irred
+from curvesearch.count import naive_count
 from curvesearch.gf2m import build_field
 from curvesearch.irred import (
+    HomPoly,
     certify_absolute,
     divides,
     find_factor,
@@ -23,6 +26,7 @@ from curvesearch.polyrep import (
     encode,
     evaluate,
     full_mask,
+    monomials,
     mul_masks,
     parse_mask_id,
     parse_poly,
@@ -32,34 +36,42 @@ from curvesearch.polyrep import (
 F2 = build_field(1)
 
 
+def norm(h: HomPoly, s: int) -> PolyMask:
+    """h Frob(h) ... Frob^(s-1)(h) for h over F_{2^s}: a form over F_2."""
+    field = build_field(s)
+    f = conj = h
+    for _ in range(s - 1):
+        conj = {m: field.mul(c, c) for m, c in conj.items()}  # Frobenius image
+        f = hom_mul(f, conj, field)
+    assert all(c == 1 for c in f.values())  # F_2 coefficients
+    return encode(list(f))
+
+
 def conjugate_cubic_norm() -> PolyMask:
     """g * Frob(g) for g = x^3 + w y^3 + z^3 over F_4: F_2-irreducible,
     reducible over F_4."""
-    f4 = build_field(2)
-    g = {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}  # coefficient 2 = generator
-    g_conj = {m: f4.mul(c, c) for m, c in g.items()}  # Frobenius image
-    f = hom_mul(g, g_conj, f4)
-    assert all(c in (0, 1) for c in f.values())  # F_2 coefficients
-    return encode([m for m, c in f.items() if c])
+    return norm({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}, 2)  # 2 = generator
 
 
-def oracle_certificate(f: PolyMask) -> tuple[str, int | None, str | None]:
-    """(absolute, k, witness) from the scalar simple-point scan over
-    F_2..F_8 and trial division over F_2, then over the simple point's
-    field; with no simple point, the F_4/F_8 sweeps decide reducibility
-    only ("unknown" otherwise)."""
+def oracle_certificate(f: PolyMask) -> tuple[str, int | None, irred.Factor | None]:
+    """(absolute, k, witness) by trial division and scalar point scans.  An
+    F_2-irreducible f of degree d splits over the closure into s conjugate
+    factors of degree d/s over F_{2^s}, s | d, and a simple F_{2^k}-point
+    forces s | k; f is absolutely irreducible iff, for each prime p that may
+    divide s, it has no factor of degree d/p over F_{2^p}.  k is the first
+    m with a simple point: the scalar scan over F_2..F_8, then naive counts."""
     w = find_factor(f, 1)
-    if w is None:
-        sp = find_simple_point(f)
-        if sp is not None:
-            w = find_factor(f, sp[0])
-            if w is None:
-                return "yes", sp[0], None
-        else:
-            w = find_factor(f, 2) or find_factor(f, 3)
-            if w is None:
-                return "unknown", None, None
-    return "reducible", None, str(w)
+    if w is not None:
+        return "reducible", None, w
+    sp = find_simple_point(f)
+    for p in (2, 3, 5):
+        if f.degree % p == 0 and (sp is None or sp[0] % p == 0):
+            w = irred._sweep(f, [f.degree // p], p)
+            if w is not None:
+                return "reducible", None, w
+    k = sp[0] if sp else next(
+        m for m in (4, 5, 6) if naive_count(f, build_field(m)).smooth)
+    return "yes", k, None
 
 
 def test_divides_examples():
@@ -133,6 +145,7 @@ def test_exhaustive_degree_le4_against_product_oracle():
             assert is_irreducible(f, 1) == (bits not in products[d]), f
 
 
+@pytest.mark.slow
 def test_parity_checks_against_trial_division():
     # The parity-check witness is the trial-division sweep's witness on every
     # mask of degree <= 4, and on seeded uniform degree-5 and degree-6 masks
@@ -197,16 +210,19 @@ def test_certify_absolute_yes_and_reducible():
     quot, ok = hom_divmod(mask_to_dict(prod), st.witness.as_dict(), F2)
     assert ok
 
-    # Reducible over F_4 only: up to F_32 its smooth points lie over F_16
-    # alone, so g = gcd(6, 4) = 2 and the one F_4 sweep finds a cubic.
-    st = certify_absolute(conjugate_cubic_norm())
-    assert st.absolute == "reducible" and st.certificate_field is None
-    assert st.witness.k == 2 and st.witness.degree == 3
+    # Reducible over F_4 only: its smooth points lie over F_{2^m} for even m
+    # alone, so g = gcd(6, 4) = 2 up to F_2048, with no F_2 witness; the F_4
+    # sweep exhibits a conjugate cubic.
+    fm = conjugate_cubic_norm()
+    st = certify_absolute(fm)
+    assert (st.absolute, st.certificate_field, st.witness) == ("reducible", None, None)
+    w = find_factor(fm, 2)
+    assert (w.k, w.degree) == (2, 3)
 
 
 def test_each_certificate_sweep_runs_once(monkeypatch):
-    # The certificate runs only the F_4 sweep that g = 2 calls for, and
-    # find_factor(f, k) only the F_{2^k} sweep; no call sweeps over F_2.
+    # The certificate runs no sweep, and find_factor(f, k) only the F_{2^k}
+    # sweep; no call sweeps over F_2.
     sweeps = []
     real_sweep = irred._sweep
 
@@ -217,14 +233,13 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
     monkeypatch.setattr(irred, "_sweep", recording)
     fm = conjugate_cubic_norm()
     st = certify_absolute(fm)
-    assert st.absolute == "reducible" and st.certificate_field is None
-    assert (st.witness.k, st.witness.degree) == (2, 3)
-    assert sweeps == [4]
+    assert (st.absolute, st.certificate_field, st.witness) == ("reducible", None, None)
+    assert sweeps == []
 
-    sweeps.clear()
     assert find_factor(fm, 1) is None
     assert find_factor(fm, 3) is None  # 3 | 6, but the factors live over F_4
-    assert find_factor(fm, 2) == st.witness
+    w = find_factor(fm, 2)
+    assert (w.k, w.degree) == (2, 3)
     assert sweeps == [8, 4]
 
 
@@ -267,20 +282,43 @@ def test_certificate_matches_simple_point_oracle():
                 n -= 1
     for f in masks:
         st = certify_absolute(f)
-        got = (st.absolute, st.certificate_field,
-               str(st.witness) if st.witness else None)
-        want = oracle_certificate(f)
-        if want[0] == "unknown":
-            # No simple point over F_2..F_8 and no factor over F_4 or F_8.
-            assert st.absolute != "reducible", f
-            assert st.absolute == "unknown" or st.certificate_field > 3, f
-        else:
-            assert got == want, f
+        absolute, k, w = oracle_certificate(f)
+        assert (st.absolute, st.certificate_field) == (absolute, k), f
+        if w is not None and w.k == 1:
+            assert st.witness == w, f
+        elif absolute == "reducible":
+            assert st.witness is None, f  # conjugate factors are not exhibited
+
+
+@pytest.mark.slow
+def test_certificate_exact_on_conjugate_norms():
+    # For seeded random h of degree e over F_{2^s}, e s <= 6, s >= 2, whose
+    # norm N(h) is F_2-irreducible, N(h) splits over F_{2^s}: the certificate
+    # says "reducible" with no witness, in under a second.  For each shape's
+    # first norm, trial division over F_8 (3 | s) or F_4 (2 | s) finds a
+    # conjugate factor; the sweep of cubics over F_4 takes most of the time.
+    rng = random.Random(10)
+    for e, s in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2)]:
+        field = build_field(s)
+        for i in range(5):
+            f = None
+            while f is None or irred._f2_factor(f) is not None:
+                h = {m: c for m in monomials(e) if (c := rng.randrange(field.order))}
+                f = norm(h, s) if h else None
+            start = time.perf_counter()
+            st = certify_absolute(f)
+            assert time.perf_counter() - start < 1.0, f
+            assert (st.absolute, st.certificate_field, st.witness) == (
+                "reducible", None, None), f
+            k = 3 if s % 3 == 0 else 2 if s % 2 == 0 else None
+            if i == 0 and k is not None:
+                w = find_factor(f, k)
+                assert (w.k, w.degree) == (k, f.degree // k), f
 
 
 def test_certificate_decides_oracle_unknowns():
-    # F_2-irreducible, no simple point over F_2..F_8 (so the F_4/F_8 sweeps
-    # alone left these "unknown"), smooth points over F_16 and F_32: g = 1.
+    # F_2-irreducible, no simple point over F_2..F_8 (where the old oracle's
+    # scan stopped), smooth points over F_16 and F_32: g = 1.
     for mask_id in ("d5:0x000091db", "d6:0x002001f1", "d6:0x0ea3d9bf"):
         f = parse_mask_id(mask_id)
         assert find_factor(f, 1) is None and find_simple_point(f) is None

@@ -8,6 +8,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
+from test_irred import conjugate_cubic_norm
 
 from curvesearch import cli, irred, search, singular
 from curvesearch.bounds import load_lauter
@@ -150,9 +151,10 @@ def test_tables_only_where_counting_repeats(monkeypatch):
 
 
 def test_production_decides_without_scans(monkeypatch):
-    # F_2 witnesses come from the parity checks and cone types from gcd root
-    # counts: the search and `verify` run no F_2 trial division and no
-    # direction scan, both of which stay as test oracles.
+    # F_2 witnesses come from the parity checks, absolute irreducibility from
+    # smooth-point counts and cone types from gcd root counts: the search and
+    # `verify` run no trial division and no direction scan, both of which
+    # stay as test oracles.
     sweeps, scans, witnesses = [], 0, []
     real_sweep = irred._sweep
     real_scan = singular.factor_binary_form
@@ -189,8 +191,10 @@ def test_production_decides_without_scans(monkeypatch):
         assert verify(entry.poly, entry.q).absolute == "yes", entry.id
     prod = mul_masks(PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5"))
     assert verify(prod, 8).witness == "F_{2^1}: x + y"
+    rec = verify(conjugate_cubic_norm(), 8)  # reducible over F_4 only
+    assert (rec.absolute, rec.witness) == ("reducible", None)
     assert witnesses.count(1) == 1
-    assert 1 not in sweeps and scans == 0
+    assert sweeps == [] and scans == 0
 
 
 def test_degree2_default_catalog_is_empty():
@@ -201,7 +205,7 @@ def test_emitted_records_are_certified_and_consistent():
     records = run_search(SearchConfig(degree=3, fields=(8, 64)))
     assert records
     for rec in records:
-        assert rec.absolute != "reducible"
+        assert rec.absolute == "yes"
         assert rec.genus.lo <= rec.genus.hi
         assert set(rec.counts) == {8, 64}
         assert rec.theorem1_ok in (None, True)
