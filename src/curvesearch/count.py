@@ -17,18 +17,18 @@ A count evaluates the curve at the representatives only: `total` is the
 sum of the weights of the zeros, and the partials are evaluated at the
 zeros alone.  Each singular representative is expanded back into its orbit
 by squaring its coordinates, and the singular points are reported in
-canonical order, exactly as a pass over every point would list them.
+canonical order, exactly as a pass over every point would list them.  A
+weight is the point's degree; a count keeps the smooth points' degrees.
 
 A curve's values come from one log-domain evaluator over its own
 monomials, in fixed-size chunks of representatives.  Where many curves of
-one degree are counted over one field (the search, and the certificate's
-small fields), the caller builds that degree's monomial table up front with
-`PointCounter.monomial_table`: the values of every basis monomial at every
-representative, so a curve with w monomials costs w contiguous-row XOR
-passes.  A table pays for itself after a few counts (tens of MB for the
-largest fields), so single-curve counting (`count_points`, `verify`) builds
-none.  A table that cannot be allocated leaves its degree on the chunked
-path; both paths give the same values.
+one degree are counted over one field (the search), the caller builds that
+degree's monomial table up front with `PointCounter.monomial_table`: the
+values of every basis monomial at every representative, so a curve with w
+monomials costs w contiguous-row XOR passes.  A table pays for itself after
+a few counts (tens of MB for the largest fields), so single-curve counting
+(`count_points`, `verify`) builds none.  A table that cannot be allocated
+leaves its degree on the chunked path; both paths give the same values.
 """
 
 from __future__ import annotations
@@ -49,12 +49,15 @@ CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class PointCount:
-    """Per-field tally for one curve; total = smooth + len(singular_points)."""
+    """Per-field tally for one curve; total = smooth + len(singular_points).
+    `smooth_degrees` holds each smooth point's degree (the least k with the
+    point in P^2(F_{2^k})); None when read back from a catalog."""
 
     q: int
     total: int
     smooth: int
     singular_points: tuple[tuple[int, int, int], ...]
+    smooth_degrees: frozenset[int] | None = None
 
 
 def projective_points(field: FieldTable) -> Iterator[tuple[int, int, int]]:
@@ -200,11 +203,10 @@ class PointCounter:
             for lo in range(0, len(self.weights), CHUNK)
         ])
         total = int(self.weights[zeros].sum())
-        if total == 0:
-            return PointCount(self.q, 0, 0, ())
         if f.degree == 1:
             # The gradient of a nonzero linear form is a nonzero constant.
-            return PointCount(self.q, total, total, ())
+            return PointCount(self.q, total, total, (),
+                              frozenset(self.weights[zeros].tolist()))
         sing_sel = np.ones(len(zeros), dtype=bool)
         for pcols in partial_cols:
             sing_sel &= self.values_at(d - 1, pcols, zeros) == 0
@@ -216,7 +218,8 @@ class PointCounter:
                 singular.append((x, y, z))
                 x, y, z = square[x], square[y], square[z]
         singular.sort(key=lambda p: _point_index(p, self.q))
-        return PointCount(self.q, total, total - len(singular), tuple(singular))
+        return PointCount(self.q, total, total - len(singular), tuple(singular),
+                          frozenset(self.weights[zeros[~sing_sel]].tolist()))
 
 
 @lru_cache(maxsize=256)
@@ -251,12 +254,15 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
 
     total = 0
     singular = []
+    smooth_degrees = set()
     for p in projective_points(field):
         if ev(monos, p) != 0:
             continue
         total += 1
-        if f.degree == 1:
-            continue
-        if all(ev(pm, p) == 0 for pm in pmonos):
+        if f.degree > 1 and all(ev(pm, p) == 0 for pm in pmonos):
             singular.append(p)
-    return PointCount(field.order, total, total - len(singular), tuple(singular))
+        else:  # the degree: the least k with every coordinate in F_{2^k}
+            smooth_degrees.add(next(k for k in range(1, field.m + 1)
+                                    if all(field.frobenius(c, k) == c for c in p)))
+    return PointCount(field.order, total, total - len(singular), tuple(singular),
+                      frozenset(smooth_degrees))

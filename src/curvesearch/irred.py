@@ -27,6 +27,15 @@ components form one Frobenius orbit of some size s | d.
 So scanning m = 1..11 and stopping at g = 1 is exact: "yes" with k the
 first m with a smooth point, or "reducible" when g never reaches 1.
 
+The scan reads its smooth points from counts already made.  A count over
+F_{2^M} records the degrees of its smooth points, and a point of degree e
+lies in P^2(F_{2^m}) iff e | m; whether it is smooth does not depend on the
+field.  So for m | M, f has a smooth F_{2^m}-point iff the count over
+F_{2^M} has a smooth point of degree dividing m.  The nine search fields,
+M = 3..11, cover every m <= 11 (1 | 3, 2 | 4), so in the search the
+certificate counts nothing; with fewer fields (`verify`), each uncovered m
+is counted once, without tables.
+
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) is the tests'
 oracle.  Candidate monic divisors are swept in the graded-lex term order,
 pruned by Newton-corner compatibility (the leading and trailing monomials
@@ -44,7 +53,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .count import PointCounter, projective_points
+from .count import PointCount, count_points, projective_points
 from .gf2m import MAX_M, FieldTable, build_field
 from .polyrep import (
     PolyMask,
@@ -59,9 +68,6 @@ from .polyrep import (
 )
 
 HomPoly = dict[Triple, int]
-
-# Certificates over F_{2^m}, m <= TABLE_MAX_M, count with monomial tables.
-TABLE_MAX_M = 5
 
 
 @dataclass(frozen=True)
@@ -299,29 +305,26 @@ def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _counter(m: int, d: int) -> PointCounter:
-    """Counter over F_{2^m}.  Up to TABLE_MAX_M, where the certificates of
-    the searches have stopped so far, it keeps the degree-d and (d-1)
-    tables; larger fields, reached only by curves with no early smooth
-    point, count without tables."""
-    counter = PointCounter(build_field(m))
-    if m <= TABLE_MAX_M:
-        counter.monomial_table(d)
-        if d > 1:
-            counter.monomial_table(d - 1)
-    return counter
+def _has_smooth_point(f: PolyMask, m: int, counts: dict[int, PointCount]) -> bool:
+    """Whether f has a smooth F_{2^m}-point, read from the first count over
+    some F_{2^M}, m | M, with smooth-point degrees, else counted."""
+    for pc in counts.values():
+        if pc.smooth_degrees is not None and (pc.q.bit_length() - 1) % m == 0:
+            return any(m % e == 0 for e in pc.smooth_degrees)
+    return count_points(f, build_field(m)).smooth > 0
 
 
-def certify_absolute(f: PolyMask) -> IrreducibilityStatus:
+def certify_absolute(f: PolyMask, counts: dict[int, PointCount]
+                     ) -> IrreducibilityStatus:
     """Exact smooth-point certificate (see the module docstring): "yes" with
-    the first m that had a smooth F_{2^m}-point, else "reducible"."""
+    the first m that had a smooth F_{2^m}-point, else "reducible".  `counts`
+    are f's counts by field order; each m they cover is read, not counted."""
     w = _f2_factor(f)
     if w is not None:
         return IrreducibilityStatus("reducible", None, w)
     k, g = None, f.degree
     for m in range(1, MAX_M + 1):
-        if _counter(m, f.degree).count(f).smooth:
+        if _has_smooth_point(f, m, counts):
             k, g = k or m, gcd(g, m)
             if g == 1:
                 return IrreducibilityStatus("yes", k, None)

@@ -316,7 +316,7 @@ class CurvePipeline:
             for q in self.orders
         }
 
-        status = certify_absolute(f)
+        status = certify_absolute(f, counts)
         if any(lo > hi for lo, hi in n_range.values()):
             # Both ends are sound for absolutely irreducible curves, so a
             # crossed range proves reducibility, like a crossed genus interval.

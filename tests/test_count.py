@@ -128,10 +128,11 @@ def test_against_naive_oracle(m):
         b = naive_count(f, field)
         for counter in counters:
             a = counter.count(f)
-            assert (a.total, a.smooth, a.singular_points) == (
+            assert (a.total, a.smooth, a.singular_points, a.smooth_degrees) == (
                 b.total,
                 b.smooth,
                 b.singular_points,
+                b.smooth_degrees,
             )
 
 
@@ -159,10 +160,11 @@ def test_conjugate_singular_points_expanded_in_order(make):
     assert any(c > 1 for p in b.singular_points for c in p)
     for counter in (PointCounter(f64), _tabulated(f64)):
         a = counter.count(f)
-        assert (a.total, a.smooth, a.singular_points) == (
+        assert (a.total, a.smooth, a.singular_points, a.smooth_degrees) == (
             b.total,
             b.smooth,
             b.singular_points,
+            b.smooth_degrees,
         )
 
 
@@ -198,18 +200,20 @@ def test_streaming_fallback_matches_tables(monkeypatch):
         f = PolyMask(d, rng.randint(1, full_mask(d)))
         a, b = with_tables.count(f), streaming.count(f)
         c = naive_count(f, f16)
-        assert (a.total, a.smooth, a.singular_points) == (
+        assert (a.total, a.smooth, a.singular_points, a.smooth_degrees) == (
             b.total,
             b.smooth,
             b.singular_points,
-        ) == (c.total, c.smooth, c.singular_points)
+            b.smooth_degrees,
+        ) == (c.total, c.smooth, c.singular_points, c.smooth_degrees)
     for _ in range(20):
         f = PolyMask(3, rng.randint(1, full_mask(3)))
         a, b = with_tables.count(f), partial.count(f)
-        assert (a.total, a.smooth, a.singular_points) == (
+        assert (a.total, a.smooth, a.singular_points, a.smooth_degrees) == (
             b.total,
             b.smooth,
             b.singular_points,
+            b.smooth_degrees,
         )
     assert streaming.monomial_table(3) is None
     assert partial.monomial_table(3) is None

@@ -3,10 +3,12 @@ certificates."""
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from curvesearch import irred
+from curvesearch.bounds import load_lauter
 from curvesearch.count import naive_count
 from curvesearch.gf2m import build_field
 from curvesearch.irred import (
@@ -32,6 +34,7 @@ from curvesearch.polyrep import (
     parse_poly,
     partials,
 )
+from curvesearch.search import SUPPORTED_FIELDS, CurvePipeline, CurveRecord, verify
 
 F2 = build_field(1)
 
@@ -196,14 +199,14 @@ def test_find_simple_point_examples():
 
 def test_certify_absolute_yes_and_reducible():
     f = parse_poly("x^5 + y^5 + z^5")
-    st = certify_absolute(f)
+    st = certify_absolute(f, {})
     assert st.absolute == "yes" and st.certificate_field == 1
     assert find_factor(f, 1) is None and find_simple_point(f)[0] == 1
 
     prod = mul_masks(
         PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
     )
-    st = certify_absolute(prod)
+    st = certify_absolute(prod, {})
     assert st.absolute == "reducible"
     assert st.witness is not None and st.witness.degree <= 3
     # Soundness: the stored witness truly divides.
@@ -214,7 +217,7 @@ def test_certify_absolute_yes_and_reducible():
     # alone, so g = gcd(6, 4) = 2 up to F_2048, with no F_2 witness; the F_4
     # sweep exhibits a conjugate cubic.
     fm = conjugate_cubic_norm()
-    st = certify_absolute(fm)
+    st = certify_absolute(fm, {})
     assert (st.absolute, st.certificate_field, st.witness) == ("reducible", None, None)
     w = find_factor(fm, 2)
     assert (w.k, w.degree) == (2, 3)
@@ -232,7 +235,7 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
 
     monkeypatch.setattr(irred, "_sweep", recording)
     fm = conjugate_cubic_norm()
-    st = certify_absolute(fm)
+    st = certify_absolute(fm, {})
     assert (st.absolute, st.certificate_field, st.witness) == ("reducible", None, None)
     assert sweeps == []
 
@@ -258,15 +261,19 @@ def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
         return real_sweep(f, degrees, k)
 
     monkeypatch.setattr(irred, "_sweep", recording)
-    st = certify_absolute(parse_poly("x^5 + y^5 + z^5"))
+    st = certify_absolute(parse_poly("x^5 + y^5 + z^5"), {})
     assert (st.absolute, st.certificate_field, sweeps) == ("yes", 1, [])
-    st = certify_absolute(prod)
+    st = certify_absolute(prod, {})
     assert (st.absolute, st.witness, sweeps) == ("reducible", want, [])
 
 
 def test_certificate_matches_simple_point_oracle():
     # Every degree <= 4 orbit (trivially reducible ones included) and seeded
-    # random F_2-irreducible degree-5/6 masks.
+    # random F_2-irreducible degree-5/6 masks, each certified three ways:
+    # counting every field itself, reading the nine search fields' counts,
+    # and from those counts read back from a catalog line, which carry no
+    # smooth-point degrees and so must be counted again.
+    template = verify("x^5 + y^5 + z^5", 8)
     masks = []
     for d in range(1, 5):
         engine = SieveEngine(d)
@@ -280,14 +287,25 @@ def test_certificate_matches_simple_point_oracle():
             if is_irreducible(f, 1):
                 masks.append(f)
                 n -= 1
-    for f in masks:
-        st = certify_absolute(f)
-        absolute, k, w = oracle_certificate(f)
-        assert (st.absolute, st.certificate_field) == (absolute, k), f
-        if w is not None and w.k == 1:
-            assert st.witness == w, f
-        elif absolute == "reducible":
-            assert st.witness is None, f  # conjugate factors are not exhibited
+    for d in range(1, 7):
+        # Each degree is counted as the search counts it, with its tables.
+        pipe = CurvePipeline(SUPPORTED_FIELDS, load_lauter())
+        for counter in pipe.counters.values():
+            counter.monomial_table(d)
+            counter.monomial_table(max(d - 1, 1))
+        for f in [f for f in masks if f.degree == d]:
+            counts = pipe.count_all(f)
+            line = replace(template, counts=counts).to_json()
+            read_back = CurveRecord.from_json(line).counts
+            assert all(pc.smooth_degrees is None for pc in read_back.values())
+            absolute, k, w = oracle_certificate(f)
+            for given in ({}, counts, read_back):
+                st = certify_absolute(f, given)
+                assert (st.absolute, st.certificate_field) == (absolute, k), f
+                if w is not None and w.k == 1:
+                    assert st.witness == w, f
+                elif absolute == "reducible":
+                    assert st.witness is None, f  # conjugate factors are not exhibited
 
 
 @pytest.mark.slow
@@ -306,7 +324,7 @@ def test_certificate_exact_on_conjugate_norms():
                 h = {m: c for m in monomials(e) if (c := rng.randrange(field.order))}
                 f = norm(h, s) if h else None
             start = time.perf_counter()
-            st = certify_absolute(f)
+            st = certify_absolute(f, {})
             assert time.perf_counter() - start < 1.0, f
             assert (st.absolute, st.certificate_field, st.witness) == (
                 "reducible", None, None), f
@@ -322,7 +340,7 @@ def test_certificate_decides_oracle_unknowns():
     for mask_id in ("d5:0x000091db", "d6:0x002001f1", "d6:0x0ea3d9bf"):
         f = parse_mask_id(mask_id)
         assert find_factor(f, 1) is None and find_simple_point(f) is None
-        st = certify_absolute(f)
+        st = certify_absolute(f, {})
         assert (st.absolute, st.certificate_field, st.witness) == ("yes", 4, None)
 
 
@@ -336,7 +354,7 @@ def test_certificate_hygiene_on_record_curves():
         "x^4*y + x^2*y^3 + x*y^4 + y^5 + x^3*y*z + y^4*z + x^2*z^3 + y*z^4",
     ):
         f = parse_poly(text)
-        st = certify_absolute(f)
+        st = certify_absolute(f, {})
         assert st.absolute == "yes"
         k = st.certificate_field
         assert find_factor(f, k) is None
@@ -356,4 +374,4 @@ def test_smooth_irreducible_consistency():
     h = parse_poly("x^5 + y^5 + z^5")
     pc = count_points(h, f16)
     assert pc.singular_points == ()
-    assert certify_absolute(h).absolute == "yes"
+    assert certify_absolute(h, {}).absolute == "yes"

@@ -59,30 +59,18 @@ def test_degree4_f64_finds_the_two_record_quartics():
 
 
 def test_each_orbit_counted_once(monkeypatch):
-    # Counts over the search fields only: the certificate's own smooth
-    # counts over F_2..F_32 are not counted.
+    # Every count over a search field, the certificate's included.
     calls = 0
-    certifying = False
+    fields = (8, 64)
     real_count = PointCounter.count
-    real_certify = search.certify_absolute
 
     def counting(self, f):
         nonlocal calls
-        calls += not certifying
+        calls += self.q in fields
         return real_count(self, f)
 
-    def certify(f):
-        nonlocal certifying
-        certifying = True
-        try:
-            return real_certify(f)
-        finally:
-            certifying = False
-
     monkeypatch.setattr(PointCounter, "count", counting)
-    monkeypatch.setattr(search, "certify_absolute", certify)
     stats = SearchStats()
-    fields = (8, 64)
     records = run_search(SearchConfig(degree=4, fields=fields, jobs=1),
                          stats=stats)
     assert records and stats.counted
@@ -139,26 +127,29 @@ def test_tables_only_where_counting_repeats(monkeypatch):
     assert ("count", 64, 5) in events
     assert not [e for e in events if e[0] == "build" and e[1] == 64]
 
-    # F_64 and F_128 lie above the certificate's F_2..F_32 counters.
+    # The certificate counts the fields the search does not cover (F_16,
+    # F_32, F_256, ...) one curve at a time, without tables.
     events.clear()
     fields = (64, 128)
     assert run_search(SearchConfig(degree=4, fields=fields, jobs=1))
-    search_events = [e for e in events if e[1] in fields]
-    first_count = next(i for i, e in enumerate(search_events) if e[0] == "count")
-    builds = [e for e in search_events if e[0] == "build"]
+    first_count = next(i for i, e in enumerate(events) if e[0] == "count")
+    builds = [e for e in events if e[0] == "build"]
     assert sorted(builds) == [("build", q, d) for q in fields for d in (3, 4)]
-    assert search_events[:first_count] == builds
+    assert events[:first_count] == builds
 
 
 def test_production_decides_without_scans(monkeypatch):
     # F_2 witnesses come from the parity checks, absolute irreducibility from
     # smooth-point counts and cone types from gcd root counts: the search and
     # `verify` run no trial division and no direction scan, both of which
-    # stay as test oracles.
+    # stay as test oracles.  Over the nine fields, the certificate reads its
+    # smooth points from the search's counts and counts nothing itself.
     sweeps, scans, witnesses = [], 0, []
+    certifying, certificate_counts = False, 0
     real_sweep = irred._sweep
     real_scan = singular.factor_binary_form
     real_certify = search.certify_absolute
+    real_count = PointCounter.count
 
     def sweep(f, degrees, k):
         sweeps.append(k)
@@ -169,13 +160,24 @@ def test_production_decides_without_scans(monkeypatch):
         scans += 1
         return real_scan(*args)
 
-    def certify(f):
-        status = real_certify(f)
+    def counting(self, f):
+        nonlocal certificate_counts
+        certificate_counts += certifying
+        return real_count(self, f)
+
+    def certify(f, counts):
+        nonlocal certifying
+        certifying = True
+        try:
+            status = real_certify(f, counts)
+        finally:
+            certifying = False
         witnesses.append(status.witness and status.witness.k)
         return status
 
     monkeypatch.setattr(irred, "_sweep", sweep)
     monkeypatch.setattr(singular, "factor_binary_form", scan)
+    monkeypatch.setattr(PointCounter, "count", counting)
     monkeypatch.setattr(search, "certify_absolute", certify)
     pipe = search.CurvePipeline(search.SUPPORTED_FIELDS, load_lauter())
     for counter in pipe.counters.values():
@@ -185,6 +187,7 @@ def test_production_decides_without_scans(monkeypatch):
     engine.run_range(1 << 15)  # trivially reducible masks only
     records, stats = search._process_orbits(engine.run_range(1 << 11), pipe, 80)
     assert stats.counted > 200 and len(records) > 200
+    assert certificate_counts == 0
     assert {"u v", "u^2+u v+v^2", "u v^2", "(u+v)(u^2+u v+v^2)"} <= {
         s.cone_type for r in records for s in r.singular}
     for entry in load_corpus():

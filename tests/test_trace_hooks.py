@@ -3,6 +3,7 @@
 import sys
 from pathlib import Path
 
+from curvesearch import search
 from curvesearch.count import PointCounter
 from curvesearch.gf2m import build_field
 from curvesearch.polyrep import parse_poly
@@ -15,7 +16,8 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
     # monomial_table, CurvePipeline.quick_genus, irred.find_simple_point, ...),
     # so a renamed or removed one fails here rather than in a --trace 1 run.
     # The count hooks also read counter attributes (q, n_points) after each
-    # call, so one table build and one count run under the tracer.
+    # call, so one table build and one count run under the tracer, and the
+    # certificate hook reads its result, so one certificate runs too.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("layers", "tracer", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -29,7 +31,8 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
         with tracer.span("search", "root"):
             counter = PointCounter(build_field(3))
             counter.monomial_table(2)
-            counter.count(parse_poly("x^3 + y^3 + z^3 + x*y*z"))
+            f = parse_poly("x^3 + y^2*z + y*z^2")
+            search.certify_absolute(f, {8: counter.count(f)})
     finally:
         tracer.uninstall()
     assert patched
@@ -37,6 +40,7 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
         assert getattr(owner, attr) is original
     assert tracer.counters["count.table_bytes"] == counter.monomial_table(2).nbytes > 0
     assert tracer.counters["count.points_evaluated"] == counter.n_points == 73
+    assert tracer.counters["irred.outcome.yes"] == 1
 
 
 def test_benchmark_search_read_back(monkeypatch, tmp_path):
