@@ -21,14 +21,14 @@ canonical order, exactly as a pass over every point would list them.  A
 weight is the point's degree; a count keeps the smooth points' degrees.
 
 A curve's values come from one log-domain evaluator over its own
-monomials, in fixed-size chunks of representatives.  Where many curves of
+monomials, in one pass over the representatives.  Where many curves of
 one degree are counted over one field (the search), the caller builds that
 degree's monomial table up front with `PointCounter.monomial_table`: the
 values of every basis monomial at every representative, so a curve with w
 monomials costs w contiguous-row XOR passes.  A table pays for itself after
 a few counts (tens of MB for the largest fields), so single-curve counting
 (`count_points`, `verify`) builds none.  A table that cannot be allocated
-leaves its degree on the chunked path; both paths give the same values.
+leaves its degree on the evaluator; both paths give the same values.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ import numpy as np
 
 from .gf2m import FieldTable
 from .polyrep import PolyMask, bit_indices, monomials, partials
-
-# Points per evaluation pass; bounds the temporaries of the chunked fallback.
-CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class PointCount:
@@ -163,14 +159,14 @@ class PointCounter:
     def monomial_table(self, d: int) -> np.ndarray | None:
         """Build (once) and keep the degree-d table, so that later counts of
         degree-d curves, or of degree-(d+1) curves' partials, use it; None
-        when it does not fit in memory (degree d then evaluates in chunks)."""
+        when it does not fit in memory (degree d then uses the evaluator)."""
         if d not in self._tables:
             try:
                 self._tables[d] = self._build_table(d)
             except MemoryError:
                 warnings.warn(
                     f"monomial table for q={self.q}, d={d} does not fit in "
-                    "memory; falling back to chunked evaluation"
+                    "memory; falling back to direct evaluation"
                 )
                 self._tables[d] = None
         return self._tables[d]
@@ -180,9 +176,8 @@ class PointCounter:
     def values_at(self, d: int, cols: tuple[int, ...], sel: slice | np.ndarray
                   ) -> np.ndarray:
         """Values of the degree-d form with basis monomials `cols` at the
-        representatives `sel` (a slice or an index array)."""
-        if not cols:
-            return np.zeros_like(self.coords[0][sel])
+        representatives `sel` (a slice or an index array); `cols` is not
+        empty."""
         table = self._tables.get(d)
         if table is None:
             rows = self._monomial_rows(d, cols, sel)
@@ -198,10 +193,7 @@ class PointCounter:
         if f.bits == 0:
             raise ValueError("zero polynomial")
         d, (cols, partial_cols) = f.degree, _columns(f)
-        zeros = np.concatenate([
-            np.flatnonzero(self.values_at(d, cols, slice(lo, lo + CHUNK)) == 0) + lo
-            for lo in range(0, len(self.weights), CHUNK)
-        ])
+        zeros = np.flatnonzero(self.values_at(d, cols, slice(None)) == 0)
         total = int(self.weights[zeros].sum())
         if f.degree == 1:
             # The gradient of a nonzero linear form is a nonzero constant.
@@ -233,36 +225,3 @@ def _columns(f: PolyMask) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:
     """One-shot count for a single curve (tables are only worth it in bulk)."""
     return PointCounter(field).count(f)
-
-
-def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
-    """Oracle: double loop over points, monomials by repeated multiplication."""
-    from .polyrep import decode
-
-    monos = decode(f)
-    pmonos = [decode(p) if p.bits else [] for p in partials(f)]
-
-    def ev(monolist, p):
-        acc = 0
-        for i, j, k in monolist:
-            term = 1
-            for base, e in zip(p, (i, j, k)):
-                for _ in range(e):
-                    term = field.mul(term, base)
-            acc ^= term
-        return acc
-
-    total = 0
-    singular = []
-    smooth_degrees = set()
-    for p in projective_points(field):
-        if ev(monos, p) != 0:
-            continue
-        total += 1
-        if f.degree > 1 and all(ev(pm, p) == 0 for pm in pmonos):
-            singular.append(p)
-        else:  # the degree: the least k with every coordinate in F_{2^k}
-            smooth_degrees.add(next(k for k in range(1, field.m + 1)
-                                    if all(field.frobenius(c, k) == c for c in p)))
-    return PointCount(field.order, total, total - len(singular), tuple(singular),
-                      frozenset(smooth_degrees))

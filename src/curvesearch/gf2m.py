@@ -24,17 +24,6 @@ import numpy as np
 MAX_M = 11
 
 
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two binary polynomials (ints, low bit = x^0)."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
 def _polymod(a: int, mod: int) -> int:
     """Remainder of binary polynomial a modulo mod."""
     dm = mod.bit_length() - 1
@@ -197,8 +186,3 @@ def build_field(m: int, poly_index: int = 0) -> FieldTable:
     if t != 1:
         raise ArithmeticError(f"polynomial {poly:#x} is not primitive for m={m}")
     return FieldTable(m=m, order=order, defining_poly=poly, exp=exp, log=log)
-
-
-def clmul_reduce(a: int, b: int, field: FieldTable) -> int:
-    """Oracle multiply: carry-less product reduced by the defining polynomial."""
-    return _polymod(_clmul(a, b), field.defining_poly)

@@ -1,5 +1,5 @@
-"""Irreducibility by parity checks, exact absolute-irreducibility certificates
-from smooth-point counts, and trial division as the tests' oracle.
+"""Irreducibility by parity checks and exact absolute-irreducibility
+certificates from smooth-point counts.
 
 Reducibility over F_2 is decided by linear algebra.  A degree-d mask f is
 reducible iff f = g h for a nonzero form g of degree 1 <= e <= d/2.  For a
@@ -8,7 +8,8 @@ subspace, cut out by the parity-check rows read off the reduced echelon
 form of {g m : m a degree-(d-e) monomial}: f is a multiple of g iff
 popcount(row & f) is even for every row of g.  The rows of all g are built
 once per degree (19,282 rows at degree 6) and tested against f at once;
-the witness is the divisor g that trial division would meet first.
+the witness is the divisor g that trial division, the tests' oracle,
+would meet first.
 
 Absolute irreducibility is decided from smooth-point counts.  Let f be
 irreducible over F_2 of degree d <= 6.  Its absolutely irreducible
@@ -35,13 +36,6 @@ F_{2^M} has a smooth point of degree dividing m.  The nine search fields,
 M = 3..11, cover every m <= 11 (1 | 3, 2 | 4), so in the search the
 certificate counts nothing; with fewer fields (`verify`), each uncovered m
 is counted once, without tables.
-
-Trial division (`find_factor`, `is_irreducible`, `_sweep`) is the tests'
-oracle.  Candidate monic divisors are swept in the graded-lex term order,
-pruned by Newton-corner compatibility (the leading and trailing monomials
-of a divisor must divide those of the target); division by a single
-divisor leaves remainder zero exactly on multiples.  Over F_{2^s} only the
-s conjugate factors of degree d/s of an F_2-irreducible f are swept.
 """
 
 from __future__ import annotations
@@ -49,12 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .count import PointCount, count_points, projective_points
-from .gf2m import MAX_M, FieldTable, build_field
+from .gf2m import MAX_M, build_field
 from .polyrep import (
     PolyMask,
     Triple,
@@ -106,106 +99,6 @@ def mask_to_dict(f: PolyMask) -> HomPoly:
 
 def _leading(p: HomPoly) -> Triple:
     return max(p)  # tuple comparison is graded-lex within a fixed degree
-
-
-def _trailing(p: HomPoly) -> Triple:
-    return min(p)
-
-
-def _div_mono(a: Triple, b: Triple) -> bool:
-    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
-
-
-def hom_divmod(f: HomPoly, g: HomPoly, field: FieldTable
-               ) -> tuple[HomPoly | None, bool]:
-    """(quotient, divisible) for homogeneous f, g; quotient None when not."""
-    if not g:
-        raise ValueError("zero divisor")
-    r = dict(f)
-    gl = _leading(g)
-    glc = g[gl]
-    quot: HomPoly = {}
-    while r:
-        rl = _leading(r)
-        if not _div_mono(rl, gl):
-            return None, False
-        qm = (rl[0] - gl[0], rl[1] - gl[1], rl[2] - gl[2])
-        qc = field.div(r[rl], glc)
-        quot[qm] = quot.get(qm, 0) ^ qc
-        for gm, gc in g.items():
-            key = (gm[0] + qm[0], gm[1] + qm[1], gm[2] + qm[2])
-            val = r.get(key, 0) ^ field.mul(qc, gc)
-            if val:
-                r[key] = val
-            else:
-                r.pop(key, None)
-    return quot, True
-
-
-def divides(g: HomPoly, f: HomPoly, field: FieldTable) -> bool:
-    """True iff f = g * h for a homogeneous h over the same field."""
-    if not g:
-        raise ValueError("zero divisor")
-    dg = sum(_leading(g))
-    df = sum(_leading(f)) if f else 0
-    if not 1 <= dg < df:
-        raise ValueError(f"divisor degree {dg} not in 1..{df - 1}")
-    return hom_divmod(f, g, field)[1]
-
-
-def hom_mul(a: HomPoly, b: HomPoly, field: FieldTable) -> HomPoly:
-    out: HomPoly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-            val = out.get(key, 0) ^ field.mul(ca, cb)
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _monic_forms(e: int, field: FieldTable, lead_f: Triple, trail_f: Triple
-                 ) -> Iterator[HomPoly]:
-    """Monic degree-e candidates whose corners can divide the target's."""
-    basis = monomials(e)
-    n = len(basis)
-    nonzero = [c for c in range(1, field.order)]
-    for lead in range(n):
-        if not _div_mono(lead_f, basis[lead]):
-            continue
-        free = n - lead - 1
-        # Odometer over coefficient assignments of the positions after lead.
-        counters = [0] * free
-        while True:
-            g = {basis[lead]: 1}
-            for pos, c in enumerate(counters):
-                if c:
-                    g[basis[lead + 1 + pos]] = c
-            if _div_mono(trail_f, _trailing(g)):
-                yield g
-            i = free - 1
-            while i >= 0:
-                counters[i] += 1
-                if counters[i] < field.order:
-                    break
-                counters[i] = 0
-                i -= 1
-            if i < 0:
-                break
-
-
-def _sweep(f: PolyMask, degrees: Iterable[int], k: int) -> Factor | None:
-    """Trial division: the first monic divisor of f over F_{2^k} whose
-    degree is in `degrees`, or None."""
-    fd = mask_to_dict(f)
-    field = build_field(k)
-    for e in degrees:
-        for g in _monic_forms(e, field, _leading(fd), _trailing(fd)):
-            if hom_divmod(fd, g, field)[1]:
-                return _witness(g, k)
-    return None
 
 
 def _witness(g: HomPoly, k: int) -> Factor:
@@ -276,20 +169,6 @@ def _f2_factor(f: PolyMask) -> Factor | None:
                 h & -h, int(f"{h:0{width}b}"[::-1], 2)))
             return _witness(mask_to_dict(PolyMask(e, g)), 1)
     return None
-
-
-def find_factor(f: PolyMask, k: int) -> Factor | None:
-    """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
-    if not 1 <= k <= 3:
-        raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
-    w = _f2_factor(f)
-    if w is None and k > 1 and f.degree % k == 0:
-        w = _sweep(f, [f.degree // k], k)  # conjugate factors (Galois descent)
-    return w
-
-
-def is_irreducible(f: PolyMask, k: int) -> bool:
-    return find_factor(f, k) is None
 
 
 def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:

@@ -12,6 +12,8 @@ is independent of scan interleaving and of how ranges are batched.
 The kernel applies all 168 substitutions to blocks of candidate masks via
 per-matrix byte lookup tables: a degree-d substitution is F_2-linear on
 masks, so the image of a mask is the XOR of per-byte precomputed images.
+The candidates that are their orbits' minima are the block's
+representatives, and only their images are cleared.
 
 Checkpoint byte order: the packed table uses numpy packbits with
 bitorder="little", i.e. byte i, bit j (LSB first) corresponds to mask
@@ -80,17 +82,13 @@ class OrbitInfo:
 def _byte_luts(d: int) -> np.ndarray:
     """Per-matrix, per-byte-position image tables, shape (168, nbytes, 256)."""
     n = basis_size(d)
-    nbytes = (n + 7) // 8
-    luts = np.zeros((GL3_ORDER, nbytes, 256), dtype=np.uint32)
-    for mi, mat in enumerate(enumerate_gl3()):
-        cols = column_image_table(d, mat)
-        for bp in range(nbytes):
-            lut = luts[mi, bp]
-            for b in range(1, 256):
-                low = b & -b
-                t = 8 * bp + low.bit_length() - 1
-                img = cols[t] if t < n else 0
-                lut[b] = lut[b & (b - 1)] ^ img
+    cols = np.array([column_image_table(d, mat) for mat in enumerate_gl3()],
+                    dtype=np.uint32)
+    luts = np.zeros((GL3_ORDER, (n + 7) // 8, 256), dtype=np.uint32)
+    byte = np.arange(256)
+    for t in range(n):
+        # Every byte value with bit t % 8 set gains the image of monomial t.
+        luts[:, t // 8, (byte & (1 << t % 8)) > 0] ^= cols[:, t:t + 1]
     return luts
 
 
@@ -157,7 +155,12 @@ class SieveEngine:
                 for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
                     out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
 
-            self.table[imgs.reshape(-1)] = False
+                # Clearing only the representatives' images leaves the table
+                # that clearing every candidate's would.  A live candidate
+                # that is not its orbit's minimum m was not cleared by m in
+                # an earlier block, and a minimum is never cleared before it
+                # is scanned, so m is among this block's `reps`.
+                self.table[rimgs.reshape(-1)] = False
 
         self.position = hi
         return out
@@ -198,8 +201,3 @@ def sieve(degree: int) -> Iterator[tuple[PolyMask, int]]:
     except orbits in which some member fires the cheap reducibility filter."""
     return ((info.rep, info.orbit_size) for info in _scan(degree)
             if not info.trivially_reducible)
-
-
-def sieve_all(degree: int) -> list[OrbitInfo]:
-    """Run the whole sieve, returning every orbit (trivial ones included)."""
-    return list(_scan(degree))

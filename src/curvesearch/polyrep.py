@@ -23,8 +23,6 @@ MAX_DEGREE = 6
 Triple = tuple[int, int, int]
 Mat3 = tuple[int, int, int]  # three 3-bit rows over F_2
 
-IDENTITY: Mat3 = (0b001, 0b010, 0b100)
-
 
 class PolyMask(NamedTuple):
     degree: int
@@ -173,19 +171,6 @@ def mat_det(m: Mat3) -> int:
             c2 = 3 - c0 - c1
             det ^= (r0 >> c0) & (r1 >> c1) & (r2 >> c2) & 1
     return det
-
-
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    rows = []
-    for r in range(3):
-        row = 0
-        for c in range(3):
-            bit = 0
-            for t in range(3):
-                bit ^= ((a[r] >> t) & 1) & ((b[t] >> c) & 1)
-            row |= bit << c
-        rows.append(row)
-    return tuple(rows)  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=None)

@@ -684,17 +684,17 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
 # -- reporting ------------------------------------------------------------------------------
 
 
-def report(records: list[CurveRecord], bound_table: BoundTable | None = None,
-           *, genus_range: tuple[int, int] = (1, 10)) -> str:
-    """Best-vs-bound tally over (q, g) plus the ambiguous-genus appendix."""
+def report(records: list[CurveRecord], bound_table: BoundTable | None = None
+           ) -> str:
+    """Best-vs-bound tally over (q, g), g = 1..10, plus the ambiguous-genus
+    appendix."""
     if not records:
         raise ValueError("empty catalog")
     bound_table = bound_table or load_lauter(None)
     orders = sorted({q for rec in records for q in rec.n_range})
-    g_lo, g_hi = genus_range
+    genera = range(1, 11)
 
     pinned: dict[tuple[int, int], int] = {}
-    witness: dict[tuple[int, int], CurveRecord] = {}
     ambiguous: list[CurveRecord] = []
     for rec in records:
         if rec.genus.lo == rec.genus.hi:
@@ -703,19 +703,18 @@ def report(records: list[CurveRecord], bound_table: BoundTable | None = None,
                 key = (q, g)
                 if rec.n_lo(q) > pinned.get(key, -1):
                     pinned[key] = rec.n_lo(q)
-                    witness[key] = rec
         else:
             ambiguous.append(rec)
 
     lines = []
     header = ["q".rjust(5)] + [
         f"best {g}".rjust(8) + f"bound {g}".rjust(9) + "gap".rjust(5)
-        for g in range(g_lo, g_hi + 1)
+        for g in genera
     ]
     lines.append(" |".join(header))
     for q in orders:
         cells = [str(q).rjust(5)]
-        for g in range(g_lo, g_hi + 1):
+        for g in genera:
             bound, _src = bound_table.effective(q, g)
             best = pinned.get((q, g))
             if best is None:

@@ -101,16 +101,6 @@ def local_expansion(f: PolyMask, point: PointT, field: FieldTable
     return acc
 
 
-def multiplicity_at(f: PolyMask, point: PointT, field: FieldTable) -> int:
-    """Least degree of a nonvanishing local part; 1 at smooth points."""
-    exp = local_expansion(f, point, field)
-    if (0, 0) in exp:
-        raise ValueError(f"point {point} is not on the curve")
-    if not exp:
-        raise ValueError("zero polynomial")
-    return min(s + t for s, t in exp)
-
-
 def tangent_cone_at(f: PolyMask, point: PointT, field: FieldTable) -> FormT:
     """Lowest local homogeneous part as a binary form; requires a singular point."""
     exp = local_expansion(f, point, field)

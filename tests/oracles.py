@@ -1,0 +1,271 @@
+"""Reference implementations that only the tests run.
+
+Each one computes by brute force what the package computes another way, and
+the tests compare the two: carry-less multiplication against the log
+tables, a scan of every point against the counts on Frobenius orbit
+minima, trial division against the parity checks and the smooth-point
+certificate.  The package never imports this module.
+
+Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
+monic divisors in the graded-lex term order, pruned by Newton-corner
+compatibility (the leading and trailing monomials of a divisor must divide
+those of the target); division by a single divisor leaves remainder zero
+exactly on multiples.  Over F_{2^s} only the s conjugate factors of degree
+d/s of an F_2-irreducible f are swept.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+from curvesearch.count import PointCount, projective_points
+from curvesearch.gf2m import FieldTable, _polymod, build_field
+from curvesearch.irred import (
+    Factor,
+    HomPoly,
+    _f2_factor,
+    _leading,
+    _witness,
+    mask_to_dict,
+)
+from curvesearch.orbit import OrbitInfo, _scan
+from curvesearch.polyrep import (
+    Mat3,
+    PolyMask,
+    Triple,
+    decode,
+    encode,
+    monomials,
+    partials,
+)
+from curvesearch.singular import PointT, local_expansion
+
+
+# -- field arithmetic without the log tables -----------------------------------
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two binary polynomials (ints, low bit = x^0)."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def clmul_reduce(a: int, b: int, field: FieldTable) -> int:
+    """Oracle multiply: carry-less product reduced by the defining polynomial."""
+    return _polymod(_clmul(a, b), field.defining_poly)
+
+
+# -- matrices over F_2 ---------------------------------------------------------
+
+
+IDENTITY: Mat3 = (0b001, 0b010, 0b100)
+
+
+def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    rows = []
+    for r in range(3):
+        row = 0
+        for c in range(3):
+            bit = 0
+            for t in range(3):
+                bit ^= ((a[r] >> t) & 1) & ((b[t] >> c) & 1)
+            row |= bit << c
+        rows.append(row)
+    return tuple(rows)  # type: ignore[return-value]
+
+
+# -- the sieve, trivially reducible orbits included ----------------------------
+
+
+def sieve_all(degree: int) -> list[OrbitInfo]:
+    """Run the whole sieve, returning every orbit (trivial ones included)."""
+    return list(_scan(degree))
+
+
+# -- point counting by a scan of every point -----------------------------------
+
+
+def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
+    """Oracle: double loop over points, monomials by repeated multiplication."""
+    monos = decode(f)
+    pmonos = [decode(p) if p.bits else [] for p in partials(f)]
+
+    def ev(monolist, p):
+        acc = 0
+        for i, j, k in monolist:
+            term = 1
+            for base, e in zip(p, (i, j, k)):
+                for _ in range(e):
+                    term = field.mul(term, base)
+            acc ^= term
+        return acc
+
+    total = 0
+    singular = []
+    smooth_degrees = set()
+    for p in projective_points(field):
+        if ev(monos, p) != 0:
+            continue
+        total += 1
+        if f.degree > 1 and all(ev(pm, p) == 0 for pm in pmonos):
+            singular.append(p)
+        else:  # the degree: the least k with every coordinate in F_{2^k}
+            smooth_degrees.add(next(k for k in range(1, field.m + 1)
+                                    if all(field.frobenius(c, k) == c for c in p)))
+    return PointCount(field.order, total, total - len(singular), tuple(singular),
+                      frozenset(smooth_degrees))
+
+
+# -- multiplicity from the local expansion -------------------------------------
+
+
+def multiplicity_at(f: PolyMask, point: PointT, field: FieldTable) -> int:
+    """Least degree of a nonvanishing local part; 1 at smooth points."""
+    exp = local_expansion(f, point, field)
+    if (0, 0) in exp:
+        raise ValueError(f"point {point} is not on the curve")
+    if not exp:
+        raise ValueError("zero polynomial")
+    return min(s + t for s, t in exp)
+
+
+# -- trial division ------------------------------------------------------------
+
+
+def _trailing(p: HomPoly) -> Triple:
+    return min(p)
+
+
+def _div_mono(a: Triple, b: Triple) -> bool:
+    return a[0] >= b[0] and a[1] >= b[1] and a[2] >= b[2]
+
+
+def hom_divmod(f: HomPoly, g: HomPoly, field: FieldTable
+               ) -> tuple[HomPoly | None, bool]:
+    """(quotient, divisible) for homogeneous f, g; quotient None when not."""
+    if not g:
+        raise ValueError("zero divisor")
+    r = dict(f)
+    gl = _leading(g)
+    glc = g[gl]
+    quot: HomPoly = {}
+    while r:
+        rl = _leading(r)
+        if not _div_mono(rl, gl):
+            return None, False
+        qm = (rl[0] - gl[0], rl[1] - gl[1], rl[2] - gl[2])
+        qc = field.div(r[rl], glc)
+        quot[qm] = quot.get(qm, 0) ^ qc
+        for gm, gc in g.items():
+            key = (gm[0] + qm[0], gm[1] + qm[1], gm[2] + qm[2])
+            val = r.get(key, 0) ^ field.mul(qc, gc)
+            if val:
+                r[key] = val
+            else:
+                r.pop(key, None)
+    return quot, True
+
+
+def divides(g: HomPoly, f: HomPoly, field: FieldTable) -> bool:
+    """True iff f = g * h for a homogeneous h over the same field."""
+    if not g:
+        raise ValueError("zero divisor")
+    dg = sum(_leading(g))
+    df = sum(_leading(f)) if f else 0
+    if not 1 <= dg < df:
+        raise ValueError(f"divisor degree {dg} not in 1..{df - 1}")
+    return hom_divmod(f, g, field)[1]
+
+
+def hom_mul(a: HomPoly, b: HomPoly, field: FieldTable) -> HomPoly:
+    out: HomPoly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
+            val = out.get(key, 0) ^ field.mul(ca, cb)
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _monic_forms(e: int, field: FieldTable, lead_f: Triple, trail_f: Triple
+                 ) -> Iterator[HomPoly]:
+    """Monic degree-e candidates whose corners can divide the target's."""
+    basis = monomials(e)
+    n = len(basis)
+    nonzero = [c for c in range(1, field.order)]
+    for lead in range(n):
+        if not _div_mono(lead_f, basis[lead]):
+            continue
+        free = n - lead - 1
+        # Odometer over coefficient assignments of the positions after lead.
+        counters = [0] * free
+        while True:
+            g = {basis[lead]: 1}
+            for pos, c in enumerate(counters):
+                if c:
+                    g[basis[lead + 1 + pos]] = c
+            if _div_mono(trail_f, _trailing(g)):
+                yield g
+            i = free - 1
+            while i >= 0:
+                counters[i] += 1
+                if counters[i] < field.order:
+                    break
+                counters[i] = 0
+                i -= 1
+            if i < 0:
+                break
+
+
+def _sweep(f: PolyMask, degrees: Iterable[int], k: int) -> Factor | None:
+    """Trial division: the first monic divisor of f over F_{2^k} whose
+    degree is in `degrees`, or None."""
+    fd = mask_to_dict(f)
+    field = build_field(k)
+    for e in degrees:
+        for g in _monic_forms(e, field, _leading(fd), _trailing(fd)):
+            if hom_divmod(fd, g, field)[1]:
+                return _witness(g, k)
+    return None
+
+
+def find_factor(f: PolyMask, k: int) -> Factor | None:
+    """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
+    if not 1 <= k <= 3:
+        raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
+    w = _f2_factor(f)
+    if w is None and k > 1 and f.degree % k == 0:
+        w = _sweep(f, [f.degree // k], k)  # conjugate factors (Galois descent)
+    return w
+
+
+def is_irreducible(f: PolyMask, k: int) -> bool:
+    return find_factor(f, k) is None
+
+
+# -- forms over F_2 that split over an extension -------------------------------
+
+
+def norm(h: HomPoly, s: int) -> PolyMask:
+    """h Frob(h) ... Frob^(s-1)(h) for h over F_{2^s}: a form over F_2."""
+    field = build_field(s)
+    f = conj = h
+    for _ in range(s - 1):
+        conj = {m: field.mul(c, c) for m, c in conj.items()}  # Frobenius image
+        f = hom_mul(f, conj, field)
+    assert all(c == 1 for c in f.values())  # F_2 coefficients
+    return encode(list(f))
+
+
+def conjugate_cubic_norm() -> PolyMask:
+    """g * Frob(g) for g = x^3 + w y^3 + z^3 over F_4: F_2-irreducible,
+    reducible over F_4."""
+    return norm({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}, 2)  # 2 = generator

@@ -5,12 +5,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from test_irred import conjugate_cubic_norm
+from oracles import conjugate_cubic_norm, hom_mul, naive_count
 
-from curvesearch import count
-from curvesearch.count import PointCounter, count_points, naive_count, projective_points
+from curvesearch.count import PointCounter, count_points, projective_points
 from curvesearch.gf2m import build_field
-from curvesearch.irred import hom_mul
 from curvesearch.orbit import enumerate_gl3
 from curvesearch.polyrep import PolyMask, encode, full_mask, parse_poly, substitute
 
@@ -169,7 +167,7 @@ def test_conjugate_singular_points_expanded_in_order(make):
 
 
 def test_streaming_fallback_matches_tables(monkeypatch):
-    # Force the real fallback: table allocation fails, then small chunks.
+    # Force the real fallback: table allocation fails.
     f16 = build_field(4)
     with_tables = _tabulated(f16)
     streaming = PointCounter(f16)
@@ -187,7 +185,6 @@ def test_streaming_fallback_matches_tables(monkeypatch):
 
     monkeypatch.setattr(streaming, "_build_table", no_memory)
     monkeypatch.setattr(partial, "_build_table", no_memory_for_3)
-    monkeypatch.setattr(count, "CHUNK", 41)
     rng = random.Random(5)
     with pytest.warns(UserWarning, match="falling back"):
         for d in range(1, 7):

@@ -4,8 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from oracles import clmul_reduce
 
-from curvesearch.gf2m import build_field, clmul_reduce, primitive_polys
+from curvesearch.gf2m import build_field, primitive_polys
 from curvesearch.count import PointCounter
 from curvesearch.polyrep import PolyMask, full_mask
 

@@ -5,27 +5,26 @@ import random
 import time
 from dataclasses import replace
 
+import oracles
 import pytest
-
-from curvesearch import irred
-from curvesearch.bounds import load_lauter
-from curvesearch.count import naive_count
-from curvesearch.gf2m import build_field
-from curvesearch.irred import (
-    HomPoly,
-    certify_absolute,
+from oracles import (
+    conjugate_cubic_norm,
     divides,
     find_factor,
-    find_simple_point,
     hom_divmod,
     hom_mul,
     is_irreducible,
-    mask_to_dict,
+    naive_count,
+    norm,
 )
+
+from curvesearch import irred
+from curvesearch.bounds import load_lauter
+from curvesearch.gf2m import build_field
+from curvesearch.irred import certify_absolute, find_simple_point, mask_to_dict
 from curvesearch.orbit import SieveEngine
 from curvesearch.polyrep import (
     PolyMask,
-    encode,
     evaluate,
     full_mask,
     monomials,
@@ -37,23 +36,6 @@ from curvesearch.polyrep import (
 from curvesearch.search import SUPPORTED_FIELDS, CurvePipeline, CurveRecord, verify
 
 F2 = build_field(1)
-
-
-def norm(h: HomPoly, s: int) -> PolyMask:
-    """h Frob(h) ... Frob^(s-1)(h) for h over F_{2^s}: a form over F_2."""
-    field = build_field(s)
-    f = conj = h
-    for _ in range(s - 1):
-        conj = {m: field.mul(c, c) for m, c in conj.items()}  # Frobenius image
-        f = hom_mul(f, conj, field)
-    assert all(c == 1 for c in f.values())  # F_2 coefficients
-    return encode(list(f))
-
-
-def conjugate_cubic_norm() -> PolyMask:
-    """g * Frob(g) for g = x^3 + w y^3 + z^3 over F_4: F_2-irreducible,
-    reducible over F_4."""
-    return norm({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1}, 2)  # 2 = generator
 
 
 def oracle_certificate(f: PolyMask) -> tuple[str, int | None, irred.Factor | None]:
@@ -69,7 +51,7 @@ def oracle_certificate(f: PolyMask) -> tuple[str, int | None, irred.Factor | Non
     sp = find_simple_point(f)
     for p in (2, 3, 5):
         if f.degree % p == 0 and (sp is None or sp[0] % p == 0):
-            w = irred._sweep(f, [f.degree // p], p)
+            w = oracles._sweep(f, [f.degree // p], p)
             if w is not None:
                 return "reducible", None, w
     k = sp[0] if sp else next(
@@ -164,7 +146,7 @@ def test_parity_checks_against_trial_division():
             masks.append(mul_masks(g, PolyMask(d - e, rng.randint(1, full_mask(d - e)))))
     reducible = 0
     for f in masks:
-        want = irred._sweep(f, range(1, f.degree // 2 + 1), 1)
+        want = oracles._sweep(f, range(1, f.degree // 2 + 1), 1)
         assert irred._f2_factor(f) == want, f
         reducible += want is not None
     assert reducible > 7_000
@@ -227,13 +209,13 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
     # The certificate runs no sweep, and find_factor(f, k) only the F_{2^k}
     # sweep; no call sweeps over F_2.
     sweeps = []
-    real_sweep = irred._sweep
+    real_sweep = oracles._sweep
 
     def recording(f, degrees, k):
         sweeps.append(1 << k)
         return real_sweep(f, degrees, k)
 
-    monkeypatch.setattr(irred, "_sweep", recording)
+    monkeypatch.setattr(oracles, "_sweep", recording)
     fm = conjugate_cubic_norm()
     st = certify_absolute(fm, {})
     assert (st.absolute, st.certificate_field, st.witness) == ("reducible", None, None)
@@ -252,7 +234,7 @@ def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
     prod = mul_masks(
         PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
     )
-    real_sweep = irred._sweep
+    real_sweep = oracles._sweep
     want = real_sweep(prod, range(1, 4), 1)
     sweeps = []
 
@@ -260,7 +242,7 @@ def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
         sweeps.append(1 << k)
         return real_sweep(f, degrees, k)
 
-    monkeypatch.setattr(irred, "_sweep", recording)
+    monkeypatch.setattr(oracles, "_sweep", recording)
     st = certify_absolute(parse_poly("x^5 + y^5 + z^5"), {})
     assert (st.absolute, st.certificate_field, sweeps) == ("yes", 1, [])
     st = certify_absolute(prod, {})

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import IDENTITY, mat_mul, sieve_all
 
 from curvesearch.orbit import (
     GL3_ORDER,
@@ -10,15 +11,12 @@ from curvesearch.orbit import (
     enumerate_gl3,
     orbit_of,
     sieve,
-    sieve_all,
 )
 from curvesearch.polyrep import (
-    IDENTITY,
     PolyMask,
     column_image_table,
     basis_size,
     full_mask,
-    mat_mul,
     parse_poly,
     substitute,
 )

@@ -1,0 +1,73 @@
+"""The package holds only code that its entry points reach."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "curvesearch"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """The names, attribute names and string constants used under `node`."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _package() -> tuple[dict[str, set[str]], set[str]]:
+    """(top-level definition "module.name" -> identifiers its body uses,
+    identifiers used by module-level code).  Constants and aliases bound at
+    module level are definitions too; `__all__` and the like are roots."""
+    defs: dict[str, set[str]] = {}
+    roots: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{stmt.name}"] = _identifiers(stmt)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue  # binds names; what uses them is what counts
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if len(names) == len(targets) and not any(
+                        n.startswith("__") for n in names):
+                    for n in names:
+                        defs[f"{path.stem}.{n}"] = _identifiers(stmt)
+                else:
+                    roots |= _identifiers(stmt)
+            else:
+                roots |= _identifiers(stmt)
+    return defs, roots
+
+
+def test_package_holds_only_reachable_code():
+    # Roots: module-level code (`__all__`, the `__main__` guard), the console
+    # script `cli.main`, and every identifier the benchmark harness uses,
+    # read through its syntax tree so that a name in a comment or docstring
+    # keeps nothing alive.  Matching is by name alone: a name used anywhere
+    # keeps every definition of it, so the test errs towards missing dead
+    # code.  Reference implementations that only the tests use belong in
+    # tests/oracles.py.
+    defs, reached = _package()
+    reached.add("main")
+    for path in sorted(PERFBENCH.glob("*.py")):
+        reached |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    done: set[str] = set()
+    while True:
+        new = {key for key in defs
+               if key not in done and key.partition(".")[2] in reached}
+        if not new:
+            break
+        for key in new:
+            reached |= defs[key]
+        done |= new
+    unreached = sorted(set(defs) - done)
+    assert not unreached, f"no entry point reaches {unreached}"

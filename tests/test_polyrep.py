@@ -4,11 +4,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import IDENTITY, mat_mul
 
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
 from curvesearch.polyrep import (
-    IDENTITY,
     PolyMask,
     basis_size,
     bit_indices,
@@ -18,7 +18,6 @@ from curvesearch.polyrep import (
     format_poly,
     full_mask,
     is_trivially_reducible,
-    mat_mul,
     monomials,
     mul_masks,
     parse_mask_id,

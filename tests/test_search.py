@@ -7,10 +7,11 @@ import threading
 from dataclasses import replace
 from functools import partial
 
+import oracles
 import pytest
-from test_irred import conjugate_cubic_norm
+from oracles import conjugate_cubic_norm
 
-from curvesearch import cli, irred, search, singular
+from curvesearch import cli, search, singular
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
 from curvesearch.corpus import load_corpus
@@ -146,7 +147,7 @@ def test_production_decides_without_scans(monkeypatch):
     # smooth points from the search's counts and counts nothing itself.
     sweeps, scans, witnesses = [], 0, []
     certifying, certificate_counts = False, 0
-    real_sweep = irred._sweep
+    real_sweep = oracles._sweep
     real_scan = singular.factor_binary_form
     real_certify = search.certify_absolute
     real_count = PointCounter.count
@@ -175,7 +176,7 @@ def test_production_decides_without_scans(monkeypatch):
         witnesses.append(status.witness and status.witness.k)
         return status
 
-    monkeypatch.setattr(irred, "_sweep", sweep)
+    monkeypatch.setattr(oracles, "_sweep", sweep)
     monkeypatch.setattr(singular, "factor_binary_form", scan)
     monkeypatch.setattr(PointCounter, "count", counting)
     monkeypatch.setattr(search, "certify_absolute", certify)
@@ -475,7 +476,7 @@ def test_record_json_round_trip():
 def test_report_contents():
     records = run_search(SearchConfig(degree=4, fields=(64,)))
     table = load_lauter()
-    text = report(records, table, genus_range=(1, 3))
+    text = report(records, table)
     lines = text.splitlines()
     assert lines[0].lstrip().startswith("q")
     row64 = next(ln for ln in lines if ln.lstrip().startswith("64"))

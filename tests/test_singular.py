@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from oracles import multiplicity_at
 
 from curvesearch.count import PointCounter
 from curvesearch.gf2m import build_field
@@ -17,7 +18,6 @@ from curvesearch.singular import (
     cone_type,
     factor_binary_form,
     form_is_squarefree,
-    multiplicity_at,
     rational_direction_count,
     tangent_cone_at,
 )
