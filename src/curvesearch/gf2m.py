@@ -138,9 +138,6 @@ class FieldTable:
     def elements(self) -> range:
         return range(self.order)
 
-    def generator(self) -> int:
-        return int(self.exp[1 % (self.order - 1)]) if self.order > 2 else 1
-
     def frobenius(self, a: int, k: int = 1) -> int:
         """a ** (2^k)."""
         for _ in range(k):
@@ -150,16 +147,6 @@ class FieldTable:
     def in_subfield(self, a: int, k: int) -> bool:
         """True iff a lies in the subfield F_{2^k} (requires k | m)."""
         return self.frobenius(a, k) == a
-
-    def subfield_elements(self, k: int) -> list[int]:
-        """All elements of the subfield F_{2^k} inside this field (k | m)."""
-        if self.m % k:
-            raise ValueError(f"F_{{2^{k}}} is not a subfield of F_{{2^{self.m}}}")
-        if k == self.m:
-            return list(range(self.order))
-        sub_order = (1 << k) - 1
-        step = (self.order - 1) // sub_order
-        return [0] + sorted(int(self.exp[i * step]) for i in range(sub_order))
 
 
 @lru_cache(maxsize=None)

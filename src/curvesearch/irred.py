@@ -71,9 +71,6 @@ class Factor:
     degree: int
     terms: tuple[tuple[Triple, int], ...]  # (monomial, coefficient encoding)
 
-    def as_dict(self) -> HomPoly:
-        return dict(self.terms)
-
     def __str__(self) -> str:
         parts = []
         for (i, j, kk), c in self.terms:

@@ -93,6 +93,12 @@ class SearchConfig:
             raise ConfigError("duplicate field orders")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.range_bits < 0:
+            raise ConfigError(f"range_bits must be >= 0, got {self.range_bits}")
+        if self.stop_after_ranges is not None and self.stop_after_ranges < 1:
+            raise ConfigError(
+                f"stop_after_ranges must be None or >= 1, got {self.stop_after_ranges}"
+            )
         object.__setattr__(self, "fields", tuple(sorted(self.fields)))
 
     @property
@@ -363,15 +369,11 @@ class CurvePipeline:
 
 def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
                     ) -> tuple[list[CurveRecord], SearchStats]:
-    stats = SearchStats()
+    """Count and keep-or-drop a batch of orbits, none trivially reducible."""
+    stats = SearchStats(orbits_seen=len(batch), counted=len(batch))
     records: list[CurveRecord] = []
     for info in batch:
-        stats.orbits_seen += 1
-        if info.trivially_reducible:
-            stats.orbits_trivial += 1
-            continue
         counts = pipe.count_all(info.rep)
-        stats.counted += 1
         try:
             gi = pipe.quick_genus(info.degree, counts)
         except GenusInconsistency:
@@ -430,10 +432,11 @@ def _lauter_digest(table: BoundTable) -> bytes:
 
 
 def _checkpoint_save(path: str, cfg: SearchConfig, bounds: BoundTable,
-                     engine: SieveEngine, kept: int, crc: int) -> None:
-    """`kept` records lie below the scan position; `crc` is the CRC-32 of
-    their catalog lines as written (0 when no catalog file is written)."""
-    position, table = engine.pack_state()
+                     state: tuple[int, bytes], kept: int, crc: int) -> None:
+    """`state` is the sieve's `pack_state()`; `kept` records lie below its
+    scan position, and `crc` is the CRC-32 of their catalog lines as written
+    (0 when no catalog file is written)."""
+    position, table = state
     header = (
         struct.pack("<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin)
         + struct.pack(f"<{len(cfg.fields)}H", *cfg.fields)
@@ -497,6 +500,18 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     canonical order.  With cfg.out_path set, each range's records are only
     appended to the file and [] is returned.  With cfg.checkpoint_path set,
     progress resumes from a compatible checkpoint (see `_open_catalog`).
+
+    The parent sieves; the workers count.  Trivially reducible orbits are
+    tallied in the parent, and only the countable ones go to the workers, in
+    batches of at most 64; a range with none is not dispatched.  The parent
+    sieves exactly one range ahead: it sieves range k + 1 while the workers
+    count range k, then writes range k's records and checkpoints it, so the
+    catalog keeps its order.  Range k's checkpoint must hold the sieve state
+    at the end of k, so a checkpointing run packs the state right after
+    sieving k and holds it (32 MiB at degree 6) until k is written.  The
+    lookahead never sieves past `stop_after_ranges`, and on an error the
+    pool is terminated without waiting for the range in flight.  With
+    jobs=1 the parent counts each range's batches when it collects them.
     """
     if cfg.long_run:
         warnings.warn(
@@ -529,15 +544,30 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
-        ranges_done = 0
-        while not engine.done:
+
+        def sieve_range():
+            """Sieve the next range and dispatch its countable orbits:
+            (trivial orbits, batches, pending results, checkpoint state)."""
             infos = engine.run_range(span)
-            batches = [infos[i: i + 64] for i in range(0, len(infos), 64)]
-            if pool is not None:
-                results = pool.map(_process_in_worker, batches)
-            else:
-                results = [_process_orbits(b, pipeline, cfg.keep_margin)
-                           for b in batches]
+            countable = [info for info in infos if not info.trivially_reducible]
+            batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
+            pending = (pool.map_async(_process_in_worker, batches)
+                       if pool is not None and batches else None)
+            state = engine.pack_state() if cfg.checkpoint_path else None
+            return len(infos) - len(countable), batches, pending, state
+
+        ranges_done = 0
+        ahead = None if engine.done else sieve_range()
+        while ahead is not None:
+            trivial, batches, pending, state = ahead
+            ranges_done += 1
+            stopping = ranges_done == cfg.stop_after_ranges
+            ahead = None if engine.done or stopping else sieve_range()
+            results = (pending.get() if pending is not None
+                       else [_process_orbits(b, pipeline, cfg.keep_margin)
+                             for b in batches])
+            total_stats.orbits_seen += trivial
+            total_stats.orbits_trivial += trivial
             for recs, st in results:
                 _merge_stats(total_stats, st)
                 kept += len(recs)
@@ -550,13 +580,16 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             if out_fh is not None:
                 out_fh.flush()
             if cfg.checkpoint_path:
-                _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, engine,
+                _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, state,
                                  kept, crc)
-            ranges_done += 1
-            if cfg.stop_after_ranges and ranges_done >= cfg.stop_after_ranges:
+            if stopping:
                 raise InterruptedError(
                     f"stopped after {ranges_done} ranges (testing hook)"
                 )
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # do not wait for the range in flight
+        raise
     finally:
         if pool is not None:
             pool.close()

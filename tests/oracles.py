@@ -4,7 +4,9 @@ Each one computes by brute force what the package computes another way, and
 the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
 minima, trial division against the parity checks and the smooth-point
-certificate.  The package never imports this module.
+certificate.  It also holds the few accessors (a field's generator and
+subfields, a witness as a dict) that only the tests call.  The package
+never imports this module.
 
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
 monic divisors in the graded-lex term order, pruned by Newton-corner
@@ -58,6 +60,24 @@ def _clmul(a: int, b: int) -> int:
 def clmul_reduce(a: int, b: int, field: FieldTable) -> int:
     """Oracle multiply: carry-less product reduced by the defining polynomial."""
     return _polymod(_clmul(a, b), field.defining_poly)
+
+
+# -- field structure from the log tables ---------------------------------------
+
+
+def generator(self: FieldTable) -> int:
+    return int(self.exp[1 % (self.order - 1)]) if self.order > 2 else 1
+
+
+def subfield_elements(self: FieldTable, k: int) -> list[int]:
+    """All elements of the subfield F_{2^k} inside this field (k | m)."""
+    if self.m % k:
+        raise ValueError(f"F_{{2^{k}}} is not a subfield of F_{{2^{self.m}}}")
+    if k == self.m:
+        return list(range(self.order))
+    sub_order = (1 << k) - 1
+    step = (self.order - 1) // sub_order
+    return [0] + sorted(int(self.exp[i * step]) for i in range(sub_order))
 
 
 # -- matrices over F_2 ---------------------------------------------------------
@@ -135,6 +155,10 @@ def multiplicity_at(f: PolyMask, point: PointT, field: FieldTable) -> int:
 
 
 # -- trial division ------------------------------------------------------------
+
+
+def as_dict(self: Factor) -> HomPoly:
+    return dict(self.terms)
 
 
 def _trailing(p: HomPoly) -> Triple:

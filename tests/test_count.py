@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import conjugate_cubic_norm, hom_mul, naive_count
+from oracles import conjugate_cubic_norm, generator, hom_mul, naive_count
 
 from curvesearch.count import PointCounter, count_points, projective_points
 from curvesearch.gf2m import build_field
@@ -138,7 +138,7 @@ def conjugate_line_triangle() -> PolyMask:
     """l * Frob(l) * Frob^2(l) for l = x + a y + a^2 z, a generating F_8:
     three conjugate lines whose vertices are a conjugate triple."""
     f8 = build_field(3)
-    a = f8.generator()
+    a = generator(f8)
     lines = [{(1, 0, 0): 1, (0, 1, 0): b, (0, 0, 1): f8.mul(b, b)}
              for b in (a, f8.pow(a, 2), f8.pow(a, 4))]
     f = hom_mul(hom_mul(lines[0], lines[1], f8), lines[2], f8)

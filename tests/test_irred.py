@@ -8,6 +8,7 @@ from dataclasses import replace
 import oracles
 import pytest
 from oracles import (
+    as_dict,
     conjugate_cubic_norm,
     divides,
     find_factor,
@@ -161,8 +162,8 @@ def test_galois_descent_conjugate_split():
     w = find_factor(fm, 2)
     assert w is not None and w.k == 2 and w.degree == 3
     # witness really divides f over F_4
-    quot, ok = hom_divmod(mask_to_dict(fm), w.as_dict(), f4)
-    assert ok and hom_mul(w.as_dict(), quot, f4) == mask_to_dict(fm)
+    quot, ok = hom_divmod(mask_to_dict(fm), as_dict(w), f4)
+    assert ok and hom_mul(as_dict(w), quot, f4) == mask_to_dict(fm)
 
 
 def test_find_simple_point_examples():
@@ -192,7 +193,7 @@ def test_certify_absolute_yes_and_reducible():
     assert st.absolute == "reducible"
     assert st.witness is not None and st.witness.degree <= 3
     # Soundness: the stored witness truly divides.
-    quot, ok = hom_divmod(mask_to_dict(prod), st.witness.as_dict(), F2)
+    quot, ok = hom_divmod(mask_to_dict(prod), as_dict(st.witness), F2)
     assert ok
 
     # Reducible over F_4 only: its smooth points lie over F_{2^m} for even m

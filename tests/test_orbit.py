@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 from oracles import IDENTITY, mat_mul, sieve_all
 
+from curvesearch import orbit
 from curvesearch.orbit import (
     GL3_ORDER,
     SieveEngine,
@@ -174,3 +176,26 @@ def test_sieve_checkpoint_state_round_trip():
     done_bits = {i.rep_bits for i in rest}
     # All orbits with minimum beyond the restored position match exactly.
     assert done_bits == {i.rep_bits for i in full if i.rep_bits >= pos}
+
+
+def test_sieve_output_independent_of_block(monkeypatch):
+    # The block size sets only how many candidates are imaged at once: the
+    # full degree-4 sieve and the first 2^15 degree-5 masks emit the same
+    # orbits and leave the same live table for every block and span.
+    def scan(degree: int, last: int, span: int):
+        eng = SieveEngine(degree)
+        infos = []
+        while eng.position <= last:
+            infos += eng.run_range(span)
+        return infos, eng.table
+
+    for degree, last in ((4, full_mask(4)), (5, 1 << 15)):
+        runs = []
+        for block in (1 << 4, 1 << 9, 1 << 16):
+            monkeypatch.setattr(orbit, "BLOCK", block)
+            runs += [scan(degree, last, 1 << bits) for bits in (10, 15)]
+        infos, table = runs[0]
+        assert len(infos) > 100
+        for other_infos, other_table in runs[1:]:
+            assert other_infos == infos
+            assert np.array_equal(other_table, table)

@@ -8,10 +8,10 @@ PACKAGE = ROOT / "src" / "curvesearch"
 PERFBENCH = ROOT / "perfbench"
 
 
-def _identifiers(node: ast.AST) -> set[str]:
-    """The names, attribute names and string constants used under `node`."""
+def _identifiers(*nodes: ast.AST) -> set[str]:
+    """The names, attribute names and string constants used under `nodes`."""
     out = set()
-    for n in ast.walk(node):
+    for n in (n for node in nodes for n in ast.walk(node)):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
@@ -21,15 +21,32 @@ def _identifiers(node: ast.AST) -> set[str]:
     return out
 
 
+def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The class's methods other than dunders, which the language calls."""
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
 def _package() -> tuple[dict[str, set[str]], set[str]]:
-    """(top-level definition "module.name" -> identifiers its body uses,
-    identifiers used by module-level code).  Constants and aliases bound at
-    module level are definitions too; `__all__` and the like are roots."""
+    """(definition "module.name" or "module.Class.method" -> identifiers its
+    body uses, identifiers used by module-level code).  A class's own
+    identifiers leave out its methods' bodies, which count only once the
+    method is reached.  Constants and aliases bound at module level are
+    definitions too; `__all__` and the like are roots."""
     defs: dict[str, set[str]] = {}
     roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                methods = _methods(stmt)
+                for method in methods:
+                    defs[f"{path.stem}.{stmt.name}.{method.name}"] = \
+                        _identifiers(method)
+                defs[f"{path.stem}.{stmt.name}"] = _identifiers(
+                    *stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                    *(s for s in stmt.body if s not in methods))
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[f"{path.stem}.{stmt.name}"] = _identifiers(stmt)
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue  # binds names; what uses them is what counts
@@ -52,10 +69,10 @@ def test_package_holds_only_reachable_code():
     # Roots: module-level code (`__all__`, the `__main__` guard), the console
     # script `cli.main`, and every identifier the benchmark harness uses,
     # read through its syntax tree so that a name in a comment or docstring
-    # keeps nothing alive.  Matching is by name alone: a name used anywhere
-    # keeps every definition of it, so the test errs towards missing dead
-    # code.  Reference implementations that only the tests use belong in
-    # tests/oracles.py.
+    # keeps nothing alive.  Matching is by name alone, for methods too: a
+    # name used anywhere keeps every definition of it, so the test errs
+    # towards missing dead code.  Reference implementations that only the
+    # tests use belong in tests/oracles.py.
     defs, reached = _package()
     reached.add("main")
     for path in sorted(PERFBENCH.glob("*.py")):
@@ -63,7 +80,7 @@ def test_package_holds_only_reachable_code():
     done: set[str] = set()
     while True:
         new = {key for key in defs
-               if key not in done and key.partition(".")[2] in reached}
+               if key not in done and key.rpartition(".")[2] in reached}
         if not new:
             break
         for key in new:

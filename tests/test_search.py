@@ -47,6 +47,16 @@ def test_config_validation():
     assert cfg.long_run
 
 
+def test_config_rejects_negative_range_bits_and_stop():
+    # Neither may reach the driver: a negative span is no shift count, and a
+    # stop below one range cannot be honoured.
+    for bad in (dict(range_bits=-1), dict(stop_after_ranges=0),
+                dict(stop_after_ranges=-1)):
+        with pytest.raises(ConfigError):
+            SearchConfig(degree=4, fields=(64,), **bad)
+    SearchConfig(degree=4, fields=(64,), range_bits=0, stop_after_ranges=1)
+
+
 def test_degree4_f64_finds_the_two_record_quartics():
     stats = SearchStats()
     records = run_search(SearchConfig(degree=4, fields=(64,)), stats=stats)
@@ -57,6 +67,59 @@ def test_degree4_f64_finds_the_two_record_quartics():
         assert rec.n_range[64] == (113, 113)
     assert stats.orbits_seen == 279
     assert stats.orbits_seen == stats.orbits_trivial + stats.counted
+
+
+def test_workers_get_only_countable_orbits(monkeypatch):
+    # The parent tallies trivially reducible orbits itself and dispatches no
+    # empty batch, so most of the 32 ranges send nothing.
+    batches = []
+    real_process = search._process_orbits
+
+    def process(batch, pipe, margin):
+        batches.append(batch)
+        return real_process(batch, pipe, margin)
+
+    monkeypatch.setattr(search, "_process_orbits", process)
+    stats = SearchStats()
+    run_search(SearchConfig(degree=4, fields=(64,), jobs=1, range_bits=10),
+               stats=stats)
+    assert batches and all(0 < len(b) <= 64 for b in batches)
+    assert not any(info.trivially_reducible for b in batches for info in b)
+    assert sum(len(b) for b in batches) == stats.counted
+    assert stats.orbits_seen == stats.orbits_trivial + stats.counted == 279
+    assert stats.orbits_trivial == 66
+
+
+def test_pipelined_stop_and_resume_match_serial_run(tmp_path, monkeypatch):
+    # Two workers, with the parent sieving one range ahead, stopped by the
+    # hook and resumed: the catalog equals a serial run's byte for byte, the
+    # stop sieves no range past the third, and the checkpoint holds the
+    # state after the ranges written, not after the lookahead.
+    base = dict(degree=4, fields=(8, 64), range_bits=10)
+    serial, piped, ck = (tmp_path / n for n in ("serial.jsonl", "piped.jsonl", "ck.bin"))
+    assert run_search(SearchConfig(out_path=str(serial), jobs=1, **base)) == []
+    position = 1 + 3 * (1 << 10)
+
+    sieved = 0
+    real_range = SieveEngine.run_range
+
+    def run_range(self, span):
+        nonlocal sieved
+        sieved += 1
+        return real_range(self, span)
+
+    monkeypatch.setattr(SieveEngine, "run_range", run_range)
+    cfg = SearchConfig(out_path=str(piped), jobs=2, checkpoint_path=str(ck), **base)
+    with pytest.raises(InterruptedError):
+        run_search(replace(cfg, stop_after_ranges=3))
+    assert sieved == 3
+    pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBi2H32s")
+    assert struct.unpack_from("<Q", ck.read_bytes(), pos_off)[0] == position
+    below = [ln for ln in serial.read_bytes().splitlines(keepends=True)
+             if CurveRecord.from_json(ln).mask < position]
+    assert below and piped.read_bytes() == b"".join(below)
+    assert run_search(cfg) == []
+    assert piped.read_bytes() == serial.read_bytes()
 
 
 def test_each_orbit_counted_once(monkeypatch):
