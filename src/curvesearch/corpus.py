@@ -156,14 +156,6 @@ def check_entry(entry: CorpusEntry) -> CorpusResult:
     return CorpusResult(entry=entry, record=record, failures=failures)
 
 
-def run_corpus(entries: list[CorpusEntry] | None = None, *, verbose: bool = False
-               ) -> list[CorpusResult]:
+def run_corpus(entries: list[CorpusEntry] | None = None) -> list[CorpusResult]:
     entries = entries if entries is not None else load_corpus()
-    results = []
-    for entry in entries:
-        res = check_entry(entry)
-        if verbose:
-            status = "ok" if res.passed else "FAIL " + "; ".join(res.failures)
-            print(f"{entry.id}: {status}")
-        results.append(res)
-    return results
+    return [check_entry(entry) for entry in entries]

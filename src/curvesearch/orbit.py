@@ -2,12 +2,12 @@
 
 The sieve scans masks in ascending order over a live table with one entry
 per mask.  The live table is a numpy bool array, one byte per mask, so
-degree 6 holds 2^28 bytes = 256 MiB; it is packed to one bit per mask
-(32 MiB) only when written to a checkpoint.  A mask whose entry is still
-set when the scan reaches it is the minimum of its orbit and is emitted as
-the orbit representative; all 168 images are then cleared.  Emission is an
+degree 6 holds 2^28 bytes = 256 MiB.  A mask whose entry is still set when
+the scan reaches it is the minimum of its orbit and is emitted as the
+orbit representative; all 168 images are then cleared.  Emission is an
 intrinsic property of the mask (being its orbit's minimum), so the result
-is independent of scan interleaving and of how ranges are batched.
+is independent of scan interleaving and of how ranges are batched, and
+sieving again up to a scan position rebuilds the table left there.
 
 The kernel applies all 168 substitutions to blocks of candidate masks via
 per-matrix byte lookup tables: a degree-d substitution is F_2-linear on
@@ -22,10 +22,6 @@ the full degree-5 sieve images 31,016 candidates at 2^9 against 151,464 at
 2^16, and the full degree-6 sieve takes half the time.  Blocks of 2^8 and
 2^10 were no faster, and below that the per-block numpy overhead grows.
 The (168, 512) image array is 344 KB.
-
-Checkpoint byte order: the packed table uses numpy packbits with
-bitorder="little", i.e. byte i, bit j (LSB first) corresponds to mask
-8 * i + j.
 """
 
 from __future__ import annotations
@@ -173,29 +169,10 @@ class SieveEngine:
         self.position = hi
         return out
 
-    # -- checkpoint serialization ------------------------------------------
-
     def pack_state(self) -> tuple[int, bytes]:
+        """(position, table packed one bit per mask, LSB first)."""
         packed = np.packbits(self.table, bitorder="little")
         return self.position, packed.tobytes()
-
-    def restore_state(self, position: int, table_bytes: bytes) -> None:
-        if not 1 <= position <= self.space + 1:
-            raise ValueError(
-                f"scan position {position} outside 1..{self.space + 1} "
-                f"for degree {self.degree}"
-            )
-        packed = np.frombuffer(table_bytes, dtype=np.uint8)
-        expect = (self.space + 1 + 7) // 8
-        if len(packed) != expect:
-            raise ValueError(
-                f"bit table length {len(packed)} does not match degree {self.degree}"
-            )
-        if packed[0] & 1:
-            raise ValueError("bit table marks the zero mask as live")
-        table = np.unpackbits(packed, bitorder="little")[: self.space + 1]
-        self.table = table.astype(bool)
-        self.position = position
 
 
 def _scan(degree: int) -> Iterator[OrbitInfo]:

@@ -11,10 +11,12 @@ of the effective bound (genus 0 never qualifies).
 The catalog is one JSON object per line in sieve order, the canonical
 (degree, mask) order; a resume first cuts the file back to the checkpoint's
 scan position, so interrupted and resumed runs converge to byte-identical
-files.  Checkpoints store the sieve scan position, the number and CRC-32 of
-the catalog lines below it, and the packed bit table; they refuse to load
-under a changed configuration or Lauter table, and a resume refuses a
-catalog whose lines below the position are not those the checkpoint counted.
+files.  Checkpoints store the sieve scan position and the number and CRC-32
+of the catalog lines below it, and end with a CRC-32 of their own bytes; a
+resume sieves again up to the position, discarding what it emits.  They
+refuse to load when damaged or under a changed configuration or Lauter
+table, and a resume refuses a catalog whose lines below the position are
+not those the checkpoint counted.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .orbit import OrbitInfo, SieveEngine, orbit_of
 from .polyrep import (
     PolyMask,
     format_poly,
+    full_mask,
     is_trivially_reducible,
     parse_mask_id,
     parse_poly,
@@ -56,7 +59,7 @@ from .singular import (
 
 SUPPORTED_FIELDS = tuple(1 << m for m in range(3, 12))
 
-CHECKPOINT_MAGIC = b"CSCHKPT3"
+CHECKPOINT_MAGIC = b"CSCHKPT4"
 
 
 class ConfigError(ValueError):
@@ -432,63 +435,54 @@ def _lauter_digest(table: BoundTable) -> bytes:
 
 
 def _checkpoint_save(path: str, cfg: SearchConfig, bounds: BoundTable,
-                     state: tuple[int, bytes], kept: int, crc: int) -> None:
-    """`state` is the sieve's `pack_state()`; `kept` records lie below its
-    scan position, and `crc` is the CRC-32 of their catalog lines as written
-    (0 when no catalog file is written)."""
-    position, table = state
-    header = (
-        struct.pack("<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin)
+                     position: int, kept: int, crc: int) -> None:
+    """`kept` records lie below the sieve's scan `position`, and `crc` is the
+    CRC-32 of their catalog lines as written (0 when no catalog file is
+    written).  A CRC-32 of all preceding bytes closes the file."""
+    blob = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin)
         + struct.pack(f"<{len(cfg.fields)}H", *cfg.fields)
         + _lauter_digest(bounds)
-        + struct.pack("<QQQI", position, len(table), kept, crc)
+        + struct.pack("<QQI", position, kept, crc)
     )
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(header)
-        fh.write(table)
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
     os.replace(tmp, path)
 
 
-def _checkpoint_load(path: str, cfg: SearchConfig, bounds: BoundTable,
-                     engine: SieveEngine) -> tuple[int, int]:
-    """Restore the sieve state; returns the saved (kept, crc)."""
+def _checkpoint_load(path: str, cfg: SearchConfig, bounds: BoundTable
+                     ) -> tuple[int, int, int]:
+    """The saved (position, kept, crc)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 6 or not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad checkpoint magic {blob[:8]!r}, "
                               f"expected {CHECKPOINT_MAGIC!r}")
     off = len(CHECKPOINT_MAGIC)
-    try:
-        degree, n_fields, margin = struct.unpack_from("<BBi", blob, off)
-        off += struct.calcsize("<BBi")
-        fields = struct.unpack_from(f"<{n_fields}H", blob, off)
-        off += n_fields * 2
-        stored_digest, position, table_len, kept, crc = struct.unpack_from(
-            "<32sQQQI", blob, off)
-    except struct.error:
-        raise CheckpointError(f"{path}: truncated checkpoint header") from None
-    off += struct.calcsize("<32sQQQI")
-    if degree != cfg.degree or fields != cfg.fields or margin != cfg.keep_margin:
+    degree, n_fields, margin = struct.unpack_from("<BBi", blob, off)
+    off += struct.calcsize("<BBi")
+    tail = f"<{n_fields}H32sQQII"
+    if (len(blob) != off + struct.calcsize(tail)
+            or zlib.crc32(blob[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]):
+        raise CheckpointError(f"{path}: truncated or damaged checkpoint")
+    *fields, stored_digest, position, kept, crc, _ = struct.unpack_from(tail, blob, off)
+    if degree != cfg.degree or tuple(fields) != cfg.fields or margin != cfg.keep_margin:
         raise CheckpointError(
             f"{path}: checkpoint was written for degree={degree}, "
-            f"fields={list(fields)}, margin={margin}; current config differs"
+            f"fields={fields}, margin={margin}; current config differs"
         )
     if stored_digest != _lauter_digest(bounds):
         raise CheckpointError(
             f"{path}: checkpoint was written under a different Lauter table"
         )
-    table = blob[off:]
-    if len(table) != table_len:
+    end = full_mask(degree) + 1
+    if not 1 <= position <= end:
         raise CheckpointError(
-            f"{path}: truncated bit table ({len(table)} of {table_len} bytes)"
+            f"{path}: scan position {position} outside 1..{end} for degree {degree}"
         )
-    try:
-        engine.restore_state(position, table)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    return kept, crc
+    return position, kept, crc
 
 
 # -- the search driver ------------------------------------------------------------------
@@ -505,13 +499,15 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     tallied in the parent, and only the countable ones go to the workers, in
     batches of at most 64; a range with none is not dispatched.  The parent
     sieves exactly one range ahead: it sieves range k + 1 while the workers
-    count range k, then writes range k's records and checkpoints it, so the
-    catalog keeps its order.  Range k's checkpoint must hold the sieve state
-    at the end of k, so a checkpointing run packs the state right after
-    sieving k and holds it (32 MiB at degree 6) until k is written.  The
-    lookahead never sieves past `stop_after_ranges`, and on an error the
-    pool is terminated without waiting for the range in flight.  With
-    jobs=1 the parent counts each range's batches when it collects them.
+    count range k, then writes range k's records and checkpoints the scan
+    position at the end of k, so the catalog keeps its order.  A resume
+    sieves again up to the saved position and discards those orbits: the
+    sieve's output does not depend on how its scan is split, and the
+    replay's clearing keeps the rest of the scan from imaging every mask
+    whose orbit minimum lies below the position.  The lookahead never sieves past `stop_after_ranges`, and on an
+    error the pool is terminated without waiting for the range in flight.
+    With jobs=1 the parent counts each range's batches when it collects
+    them.
     """
     if cfg.long_run:
         warnings.warn(
@@ -522,18 +518,22 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)
 
-    engine = SieveEngine(cfg.degree)
-    kept = crc = 0  # records below the scan position, CRC-32 of their lines
+    # The scan position to resume at, the records below it and the CRC-32
+    # of their lines.
+    position, kept, crc = 1, 0, 0
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
-        kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table, engine)
-    out_fh = (_open_catalog(cfg.out_path, engine.position, kept, crc)
+        position, kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table)
+    out_fh = (_open_catalog(cfg.out_path, position, kept, crc)
               if cfg.out_path else None)
 
     total_stats = stats if stats is not None else SearchStats()
     records: list[CurveRecord] = []
     span = 1 << cfg.range_bits
     pool = None
+    engine = SieveEngine(cfg.degree)
     try:
+        while engine.position < position:
+            engine.run_range(min(span, position - engine.position))
         # Every counted orbit is counted over every field, so the tables pay
         # for themselves; built before forking, workers share the parent's
         # read-only pages instead of each building their own.
@@ -547,19 +547,18 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
 
         def sieve_range():
             """Sieve the next range and dispatch its countable orbits:
-            (trivial orbits, batches, pending results, checkpoint state)."""
+            (trivial orbits, batches, pending results, end position)."""
             infos = engine.run_range(span)
             countable = [info for info in infos if not info.trivially_reducible]
             batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
             pending = (pool.map_async(_process_in_worker, batches)
                        if pool is not None and batches else None)
-            state = engine.pack_state() if cfg.checkpoint_path else None
-            return len(infos) - len(countable), batches, pending, state
+            return len(infos) - len(countable), batches, pending, engine.position
 
         ranges_done = 0
         ahead = None if engine.done else sieve_range()
         while ahead is not None:
-            trivial, batches, pending, state = ahead
+            trivial, batches, pending, end = ahead
             ranges_done += 1
             stopping = ranges_done == cfg.stop_after_ranges
             ahead = None if engine.done or stopping else sieve_range()
@@ -580,7 +579,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             if out_fh is not None:
                 out_fh.flush()
             if cfg.checkpoint_path:
-                _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, state,
+                _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, end,
                                  kept, crc)
             if stopping:
                 raise InterruptedError(

@@ -160,22 +160,26 @@ def test_sieve_trivial_skip_matches_filter():
     assert sum(i.orbit_size for i in infos) == full_mask(4)
 
 
-def test_sieve_checkpoint_state_round_trip():
+def test_sieve_replay_rebuilds_state():
+    # A resume sieves again up to the saved scan position, in spans of its
+    # own: here 1000, which does not divide the 3 * 2^10 masks below it.  The
+    # replay leaves the live table of the interrupted scan, and the rest of
+    # the scan emits exactly the orbits whose minimum is past the position.
     eng = SieveEngine(4)
-    eng.run_range(1 << 10)
-    pos, table = eng.pack_state()
-    eng2 = SieveEngine(4)
-    eng2.restore_state(pos, table)
-    assert eng2.position == eng.position
-    assert (eng2.table == eng.table).all()
-    # Resumed engine completes to the same orbit partition.
+    for _ in range(3):
+        eng.run_range(1 << 10)
+    pos = eng.position
+    replay = SieveEngine(4)
+    while replay.position < pos:
+        replay.run_range(min(1000, pos - replay.position))
+    assert replay.position == pos
+    assert np.array_equal(replay.table, eng.table)
     rest = []
-    while not eng2.done:
-        rest.extend(eng2.run_range(1 << 12))
+    while not replay.done:
+        rest.extend(replay.run_range(1 << 12))
     full = sieve_all(4)
-    done_bits = {i.rep_bits for i in rest}
-    # All orbits with minimum beyond the restored position match exactly.
-    assert done_bits == {i.rep_bits for i in full if i.rep_bits >= pos}
+    assert rest == [i for i in full if i.rep_bits >= pos]
+    assert len(full) > len(rest) > 0
 
 
 def test_sieve_output_independent_of_block(monkeypatch):
