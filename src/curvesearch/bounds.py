@@ -79,16 +79,19 @@ def load_lauter(path: str | Path | None = None) -> BoundTable:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'q g bound', got {raw!r}")
-        q, g, bound = (int(p) for p in parts)
+        try:
+            q, g, bound = (int(p) for p in line.split())
+            serre = serre_bound(q, g)
+        except ValueError as exc:
+            raise ValueError(
+                f"line {lineno}: expected 'q g bound', got {raw!r} ({exc})"
+            ) from None
         if (q, g) in table:
             raise ValueError(f"line {lineno}: duplicate entry for ({q}, {g})")
-        if bound > serre_bound(q, g):
+        if bound > serre:
             raise ValueError(
                 f"line {lineno}: bound {bound} exceeds the Serre bound "
-                f"{serre_bound(q, g)} for ({q}, {g})"
+                f"{serre} for ({q}, {g})"
             )
         table[(q, g)] = bound
     return BoundTable(lauter=table)

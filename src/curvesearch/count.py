@@ -18,7 +18,9 @@ sum of the weights of the zeros, and the partials are evaluated at the
 zeros alone.  Each singular representative is expanded back into its orbit
 by squaring its coordinates, and the singular points are reported in
 canonical order, exactly as a pass over every point would list them.  A
-weight is the point's degree; a count keeps the smooth points' degrees.
+weight is the point's degree: each singular point carries the degree of
+the representative it was expanded from, and a count keeps the smooth
+points' degrees.
 
 A curve's values come from one log-domain evaluator over its own
 monomials, in one pass over the representatives.  Where many curves of
@@ -46,13 +48,16 @@ from .polyrep import PolyMask, bit_indices, monomials, partials
 @dataclass(frozen=True)
 class PointCount:
     """Per-field tally for one curve; total = smooth + len(singular_points).
-    `smooth_degrees` holds each smooth point's degree (the least k with the
-    point in P^2(F_{2^k})); None when read back from a catalog."""
+    A point's degree is the least k with the point in P^2(F_{2^k}).
+    `singular_degrees[i]` is the degree of `singular_points[i]`, and
+    `smooth_degrees` holds the smooth points' degrees; both are None when
+    read back from a catalog."""
 
     q: int
     total: int
     smooth: int
     singular_points: tuple[tuple[int, int, int], ...]
+    singular_degrees: tuple[int, ...] | None = None
     smooth_degrees: frozenset[int] | None = None
 
 
@@ -197,7 +202,7 @@ class PointCounter:
         total = int(self.weights[zeros].sum())
         if f.degree == 1:
             # The gradient of a nonzero linear form is a nonzero constant.
-            return PointCount(self.q, total, total, (),
+            return PointCount(self.q, total, total, (), (),
                               frozenset(self.weights[zeros].tolist()))
         sing_sel = np.ones(len(zeros), dtype=bool)
         for pcols in partial_cols:
@@ -206,11 +211,13 @@ class PointCounter:
         square = self._square
         for i in zeros[sing_sel]:
             x, y, z = self.coords[:, i].tolist()
-            for _ in range(self.weights[i]):
-                singular.append((x, y, z))
+            k = int(self.weights[i])
+            for _ in range(k):
+                singular.append(((x, y, z), k))
                 x, y, z = square[x], square[y], square[z]
-        singular.sort(key=lambda p: _point_index(p, self.q))
-        return PointCount(self.q, total, total - len(singular), tuple(singular),
+        singular.sort(key=lambda pk: _point_index(pk[0], self.q))
+        points, degrees = zip(*singular) if singular else ((), ())
+        return PointCount(self.q, total, total - len(singular), points, degrees,
                           frozenset(self.weights[zeros[~sing_sel]].tolist()))
 
 

@@ -112,13 +112,6 @@ class FieldTable:
             raise ZeroDivisionError("inverse of 0 in F_{2^m}")
         return int(self.exp[(-int(self.log[a])) % (self.order - 1)])
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in F_{2^m}")
-        if a == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) - int(self.log[b])) % (self.order - 1)])
-
     # -- vectorized operations (uint16 element arrays) ---------------------
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,16 +130,6 @@ class FieldTable:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def frobenius(self, a: int, k: int = 1) -> int:
-        """a ** (2^k)."""
-        for _ in range(k):
-            a = self.mul(a, a)
-        return a
-
-    def in_subfield(self, a: int, k: int) -> bool:
-        """True iff a lies in the subfield F_{2^k} (requires k | m)."""
-        return self.frobenius(a, k) == a
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,10 @@ Orbits stream out of the sieve in ascending-mask order; each is counted
 once over every configured field on its orbit-minimum mask, filtered
 against the keep rule, and survivors get the full analysis from those same
 counts, so the record's singular coordinates match its printed polynomial.
-A record is emitted only when absolute irreducibility is certified and
+Each counted singular point carries its degree: the analysis reads it as
+the point's field of definition, and the singular points r seen over the
+counted fields are counted exactly, each degree from one field that holds
+it.  A record is emitted only when absolute irreducibility is certified and
 some (q, g) pair inside the genus interval is within the configured margin
 of the effective bound (genus 0 never qualifies).
 
@@ -185,45 +188,66 @@ class CurveRecord:
         return json.dumps(obj, separators=(", ", ": "))
 
     @staticmethod
-    def from_json(line: str) -> "CurveRecord":
+    def from_json(line: str | bytes) -> "CurveRecord":
+        """Read one catalog line, checking the types and shapes that
+        `to_json` writes and that the degree is the mask's."""
         obj = json.loads(line)
-        pm = parse_mask_id(obj["mask"])
+        pm = parse_mask_id(_typed(obj["mask"], str))
+        _typed(obj["poly"], str)
+        if _typed(obj["degree"], int) != pm.degree:
+            raise ValueError(f"degree {obj['degree']} on a degree-{pm.degree} mask")
         counts = {
             int(q): PointCount(
                 q=int(q),
-                total=c["total"],
-                smooth=c["smooth"],
-                singular_points=tuple(tuple(p) for p in c["singular"]),
+                total=_typed(c["total"], int),
+                smooth=_typed(c["smooth"], int),
+                singular_points=tuple(_ints(p, 3) for p in _typed(c["singular"], list)),
             )
             for q, c in obj["counts"].items()
         }
         singular = tuple(
             SingularPoint(
-                point=tuple(s["point"]),
-                q=s["q"],
-                k=s["k"],
-                multiplicity=s["multiplicity"],
+                point=_ints(s["point"], 3),
+                q=_typed(s["q"], int),
+                k=_typed(s["k"], int),
+                multiplicity=_typed(s["multiplicity"], int),
                 cone=(),
-                cone_type=s["cone_type"],
-                ordinary=s["ordinary"],
+                cone_type=_typed(s["cone_type"], str),
+                ordinary=_typed(s["ordinary"], bool),
             )
-            for s in obj["singular"]
+            for s in _typed(obj["singular"], list)
         )
+        irr = obj["irreducibility"]
         return CurveRecord(
-            degree=obj["degree"],
+            degree=pm.degree,
             mask=pm.bits,
-            orbit_size=obj["orbit_size"],
+            orbit_size=_typed(obj["orbit_size"], int),
             counts=counts,
             singular=singular,
-            r_distinct=obj["r_distinct"],
-            genus=GenusInterval(*obj["genus"]),
-            n_range={int(q): tuple(v) for q, v in obj["n_range"].items()},
-            absolute=obj["irreducibility"]["absolute"],
-            certificate_field=obj["irreducibility"]["k"],
-            witness=obj["irreducibility"]["witness"],
-            flags=tuple(obj["flags"]),
-            theorem1_ok=obj["theorem1_ok"],
+            r_distinct=_typed(obj["r_distinct"], int),
+            genus=GenusInterval(*_ints(obj["genus"], 2)),
+            n_range={int(q): _ints(v, 2) for q, v in obj["n_range"].items()},
+            absolute=_typed(irr["absolute"], str),
+            certificate_field=_typed(irr["k"], int, nullable=True),
+            witness=_typed(irr["witness"], str, nullable=True),
+            flags=tuple(_typed(f, str) for f in _typed(obj["flags"], list)),
+            theorem1_ok=_typed(obj["theorem1_ok"], bool, nullable=True),
         )
+
+
+def _typed(value, kind: type, nullable: bool = False):
+    """`value`, whose JSON type must be `kind`, or null where `nullable` (a
+    bool is no int here)."""
+    if type(value) is not kind and not (nullable and value is None):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(value, n: int) -> tuple[int, ...]:
+    """A JSON list of n integers, as a tuple."""
+    if type(value) is not list or list(map(type, value)) != [int] * n:
+        raise TypeError(f"expected {n} integers, got {value!r}")
+    return tuple(value)
 
 
 # -- per-curve analysis ---------------------------------------------------------
@@ -231,27 +255,14 @@ class CurveRecord:
 
 def distinct_singular_points(counts: dict[int, PointCount]
                              ) -> list[tuple[int, tuple[int, int, int]]]:
-    """The deduplicated singular set as (q, point) pairs; its size r is a
-    lower bound on the number of singular points.
-
-    F_2-rational points have the same {0,1} coordinates in every field table
-    and are kept once; non-F_2-rational points cannot be identified across
-    fields without embedding maps, so only the points of the field with the
-    most of them are added (the first such field in ascending q; each
-    field's set consists of genuinely distinct points).
-    """
-    f2: dict[tuple[int, int, int], int] = {}
-    best: list[tuple[int, tuple[int, int, int]]] = []
-    for q in sorted(counts):
-        other = []
-        for p in counts[q].singular_points:
-            if max(p) <= 1:
-                f2.setdefault(p, q)
-            else:
-                other.append((q, p))
-        if len(other) > len(best):
-            best = other
-    return [(q, p) for p, q in f2.items()] + best
+    """The singular points seen over the counted fields, each once, as
+    (q, point) pairs: the points of each degree k are read from the first
+    field (ascending q) that holds one.  A degree-k point is
+    F_{2^M}-rational iff k | M, so every such field lists the same ones."""
+    first: dict[int, int] = {}
+    return [(q, p) for q in sorted(counts)
+            for p, k in zip(counts[q].singular_points, counts[q].singular_degrees)
+            if first.setdefault(k, q) == q]
 
 
 class CurvePipeline:
@@ -296,16 +307,16 @@ class CurvePipeline:
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
-        # {0,1} coordinates encode the same F_2-point, with the same cone and
-        # cone type, in every field, so such a point is analysed once.
+        # A degree-1 point has the same {0,1} coordinates, cone and cone type
+        # in every field, so it is analysed once.
         analysed: dict[tuple, SingularPoint] = {}
         for q in self.orders:
             field = self.counters[q].field
             credit = 0
-            for p in counts[q].singular_points:
-                key = p if max(p) <= 1 else (q, p)
+            for p, k in zip(counts[q].singular_points, counts[q].singular_degrees):
+                key = p if k == 1 else (q, p)
                 if key not in analysed:
-                    analysed[key] = analyze_singular_point(f, p, field)
+                    analysed[key] = analyze_singular_point(f, p, field, k)
                 s = replace(analysed[key], q=q)
                 singular.append(s)
                 lower, exact = blowup_points_estimate(s, field)
@@ -686,8 +697,8 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
             else parse_poly(poly)
     else:
         f = poly
-    if f.degree > 6:
-        raise ConfigError(f"degree {f.degree} exceeds 6")
+    if not 1 <= f.degree <= 6:
+        raise ConfigError(f"degree must be 1..6, got {f.degree}")
     if f.bits == 0:
         raise ConfigError("zero polynomial")
     if is_trivially_reducible(f):

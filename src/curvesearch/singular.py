@@ -15,10 +15,11 @@ of a gcd with t^(2^k) + t, without scanning the 2^k + 1 directions (the
 scan, `factor_binary_form`, is the tests' oracle).  A cone with F_2
 coefficients has one squaring chain t, t^2, t^4, ... mod p for every field.
 The blowup estimate needs the count over F_q.  The cone type names the
-factorization shape over the point's field of definition F_{2^k}, which
-for degree 2 or 3 is fixed by the degree, the count over F_{2^k} and
-squarefreeness; shapes outside the catalog alphabet fall back to the
-generic "deg=m squarefree=b" form.
+factorization shape over the point's field of definition F_{2^k}, k the
+point's degree, which the point counter records with each singular point.
+For cone degree 2 or 3 the shape is fixed by the degree, the count over
+F_{2^k} and squarefreeness; shapes outside the catalog alphabet fall back
+to the generic "deg=m squarefree=b" form.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class SingularPoint:
 
     point: PointT  # normalized coordinates, encoded in the scan field
     q: int  # order of the scan field
-    k: int  # exponent of the smallest field of definition of the point
+    k: int  # the point's degree: F_{2^k} is its field of definition
     multiplicity: int
     cone: FormT  # tangent cone coefficients, encoded in the scan field
     cone_type: str
@@ -278,21 +279,11 @@ def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:
 # -- assembly and estimates -------------------------------------------------------
 
 
-def field_of_definition(point: PointT, field: FieldTable) -> int:
-    """Smallest k with all coordinates in F_{2^k} (k divides the field degree)."""
-    for k in range(1, field.m + 1):
-        if field.m % k:
-            continue
-        if all(field.in_subfield(c, k) for c in point):
-            return k
-    return field.m
-
-
-def analyze_singular_point(f: PolyMask, point: PointT, field: FieldTable
+def analyze_singular_point(f: PolyMask, point: PointT, field: FieldTable, k: int
                            ) -> SingularPoint:
-    """Full classification of one singular point found over `field`."""
+    """Full classification of one singular point found over `field`; k is
+    the point's degree, as its `PointCount` records it."""
     cone = tangent_cone_at(f, point, field)
-    k = field_of_definition(point, field)
     squarefree = form_is_squarefree(cone, field)
     return SingularPoint(
         point=point,

@@ -4,9 +4,9 @@ Each one computes by brute force what the package computes another way, and
 the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
 minima, trial division against the parity checks and the smooth-point
-certificate.  It also holds the few accessors (a field's generator and
-subfields, a witness as a dict) that only the tests call.  The package
-never imports this module.
+certificate.  It also holds the few accessors (field division, the Frobenius
+map, a field's generator and subfields, a witness as a dict) that only the
+tests call.  The package never imports this module.
 
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
 monic divisors in the graded-lex term order, pruned by Newton-corner
@@ -63,6 +63,18 @@ def clmul_reduce(a: int, b: int, field: FieldTable) -> int:
 
 
 # -- field structure from the log tables ---------------------------------------
+
+
+def div(field: FieldTable, a: int, b: int) -> int:
+    """a / b in the field; b = 0 raises ZeroDivisionError."""
+    return field.mul(a, field.inv(b))
+
+
+def frobenius(field: FieldTable, a: int, k: int = 1) -> int:
+    """a ** (2^k), by k squarings."""
+    for _ in range(k):
+        a = field.mul(a, a)
+    return a
 
 
 def generator(self: FieldTable) -> int:
@@ -127,18 +139,22 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
 
     total = 0
     singular = []
+    singular_degrees = []
     smooth_degrees = set()
     for p in projective_points(field):
         if ev(monos, p) != 0:
             continue
         total += 1
+        # the degree: the least k with every coordinate in F_{2^k}
+        k = next(k for k in range(1, field.m + 1)
+                 if all(frobenius(field, c, k) == c for c in p))
         if f.degree > 1 and all(ev(pm, p) == 0 for pm in pmonos):
             singular.append(p)
-        else:  # the degree: the least k with every coordinate in F_{2^k}
-            smooth_degrees.add(next(k for k in range(1, field.m + 1)
-                                    if all(field.frobenius(c, k) == c for c in p)))
+            singular_degrees.append(k)
+        else:
+            smooth_degrees.add(k)
     return PointCount(field.order, total, total - len(singular), tuple(singular),
-                      frozenset(smooth_degrees))
+                      tuple(singular_degrees), frozenset(smooth_degrees))
 
 
 # -- multiplicity from the local expansion -------------------------------------
@@ -183,7 +199,7 @@ def hom_divmod(f: HomPoly, g: HomPoly, field: FieldTable
         if not _div_mono(rl, gl):
             return None, False
         qm = (rl[0] - gl[0], rl[1] - gl[1], rl[2] - gl[2])
-        qc = field.div(r[rl], glc)
+        qc = div(field, r[rl], glc)
         quot[qm] = quot.get(qm, 0) ^ qc
         for gm, gc in g.items():
             key = (gm[0] + qm[0], gm[1] + qm[1], gm[2] + qm[2])

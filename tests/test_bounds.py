@@ -100,9 +100,11 @@ def test_lauter_loader_validation(tmp_path):
         load_lauter(toobig)
 
     malformed = tmp_path / "bad.txt"
-    malformed.write_text("8 4\n")
-    with pytest.raises(ValueError, match="expected"):
-        load_lauter(malformed)
+    for text in ("8 4\n", "8 4 28 1\n", "# ok\n8 x 20\n", "8 4 28\n\n8 -1 5\n"):
+        malformed.write_text(text)
+        lineno = text.count("\n")
+        with pytest.raises(ValueError, match=f"^line {lineno}: expected"):
+            load_lauter(malformed)
 
 
 def test_genus_interval_examples():

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import clmul_reduce
+from oracles import clmul_reduce, div
 
 from curvesearch.gf2m import build_field, primitive_polys
 from curvesearch.count import PointCounter
@@ -93,7 +93,7 @@ def test_inverse_axiom_and_errors():
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
         with pytest.raises(ZeroDivisionError):
-            f.div(1, 0)
+            div(f, 1, 0)
     f8 = build_field(3)
     assert f8.pow(0, 0) == 1
     assert f8.pow(0, 5) == 0

@@ -9,15 +9,16 @@ PERFBENCH = ROOT / "perfbench"
 
 
 def _identifiers(*nodes: ast.AST) -> set[str]:
-    """The names, attribute names and string constants used under `nodes`."""
+    """The names used under `nodes`, and with a leading "." the attribute
+    names and string constants."""
     out = set()
     for n in (n for node in nodes for n in ast.walk(node)):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.add("." + n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
+            out.add("." + n.value)
     return out
 
 
@@ -69,18 +70,24 @@ def test_package_holds_only_reachable_code():
     # Roots: module-level code (`__all__`, the `__main__` guard), the console
     # script `cli.main`, and every identifier the benchmark harness uses,
     # read through its syntax tree so that a name in a comment or docstring
-    # keeps nothing alive.  Matching is by name alone, for methods too: a
-    # name used anywhere keeps every definition of it, so the test errs
-    # towards missing dead code.  Reference implementations that only the
-    # tests use belong in tests/oracles.py.
+    # keeps nothing alive.  Matching is by name alone: a name used anywhere
+    # keeps every definition of it, so the test errs towards missing dead
+    # code.  A method is reached only through an attribute (`x.name`) or a
+    # string, never through a bare name such as a local variable.
+    # Reference implementations that only the tests use belong in
+    # tests/oracles.py.
     defs, reached = _package()
     reached.add("main")
     for path in sorted(PERFBENCH.glob("*.py")):
         reached |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+
+    def used(key: str) -> bool:
+        owner, _, name = key.rpartition(".")
+        return "." + name in reached or ("." not in owner and name in reached)
+
     done: set[str] = set()
     while True:
-        new = {key for key in defs
-               if key not in done and key.rpartition(".")[2] in reached}
+        new = {key for key in defs if key not in done and used(key)}
         if not new:
             break
         for key in new:

@@ -19,11 +19,12 @@ from curvesearch.corpus import load_corpus
 from curvesearch.count import PointCounter, count_points
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import SieveEngine
-from curvesearch.polyrep import PolyMask, mul_masks, parse_poly
+from curvesearch.polyrep import PolyMask, mul_masks, parse_mask_id, parse_poly
 from curvesearch.search import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     ConfigError,
+    CurvePipeline,
     CurveRecord,
     SearchConfig,
     SearchStats,
@@ -145,15 +146,17 @@ def test_each_orbit_counted_once(monkeypatch):
 def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     # A singular point with {0,1} coordinates is the same F_2-point, with the
     # same cone, in every field: each analysed curve analyses it once, and
-    # every other singular point once in the field it was found in.
+    # every other singular point once in the field it was found in.  The
+    # degree the analysis receives is 1 exactly on the {0,1} points.
     calls = expected = per_field = 0
     real_point = search.analyze_singular_point
     real_analyze = search.CurvePipeline.analyze
 
-    def point(f, p, field):
+    def point(f, p, field, k):
         nonlocal calls
         calls += 1
-        return real_point(f, p, field)
+        assert (k == 1) == (max(p) <= 1)
+        return real_point(f, p, field, k)
 
     def analyze(self, f, orbit_size, counts):
         nonlocal expected, per_field
@@ -168,6 +171,26 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     records = run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
     assert records
     assert calls == expected < per_field
+
+
+def test_singular_points_counted_exactly_across_fields():
+    # Two F_2-irreducible cubics, one singular at an F_2-point, that meet in
+    # conjugate orbits of degrees 4 and 5: F_16 sees the first orbit, F_32
+    # the second, and no counted field sees both.  The two fields share only
+    # P^2(F_2), so the singular set is the union of the brute-force scans,
+    # 1 + 4 + 5 points; one field's non-F_2 points give only 1 + 5.
+    f = mul_masks(parse_mask_id("d3:0x00000343"), parse_mask_id("d3:0x000000c1"))
+    brute = {q: oracles.naive_count(f, build_field(q.bit_length() - 1))
+             for q in (16, 32)}
+    assert sorted(brute[16].singular_degrees) == [1, 4, 4, 4, 4]
+    assert sorted(brute[32].singular_degrees) == [1, 5, 5, 5, 5, 5]
+    f2 = [p for p in brute[16].singular_points if max(p) <= 1]
+    assert f2 == [p for p in brute[32].singular_points if max(p) <= 1]
+    union = [(q, p) for q, pc in brute.items() for p in pc.singular_points
+             if q == 16 or max(p) > 1]
+    counts = CurvePipeline((16, 32), load_lauter(None)).count_all(f)
+    assert sorted(search.distinct_singular_points(counts)) == sorted(union)
+    assert len(union) == 10
 
 
 def test_tables_only_where_counting_repeats(monkeypatch):
@@ -544,6 +567,8 @@ def test_verify_reference_examples():
         verify("x^6", 8)  # trivially reducible
     with pytest.raises(ConfigError):
         verify("x^5 + y^5 + z^5", 7)
+    with pytest.raises(ConfigError, match="degree must be 1..6, got 0"):
+        verify("x^0", 8)
 
 
 def test_verify_accepts_mask_ids():
@@ -603,6 +628,7 @@ def test_cli_error_codes(tmp_path):
     assert main(["search", "--degree", "9", "--fields", "64"]) == 2
     assert main(["search", "--degree", "4", "--fields", "banana"]) == 2
     assert main(["verify", "--poly", "x^6", "--field", "8"]) == 2
+    assert main(["verify", "--poly", "x^0", "--field", "8"]) == 2
     low = tmp_path / "low.txt"
     low.write_text("8 1 13\n")  # N_8(1) = 14: refuted by a certified cubic
     assert main(["search", "--degree", "3", "--fields", "8",
@@ -618,7 +644,17 @@ def test_cli_error_codes(tmp_path):
         assert rc == 3
 
 
-def test_malformed_catalog_lines(tmp_path):
+def _mistyped(line: str) -> list[str]:
+    """The record with values of the wrong type or shape, or with a degree
+    that is not its mask's."""
+    obj = json.loads(line)
+    q = next(iter(obj["n_range"]))
+    return [json.dumps(dict(obj, **change)) for change in (
+        {"genus": ["a", "a"]}, {"genus": [None, None]},
+        {"n_range": {q: [5]}}, {"degree": 9})]
+
+
+def test_malformed_catalog_lines(tmp_path, capsys):
     good = verify("x^5 + y^5 + z^5", 16).to_json()
     cat = tmp_path / "cat.jsonl"
 
@@ -629,13 +665,28 @@ def test_malformed_catalog_lines(tmp_path):
         read_catalog(str(cat), lenient_tail=True)
     assert main(["report", "--catalog", str(cat)]) == 2
 
-    for tail in ("[1, 2]", "{}", '{"mask": 5}', '{"mask": "d5:0x00108001"'):
+    for tail in ("[1, 2]", "{}", '{"mask": 5}', '{"mask": "d5:0x00108001"',
+                 *_mistyped(good)):
         cat.write_text(good + "\n" + tail + "\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2: malformed catalog record"):
             read_catalog(str(cat))
         assert [r.to_json() for r in read_catalog(str(cat), lenient_tail=True)] \
             == [good]
         assert main(["report", "--catalog", str(cat)]) == 2
+
+    # A resume reads the lines below the checkpoint's scan position.
+    out, ck = tmp_path / "out.jsonl", tmp_path / "ck.bin"
+    with pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
+                                checkpoint_path=str(ck), out_path=str(out),
+                                stop_after_ranges=7))
+    first, *rest = out.read_text().splitlines(keepends=True)
+    capsys.readouterr()
+    for bad in _mistyped(first):
+        out.write_text(bad + "\n" + "".join(rest))
+        assert main(["search", "--degree", "3", "--fields", "8", "--checkpoint",
+                     str(ck), "--out", str(out)]) == 2
+        assert "line 1: malformed catalog record" in capsys.readouterr().err
 
 
 def test_write_catalog_atomic(tmp_path):
