@@ -14,7 +14,7 @@ from .search import (
     ConfigError,
     SearchConfig,
     SearchStats,
-    read_catalog,
+    iter_catalog,
     report,
     run_search,
     verify,
@@ -68,9 +68,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = read_catalog(args.catalog)
-    table = load_lauter(args.lauter)
-    print(report(records, table))
+    records = iter_catalog(args.catalog)
+    print(report(records, load_lauter(args.lauter)))
     return EXIT_OK
 
 

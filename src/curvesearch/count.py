@@ -23,19 +23,32 @@ the representative it was expanded from, and a count keeps the smooth
 points' degrees.
 
 A curve's values come from one log-domain evaluator over its own
-monomials, in one pass over the representatives.  Where many curves of
-one degree are counted over one field (the search), the caller builds that
-degree's monomial table up front with `PointCounter.monomial_table`: the
-values of every basis monomial at every representative, so a curve with w
-monomials costs w contiguous-row XOR passes.  A table pays for itself after
-a few counts (tens of MB for the largest fields), so single-curve counting
-(`count_points`, `verify`) builds none.  A table that cannot be allocated
-leaves its degree on the evaluator; both paths give the same values.
+monomials, in one pass over the representatives.  The search counts many
+curves of one degree over several fields, so it counts through a
+`JointCounter`: its columns concatenate the representatives of all the
+fields, and the fields' counters hold column views of them.  Addition is
+XOR in every F_{2^m}, so one accumulator over the joint columns holds a
+curve's values in every field at once.  Each degree's monomial table (the
+values of every basis monomial at every joint column) is built up front,
+one field's column segment at a time, and each field's
+`PointCounter.monomial_table` is a view of it.  Curves come in sieve order,
+where consecutive orbit minima share most monomials, so the accumulator
+keeps the last curve's values and is updated by the rows of the monomials
+in which the two curves differ; where those are more rows than the curve
+has, the curve is accumulated in full.  The zeros are found in one scan
+and the partials evaluated once, at all the zeros; the zeros are then split
+per field by column offset, and each field's counter tallies its own, as
+its `count` does.  Tables pay for themselves only over many counts (tens
+of MB for the largest fields), so single-curve counting (`count_points`,
+`verify`) goes through `PointCounter.count`, which builds none.  A table
+that cannot be allocated leaves its degree on the evaluator; both paths
+give the same values.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -43,7 +56,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .gf2m import FieldTable
-from .polyrep import PolyMask, bit_indices, monomials, partials
+from .polyrep import PolyMask, basis_size, bit_indices, monomials, partials
 
 @dataclass(frozen=True)
 class PointCount:
@@ -129,6 +142,10 @@ class PointCounter:
         self._square = orbit[1].tolist()
         # degree -> monomial table, or None where the allocation failed
         self._tables: dict[int, np.ndarray | None] = {}
+        # The `JointCounter` that holds this counter's columns, and which of
+        # its columns they are, if any.  The reference is weak, so that no
+        # cycle keeps the joint tables alive after the joint counter goes.
+        self._joint: tuple[weakref.ref[JointCounter], slice] | None = None
 
     def _monomial_rows(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
                        ) -> Iterator[np.ndarray]:
@@ -154,26 +171,31 @@ class PointCounter:
                     row[z] = 0
             yield row
 
-    def _build_table(self, d: int) -> np.ndarray:
-        basis = monomials(d)
-        out = np.empty((len(basis), len(self.weights)), dtype=np.uint16)
-        for t, row in enumerate(self._monomial_rows(d, range(len(basis)), slice(None))):
+    def _fill_table(self, d: int, out: np.ndarray) -> None:
+        """Write the degree-d table into `out`, which may be this field's
+        columns of a joint table."""
+        for t, row in enumerate(self._monomial_rows(d, range(len(out)), slice(None))):
             out[t] = row
+
+    def _build_table(self, d: int) -> np.ndarray:
+        out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
+        self._fill_table(d, out)
         return out
 
     def monomial_table(self, d: int) -> np.ndarray | None:
         """Build (once) and keep the degree-d table, so that later counts of
         degree-d curves, or of degree-(d+1) curves' partials, use it; None
-        when it does not fit in memory (degree d then uses the evaluator)."""
+        when it does not fit in memory (degree d then uses the evaluator).
+        A counter inside a live `JointCounter` returns its columns of the
+        joint table, which the first such call builds for every field."""
         if d not in self._tables:
-            try:
-                self._tables[d] = self._build_table(d)
-            except MemoryError:
-                warnings.warn(
-                    f"monomial table for q={self.q}, d={d} does not fit in "
-                    "memory; falling back to direct evaluation"
-                )
-                self._tables[d] = None
+            joint = self._joint and self._joint[0]()
+            if joint is None:
+                self._tables[d] = _table_or_none(self._build_table, d,
+                                                 f"q={self.q}")
+            else:
+                table = joint.monomial_table(d)
+                self._tables[d] = None if table is None else table[:, self._joint[1]]
         return self._tables[d]
 
     # -- evaluation ------------------------------------------------------------
@@ -197,28 +219,145 @@ class PointCounter:
         """Totals plus the singular points (all partials vanishing)."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
-        d, (cols, partial_cols) = f.degree, _columns(f)
-        zeros = np.flatnonzero(self.values_at(d, cols, slice(None)) == 0)
-        total = int(self.weights[zeros].sum())
-        if f.degree == 1:
-            # The gradient of a nonzero linear form is a nonzero constant.
-            return PointCount(self.q, total, total, (), (),
-                              frozenset(self.weights[zeros].tolist()))
-        sing_sel = np.ones(len(zeros), dtype=bool)
-        for pcols in partial_cols:
-            sing_sel &= self.values_at(d - 1, pcols, zeros) == 0
-        singular = []
+        cols, partial_cols = _columns(f)
+        zeros = np.flatnonzero(self.values_at(f.degree, cols, slice(None)) == 0)
+        return self._tally(zeros, _singular(self.values_at, f, partial_cols, zeros))
+
+    def _tally(self, zeros: np.ndarray, singular: np.ndarray) -> PointCount:
+        """The count from the representatives `zeros` on the curve, of which
+        those marked in `singular` are singular: each of those is expanded
+        back into its orbit, and the points are listed in canonical order."""
+        weights = self.weights[zeros]
+        total = int(weights.sum())
+        found = []
         square = self._square
-        for i in zeros[sing_sel]:
+        for i in zeros[singular].tolist():
             x, y, z = self.coords[:, i].tolist()
             k = int(self.weights[i])
             for _ in range(k):
-                singular.append(((x, y, z), k))
+                found.append(((x, y, z), k))
                 x, y, z = square[x], square[y], square[z]
-        singular.sort(key=lambda pk: _point_index(pk[0], self.q))
-        points, degrees = zip(*singular) if singular else ((), ())
-        return PointCount(self.q, total, total - len(singular), points, degrees,
-                          frozenset(self.weights[zeros[~sing_sel]].tolist()))
+        found.sort(key=lambda pk: _point_index(pk[0], self.q))
+        points, degrees = zip(*found) if found else ((), ())
+        return PointCount(self.q, total, total - len(found), points, degrees,
+                          frozenset(weights[~singular].tolist()))
+
+
+class JointCounter:
+    """One count of a curve over several fields, in one pass.
+
+    `coords` and `weights` concatenate the fields' representatives, in the
+    order given; field i owns the columns `offsets[i]:offsets[i + 1]`, and
+    its counter in `counters` holds views of them.  Each degree's
+    accumulator keeps the values of the last curve counted, so that a curve
+    in sieve order costs about as many row XORs as it has monomials not in
+    the curve before it.
+    """
+
+    def __init__(self, fields: Iterable[FieldTable]):
+        counters = [PointCounter(field) for field in fields]
+        self.offsets = np.cumsum([0] + [len(c.weights) for c in counters])
+        self.coords = np.concatenate([c.coords for c in counters], axis=1)
+        self.weights = np.concatenate([c.weights for c in counters])
+        for c, lo, hi in zip(counters, self.offsets, self.offsets[1:]):
+            cols = slice(lo, hi)
+            c.coords, c.weights = self.coords[:, cols], self.weights[cols]
+            c._joint = (weakref.ref(self), cols)
+        self.counters = {c.q: c for c in counters}
+        self._tables: dict[int, np.ndarray | None] = {}
+        # degree -> the last curve counted (0 before the first) and its values
+        self._last: dict[int, int] = {}
+        self._acc: dict[int, np.ndarray] = {}
+
+    def _build_table(self, d: int) -> np.ndarray:
+        out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
+        for c in self.counters.values():
+            c._fill_table(d, out[:, c._joint[1]])
+        return out
+
+    def monomial_table(self, d: int) -> np.ndarray | None:
+        """Build (once) and keep the degree-d table over every field's
+        columns; None when it does not fit in memory."""
+        if d not in self._tables:
+            self._tables[d] = _table_or_none(self._build_table, d,
+                                             f"q in {tuple(self.counters)}")
+        return self._tables[d]
+
+    def _split(self, sel: np.ndarray
+               ) -> Iterator[tuple[PointCounter, np.ndarray, slice]]:
+        """Per field: its counter, the columns of the ascending `sel` that
+        are its own, as its own indices, and their positions in `sel`."""
+        cuts = np.searchsorted(sel, self.offsets)
+        for c, lo, a, b in zip(self.counters.values(), self.offsets, cuts, cuts[1:]):
+            yield c, sel[a:b] - lo, slice(a, b)
+
+    def values_at(self, d: int, cols: tuple[int, ...], sel: np.ndarray
+                  ) -> np.ndarray:
+        """Values of the degree-d form with basis monomials `cols` at the
+        ascending columns `sel`; without a table, each field evaluates its
+        own."""
+        table = self._tables.get(d)
+        if table is None:
+            return np.concatenate([c.values_at(d, cols, own)
+                                   for c, own, _ in self._split(sel)])
+        acc = table[cols[0], sel]
+        for c in cols[1:]:
+            acc ^= table[c, sel]
+        return acc
+
+    def _values(self, f: PolyMask, cols: tuple[int, ...]) -> np.ndarray:
+        """f's values at every column: the last degree-d curve's, updated by
+        the rows of the monomials in which the two differ, or from zero by
+        f's own rows where those are fewer.  The result is the accumulator
+        itself."""
+        d = f.degree
+        if d not in self._acc:  # the zero curve's values
+            self._acc[d] = np.zeros(len(self.weights), dtype=np.uint16)
+            self._last[d] = 0
+        acc, table = self._acc[d], self._tables.get(d)
+        delta = self._last[d] ^ f.bits
+        if table is None:
+            acc[:] = self.values_at(d, cols, np.arange(len(acc)))
+        else:
+            if delta.bit_count() > len(cols):
+                acc.fill(0)
+                delta = f.bits
+            for c in bit_indices(delta):
+                acc ^= table[c]
+        self._last[d] = f.bits
+        return acc
+
+    def count_all(self, f: PolyMask) -> dict[int, PointCount]:
+        """f's count over every field, by field order: one accumulation and
+        zero scan over all the columns, the partials at all the zeros, then
+        each field's tally of its own zeros."""
+        if f.bits == 0:
+            raise ValueError("zero polynomial")
+        cols, partial_cols = _columns(f)
+        zeros = np.flatnonzero(self._values(f, cols) == 0)
+        singular = _singular(self.values_at, f, partial_cols, zeros)
+        return {c.q: c._tally(own, singular[part])
+                for c, own, part in self._split(zeros)}
+
+
+def _table_or_none(build, d: int, where: str) -> np.ndarray | None:
+    try:
+        return build(d)
+    except MemoryError:
+        warnings.warn(f"monomial table for {where}, d={d} does not fit in "
+                      "memory; falling back to direct evaluation")
+        return None
+
+
+def _singular(values_at, f: PolyMask, partial_cols: tuple[tuple[int, ...], ...],
+              zeros: np.ndarray) -> np.ndarray:
+    """Which of f's zeros are singular: those where every partial vanishes
+    (the gradient of a nonzero linear form is a nonzero constant)."""
+    singular = np.full(len(zeros), f.degree > 1)
+    if f.degree > 1:
+        for pcols in partial_cols:
+            singular &= values_at(f.degree - 1, pcols, zeros) == 0
+    return singular
 
 
 @lru_cache(maxsize=256)

@@ -1,9 +1,11 @@
 """Pipeline orchestration: sieve -> count -> bound -> analyze -> certify.
 
 Orbits stream out of the sieve in ascending-mask order; each is counted
-once over every configured field on its orbit-minimum mask, filtered
-against the keep rule, and survivors get the full analysis from those same
-counts, so the record's singular coordinates match its printed polynomial.
+over every configured field in one joint pass on its orbit-minimum mask
+(updated from the previous orbit's values, since consecutive minima share
+most monomials), filtered against the keep rule, and survivors get the full
+analysis from those same counts, so the record's singular coordinates
+match its printed polynomial.
 Each counted singular point carries its degree: the analysis reads it as
 the point's field of definition, and the singular points r seen over the
 counted fields are counted exactly, each degree from one field that holds
@@ -31,7 +33,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, replace
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .bounds import (
     BoundTable,
@@ -41,7 +43,7 @@ from .bounds import (
     load_lauter,
     smooth_model_range,
 )
-from .count import PointCount, PointCounter
+from .count import JointCounter, PointCount
 from .gf2m import build_field
 from .irred import certify_absolute
 from .orbit import OrbitInfo, SieveEngine, orbit_of
@@ -266,17 +268,24 @@ def distinct_singular_points(counts: dict[int, PointCount]
 
 
 class CurvePipeline:
-    """Analysis of single curves over a fixed field set (shared counters)."""
+    """Analysis of single curves over a fixed field set.
+
+    `joint` counts a curve over every field in one pass (see
+    `count.JointCounter`), and `counters` are its per-field counters, which
+    tally each field's share of that pass.  The joint pass keeps the last
+    curve's values, so a pipeline counts fastest in sieve order; forked
+    workers each keep their own.
+    """
 
     def __init__(self, fields: Iterable[int], bound_table: BoundTable):
         self.orders = tuple(sorted(fields))
         self.bound_table = bound_table
-        self.counters = {
-            q: PointCounter(build_field(q.bit_length() - 1)) for q in self.orders
-        }
+        self.joint = JointCounter(build_field(q.bit_length() - 1)
+                                  for q in self.orders)
+        self.counters = self.joint.counters
 
     def count_all(self, f: PolyMask) -> dict[int, PointCount]:
-        return {q: self.counters[q].count(f) for q in self.orders}
+        return self.joint.count_all(f)
 
     def quick_genus(self, d: int, counts: dict[int, PointCount]) -> GenusInterval:
         r = len(distinct_singular_points(counts))
@@ -508,23 +517,28 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
 
     The parent sieves; the workers count.  Trivially reducible orbits are
     tallied in the parent, and only the countable ones go to the workers, in
-    batches of at most 64; a range with none is not dispatched.  The parent
-    sieves exactly one range ahead: it sieves range k + 1 while the workers
-    count range k, then writes range k's records and checkpoints the scan
-    position at the end of k, so the catalog keeps its order.  A resume
+    batches of at most 64 in sieve order; a range with none is not
+    dispatched.  Each worker counts an orbit over every field in one joint
+    pass, updated from the last orbit it counted (see `CurvePipeline`), so
+    the joint monomial tables are built in the parent before forking.  The
+    parent sieves exactly one range ahead: it sieves range k + 1 while the
+    workers count range k, then writes range k's records and checkpoints the
+    scan position at the end of k, so the catalog keeps its order.  A resume
     sieves again up to the saved position and discards those orbits: the
     sieve's output does not depend on how its scan is split, and the
     replay's clearing keeps the rest of the scan from imaging every mask
-    whose orbit minimum lies below the position.  The lookahead never sieves past `stop_after_ranges`, and on an
-    error the pool is terminated without waiting for the range in flight.
-    With jobs=1 the parent counts each range's batches when it collects
-    them.
+    whose orbit minimum lies below the position.
+
+    The lookahead never sieves past `stop_after_ranges`, and on an error the
+    pool is terminated without waiting for the range in flight.  With
+    jobs=1 the parent counts each range's batches when it collects them.
     """
     if cfg.long_run:
         warnings.warn(
             "degree-6 search over fields beyond 2^9 is a long run: over the "
-            "nine fields it is projected at about an hour on 2 cores "
-            "(4.5 ms per orbit); checkpointing is recommended"
+            "nine fields it is projected at 21-42 minutes on 2 cores "
+            "(1.7-2.1 ms per orbit along sieve order, 2.9-3.3 ms on a uniform "
+            "sample of orbits); checkpointing is recommended"
         )
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)
@@ -545,13 +559,12 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     try:
         while engine.position < position:
             engine.run_range(min(span, position - engine.position))
-        # Every counted orbit is counted over every field, so the tables pay
-        # for themselves; built before forking, workers share the parent's
-        # read-only pages instead of each building their own.
-        for counter in pipeline.counters.values():
-            counter.monomial_table(cfg.degree)
-            if cfg.degree > 1:
-                counter.monomial_table(cfg.degree - 1)
+        # Every counted orbit is counted over every field, so the joint
+        # tables pay for themselves; built before forking, workers share the
+        # parent's read-only pages instead of each building their own.
+        pipeline.joint.monomial_table(cfg.degree)
+        if cfg.degree > 1:
+            pipeline.joint.monomial_table(cfg.degree - 1)
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
@@ -669,6 +682,14 @@ def write_catalog(path: str, records: list[CurveRecord]) -> None:
     os.replace(tmp, path)
 
 
+def iter_catalog(path: str) -> Iterator[CurveRecord]:
+    """The catalog's records one at a time, each line parsed strictly."""
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                yield _parse_record(path, n, line)
+
+
 def read_catalog(path: str, *, lenient_tail: bool = False) -> list[CurveRecord]:
     """Load a catalog file; lenient_tail tolerates one torn final line left
     behind by an interrupted writer (the range it came from gets rerun)."""
@@ -707,7 +728,7 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
         raise ConfigError(f"unsupported field order {q}")
     bound_table = load_lauter(lauter_path)
     pipeline = CurvePipeline((q,), bound_table)
-    counts = pipeline.count_all(f)
+    counts = {q: pipeline.counters[q].count(f)}
     orbit_size = len(orbit_of(f))
     record = pipeline.analyze(f, orbit_size, counts)
     if record is None:
@@ -727,19 +748,22 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
 # -- reporting ------------------------------------------------------------------------------
 
 
-def report(records: list[CurveRecord], bound_table: BoundTable | None = None
+def report(records: Iterable[CurveRecord], bound_table: BoundTable | None = None
            ) -> str:
     """Best-vs-bound tally over (q, g), g = 1..10, plus the ambiguous-genus
-    appendix."""
-    if not records:
-        raise ValueError("empty catalog")
+    appendix.  The records are folded one at a time, keeping only the best
+    value of each (q, g) and the appendix line of each ambiguous record, so
+    `records` may be a generator over a catalog file (`iter_catalog`)."""
     bound_table = bound_table or load_lauter(None)
-    orders = sorted({q for rec in records for q in rec.n_range})
     genera = range(1, 11)
 
+    seen = False
+    orders: set[int] = set()
     pinned: dict[tuple[int, int], int] = {}
-    ambiguous: list[CurveRecord] = []
+    ambiguous: list[tuple[tuple[int, int], str]] = []
     for rec in records:
+        seen = True
+        orders.update(rec.n_range)
         if rec.genus.lo == rec.genus.hi:
             g = rec.genus.lo
             for q in rec.n_range:
@@ -747,7 +771,16 @@ def report(records: list[CurveRecord], bound_table: BoundTable | None = None
                 if rec.n_lo(q) > pinned.get(key, -1):
                     pinned[key] = rec.n_lo(q)
         else:
-            ambiguous.append(rec)
+            n_parts = ", ".join(
+                f"q={q}: N>={rec.n_lo(q)}" for q in sorted(rec.n_range)
+            )
+            ambiguous.append((
+                (rec.degree, rec.mask),
+                f"  {rec.poly.mask_id} genus [{rec.genus.lo}, {rec.genus.hi}] "
+                f"{n_parts}",
+            ))
+    if not seen:
+        raise ValueError("empty catalog")
 
     lines = []
     header = ["q".rjust(5)] + [
@@ -755,7 +788,7 @@ def report(records: list[CurveRecord], bound_table: BoundTable | None = None
         for g in genera
     ]
     lines.append(" |".join(header))
-    for q in orders:
+    for q in sorted(orders):
         cells = [str(q).rjust(5)]
         for g in genera:
             bound, _src = bound_table.effective(q, g)
@@ -772,14 +805,7 @@ def report(records: list[CurveRecord], bound_table: BoundTable | None = None
     if ambiguous:
         lines.append("")
         lines.append("ambiguous genus (interval not pinned; best values not tallied):")
-        for rec in sorted(ambiguous, key=lambda r: (r.degree, r.mask)):
-            n_parts = ", ".join(
-                f"q={q}: N>={rec.n_lo(q)}" for q in sorted(rec.n_range)
-            )
-            lines.append(
-                f"  {rec.poly.mask_id} genus [{rec.genus.lo}, {rec.genus.hi}] "
-                f"{n_parts}"
-            )
+        lines.extend(line for _, line in sorted(ambiguous, key=lambda item: item[0]))
 
     best_cells = sorted(k for k in pinned)
     if best_cells:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from oracles import conjugate_cubic_norm, generator, hom_mul, naive_count
 
-from curvesearch.count import PointCounter, count_points, projective_points
+from curvesearch.count import (
+    JointCounter,
+    PointCounter,
+    count_points,
+    projective_points,
+)
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
 from curvesearch.polyrep import PolyMask, encode, full_mask, parse_poly, substitute
@@ -191,6 +196,120 @@ def test_streaming_fallback_matches_tables(monkeypatch):
         assert with_tables.count(f) == partial.count(f)
     assert streaming.monomial_table(3) is None
     assert partial.monomial_table(3) is None
+
+
+def _delta_sequence(seed: int) -> list[PolyMask]:
+    """Degree-4 and degree-5 masks in alternation, each a few monomials
+    from the last mask of its degree (as consecutive orbit minima are),
+    with a repeat, a mask that shares no monomial with the one before it,
+    a light curve after a heavy one (a delta heavier than the curve), and
+    the conjugate singular pair (degree 6) and triple (degree 3), each
+    reached again after a neighbour."""
+    rng = random.Random(seed)
+    last = {d: rng.randint(1, full_mask(d)) for d in (4, 5)}
+    seq = []
+    for step in range(24):
+        d = (4, 5)[step % 2]
+        bits = last[d]
+        for _ in range(rng.randint(1, 3)):
+            bits ^= 1 << rng.randrange(full_mask(d).bit_length())
+        last[d] = bits or 1
+        seq.append(PolyMask(d, last[d]))
+    seq[6:6] = [seq[5], seq[5]]  # repeats
+    f = seq[10]
+    seq[11:11] = [PolyMask(f.degree, full_mask(f.degree) ^ f.bits)]  # disjoint
+    heavy = PolyMask(5, full_mask(5) ^ 0b11)
+    seq[16:16] = [heavy, PolyMask(5, 0b101)]  # 20 rows of delta against 2 of curve
+    for g in (conjugate_line_triangle(), conjugate_cubic_norm()):
+        seq += [g, PolyMask(g.degree, g.bits ^ 0b1000), g, g]
+    return seq
+
+
+def test_joint_pass_against_oracles():
+    # One pass over the joint columns of several fields, by deltas along a
+    # sequence of masks, equals each field's own count and the brute-force
+    # scan, degrees of singular and smooth points included.  Counting first
+    # without tables and then with them also checks the deltas starting
+    # from values the evaluator left.
+    fields = [build_field(m) for m in (3, 4, 5)]
+    joint = JointCounter(fields)
+    own = [PointCounter(field) for field in fields]
+    naive = {}
+    seq = _delta_sequence(17)
+    pairs = [(a, b) for a, b in zip(seq, seq[1:]) if a.degree == b.degree]
+    assert any(a == b for a, b in pairs)
+    assert any(not a.bits & b.bits for a, b in pairs)
+    assert any(bin(a.bits ^ b.bits).count("1") > bin(b.bits).count("1")
+               for a, b in pairs)
+    for n, f in enumerate(seq):
+        if n == 8:
+            for d in range(2, 7):
+                assert joint.monomial_table(d) is not None
+        got = joint.count_all(f)
+        assert list(got) == [8, 16, 32]
+        for field, counter in zip(fields, own):
+            key = (f, field.order)
+            if key not in naive:
+                naive[key] = naive_count(f, field)
+            assert got[field.order] == counter.count(f) == naive[key], (n, f)
+    # The members hold views of the joint columns and tables.
+    table = joint.monomial_table(4)
+    for counter, alone in zip(joint.counters.values(), own):
+        assert counter.coords.base is joint.coords
+        assert counter.weights.base is joint.weights
+        assert counter.monomial_table(4).base is table
+        assert (counter.monomial_table(4) == alone.monomial_table(4)).all()
+    # A counter that outlives its joint counter builds its own tables.
+    orphan = JointCounter(fields[:1]).counters[8]
+    assert orphan.monomial_table(3).base is None
+    assert (orphan.monomial_table(3) == own[0].monomial_table(3)).all()
+
+
+def test_joint_pass_over_the_nine_fields():
+    fields = [build_field(m) for m in range(3, 12)]
+    joint = JointCounter(fields)
+    table = joint.counters[2048].monomial_table(4)  # fills every field's columns
+    assert table is not None and table.base is joint.monomial_table(4)
+    joint.monomial_table(3)
+    rng = random.Random(9)
+    bits = rng.randint(1, full_mask(4))
+    seq = [PolyMask(4, bits)]
+    for _ in range(5):
+        bits ^= 1 << rng.randrange(15)
+        seq.append(PolyMask(4, bits or 1))
+    seq += [seq[-1], conjugate_line_triangle(), seq[0]]
+    for f in seq:
+        got = joint.count_all(f)
+        assert got == {field.order: count_points(f, field) for field in fields}, f
+        for field in fields[:3]:
+            assert got[field.order] == naive_count(f, field), f
+
+
+def test_joint_table_allocation_failure(monkeypatch):
+    # Where the joint table for degree 5 cannot be allocated, every field's
+    # counter gets None for it and the joint pass evaluates degree 5 directly;
+    # degree 4 (its partials, and the degree-4 curves) stays tabulated.
+    fields = [build_field(m) for m in (3, 4, 5)]
+    joint = JointCounter(fields)
+    real_build = joint._build_table
+
+    def no_memory_for_5(d):
+        if d == 5:
+            raise MemoryError
+        return real_build(d)
+
+    monkeypatch.setattr(joint, "_build_table", no_memory_for_5)
+    with pytest.warns(UserWarning, match="q in \\(8, 16, 32\\), d=5.*falling back"):
+        assert joint.counters[16].monomial_table(5) is None
+    assert joint.monomial_table(5) is None
+    assert all(c.monomial_table(5) is None for c in joint.counters.values())
+    for d in (3, 4):
+        assert joint.monomial_table(d) is not None
+    own = {field.order: PointCounter(field) for field in fields}
+    for f in _delta_sequence(23):
+        assert joint.count_all(f) == {q: c.count(f) for q, c in own.items()}, f
+    f = PolyMask(4, 0b111)
+    assert joint.count_all(f)[8] == naive_count(f, fields[0])
 
 
 def test_counts_invariant_on_orbits():

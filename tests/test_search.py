@@ -16,7 +16,7 @@ from curvesearch import cli, search, singular
 from curvesearch.bounds import load_lauter
 from curvesearch.cli import main
 from curvesearch.corpus import load_corpus
-from curvesearch.count import PointCounter, count_points
+from curvesearch.count import JointCounter, PointCounter, count_points
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import SieveEngine
 from curvesearch.polyrep import PolyMask, mul_masks, parse_mask_id, parse_poly
@@ -125,22 +125,32 @@ def test_pipelined_stop_and_resume_match_serial_run(tmp_path, monkeypatch):
 
 
 def test_each_orbit_counted_once(monkeypatch):
-    # Every count over a search field, the certificate's included.
-    calls = 0
+    # One joint pass over all the search fields per counted orbit, and no
+    # per-field count over a search field, the certificate's included.
+    passes = calls = 0
     fields = (8, 64)
+    real_pass = JointCounter.count_all
     real_count = PointCounter.count
+
+    def joint_pass(self, f):
+        nonlocal passes
+        passes += 1
+        assert tuple(self.counters) == fields
+        return real_pass(self, f)
 
     def counting(self, f):
         nonlocal calls
         calls += self.q in fields
         return real_count(self, f)
 
+    monkeypatch.setattr(JointCounter, "count_all", joint_pass)
     monkeypatch.setattr(PointCounter, "count", counting)
     stats = SearchStats()
     records = run_search(SearchConfig(degree=4, fields=fields, jobs=1),
                          stats=stats)
     assert records and stats.counted
-    assert calls == stats.counted * len(fields)
+    assert passes == stats.counted
+    assert calls == 0
 
 
 def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
@@ -195,21 +205,28 @@ def test_singular_points_counted_exactly_across_fields():
 
 def test_tables_only_where_counting_repeats(monkeypatch):
     # Single-curve calls evaluate the curve's own monomials; the search
-    # builds each (field, d) and (field, d - 1) table once, before counting.
+    # fills each (field, d) and (field, d - 1) segment of the joint tables
+    # once, before counting.
     events = []
-    real_build = PointCounter._build_table
+    real_fill = PointCounter._fill_table
     real_count = PointCounter.count
+    real_pass = JointCounter.count_all
 
-    def build(self, d):
+    def fill(self, d, out):
         events.append(("build", self.q, d))
-        return real_build(self, d)
+        return real_fill(self, d, out)
 
     def counting(self, f):
         events.append(("count", self.q, f.degree))
         return real_count(self, f)
 
-    monkeypatch.setattr(PointCounter, "_build_table", build)
+    def joint_pass(self, f):
+        events.append(("count", tuple(self.counters), f.degree))
+        return real_pass(self, f)
+
+    monkeypatch.setattr(PointCounter, "_fill_table", fill)
     monkeypatch.setattr(PointCounter, "count", counting)
+    monkeypatch.setattr(JointCounter, "count_all", joint_pass)
     f = parse_poly("x^5 + y^5 + z^5")
     assert verify(f, 64).counts[64].smooth == count_points(f, build_field(6)).smooth
     assert ("count", 64, 5) in events
@@ -224,6 +241,7 @@ def test_tables_only_where_counting_repeats(monkeypatch):
     builds = [e for e in events if e[0] == "build"]
     assert sorted(builds) == [("build", q, d) for q in fields for d in (3, 4)]
     assert events[:first_count] == builds
+    assert events[first_count] == ("count", fields, 4)
 
 
 def test_production_decides_without_scans(monkeypatch):
@@ -600,6 +618,29 @@ def test_report_contents():
     assert "[n, k-2, n-k]" in text  # genus-3 code parameter annotation
     with pytest.raises(ValueError):
         report([], table)
+    with pytest.raises(ValueError, match="empty catalog"):
+        report(iter(()), table)
+
+
+def test_report_streams_a_catalog(tmp_path, capsys):
+    # `report` folds a one-shot generator as it folds a list, and the CLI
+    # reads the catalog through `iter_catalog` one line at a time.
+    out = tmp_path / "cat.jsonl"
+    assert run_search(SearchConfig(degree=4, fields=(8, 64), out_path=str(out))) == []
+    records = read_catalog(str(out))
+    table = load_lauter()
+    text = report(records, table)
+    assert report((rec for rec in records), table) == text
+    assert report(search.iter_catalog(str(out)), table) == text
+    assert "ambiguous genus" in text
+    capsys.readouterr()
+    assert main(["report", "--catalog", str(out)]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:3]) + "{}\n" + "".join(lines[3:]))
+    assert main(["report", "--catalog", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 4: malformed catalog record" in captured.err
 
 
 def test_cli_end_to_end(tmp_path, capsys):
