@@ -1,4 +1,4 @@
-"""GL_3(F_2) enumeration and orbit sieving of the degree-d mask space.
+"""GL_3(F_2) orbits and the orbit sieve of the degree-d mask space.
 
 The sieve scans masks in ascending order over a live table with one entry
 per mask.  The live table is a numpy bool array, one byte per mask, so
@@ -21,7 +21,13 @@ most live masks are such images, so small blocks image far fewer masks:
 the full degree-5 sieve images 31,016 candidates at 2^9 against 151,464 at
 2^16, and the full degree-6 sieve takes half the time.  Blocks of 2^8 and
 2^10 were no faster, and below that the per-block numpy overhead grows.
-The (168, 512) image array is 344 KB.
+The (168, 512) image array is 344 KB.  A representative's orbit size is
+168 over the number of matrices that fix it (orbit-stabilizer), read off
+the same image block.
+
+All of this reads the one GL_3(F_2) action table of `polyrep.gl3_table`:
+the byte tables are built from it, and `orbit_of` takes all 168 images
+of a mask from it in one gather.
 """
 
 from __future__ import annotations
@@ -32,40 +38,24 @@ from typing import Iterator
 
 import numpy as np
 
-from .polyrep import (
-    Mat3,
+from .polyrep import (  # enumerate_gl3 is re-exported for callers of this module
+    GL3_ORDER,
     PolyMask,
     basis_size,
-    column_image_table,
+    enumerate_gl3,
     full_mask,
-    mat_det,
-    substitute,
+    gl3_images,
+    gl3_table,
     _filter_masks,
 )
-
-GL3_ORDER = 168  # (2^3 - 1)(2^3 - 2)(2^3 - 4)
 
 # Candidate masks per kernel pass (see the module docstring for the size).
 BLOCK = 1 << 9
 
 
-@lru_cache(maxsize=1)
-def enumerate_gl3() -> tuple[Mat3, ...]:
-    """All 168 invertible 3x3 matrices over F_2, in ascending row order."""
-    out = []
-    for r0 in range(1, 8):
-        for r1 in range(1, 8):
-            for r2 in range(1, 8):
-                m = (r0, r1, r2)
-                if mat_det(m) == 1:
-                    out.append(m)
-    assert len(out) == GL3_ORDER
-    return tuple(out)
-
-
 def orbit_of(f: PolyMask) -> set[PolyMask]:
     """{ f((x,y,z) M) : M in GL_3(F_2) }; size divides 168."""
-    return {substitute(f, m) for m in enumerate_gl3()}
+    return {PolyMask(f.degree, b) for b in gl3_images(f).tolist()}
 
 
 @dataclass(frozen=True)
@@ -86,8 +76,7 @@ class OrbitInfo:
 def _byte_luts(d: int) -> np.ndarray:
     """Per-matrix, per-byte-position image tables, shape (168, nbytes, 256)."""
     n = basis_size(d)
-    cols = np.array([column_image_table(d, mat) for mat in enumerate_gl3()],
-                    dtype=np.uint32)
+    cols = gl3_table(d)
     luts = np.zeros((GL3_ORDER, (n + 7) // 8, 256), dtype=np.uint32)
     byte = np.arange(256)
     for t in range(n):
@@ -148,8 +137,8 @@ class SieveEngine:
             if len(reps):
                 rimgs = np.ascontiguousarray(imgs[:, rep_sel])
 
-                srt = np.sort(rimgs, axis=0)
-                sizes = 1 + np.count_nonzero(np.diff(srt, axis=0), axis=0)
+                # Orbit-stabilizer: |O| = 168 / #{M : rep M = rep}.
+                sizes = GL3_ORDER // np.count_nonzero(rimgs == reps, axis=0)
 
                 triv = np.zeros(len(reps), dtype=bool)
                 if self.degree >= 2:

@@ -18,6 +18,7 @@ d/s of an F_2-irreducible f are swept.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from curvesearch.count import PointCount, projective_points
@@ -35,8 +36,10 @@ from curvesearch.polyrep import (
     Mat3,
     PolyMask,
     Triple,
+    bit_indices,
     decode,
     encode,
+    monomial_index,
     monomials,
     partials,
 )
@@ -98,6 +101,19 @@ def subfield_elements(self: FieldTable, k: int) -> list[int]:
 IDENTITY: Mat3 = (0b001, 0b010, 0b100)
 
 
+def mat_det(m: Mat3) -> int:
+    r0, r1, r2 = m
+    # Expansion over F_2: parity of the permanent equals the determinant.
+    det = 0
+    for c0 in range(3):
+        for c1 in range(3):
+            if c1 == c0:
+                continue
+            c2 = 3 - c0 - c1
+            det ^= (r0 >> c0) & (r1 >> c1) & (r2 >> c2) & 1
+    return det
+
+
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     rows = []
     for r in range(3):
@@ -109,6 +125,46 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
             row |= bit << c
         rows.append(row)
     return tuple(rows)  # type: ignore[return-value]
+
+
+# -- substitution by products of linear forms, one matrix at a time ----------
+
+
+def mul_masks(a: PolyMask, b: PolyMask) -> PolyMask:
+    """Product over F_2; degrees add, coefficients cancel mod 2."""
+    idx = monomial_index(a.degree + b.degree)
+    bits = 0
+    for ia, ja, ka in decode(a):
+        for ib, jb, kb in decode(b):
+            bits ^= 1 << idx[(ia + ib, ja + jb, ka + kb)]
+    return PolyMask(a.degree + b.degree, bits)
+
+
+@lru_cache(maxsize=None)
+def column_image_table(d: int, m: Mat3) -> tuple[int, ...]:
+    """Image mask of each degree-d basis monomial under v -> v M."""
+    # Variable c is replaced by the linear form with coefficient M[r][c] on
+    # variable r, i.e. column c of M; degree-1 basis order is exactly x, y, z.
+    lin = [PolyMask(1, sum(((m[r] >> c) & 1) << r for r in range(3)))
+           for c in range(3)]
+    images = []
+    for mono in monomials(d):
+        acc = PolyMask(0, 1)
+        for form, e in zip(lin, mono):
+            for _ in range(e):
+                acc = mul_masks(acc, form)
+        images.append(acc.bits)
+    return tuple(images)
+
+
+def substitute_by_products(f: PolyMask, m: Mat3) -> PolyMask:
+    """f((x, y, z) M) from `column_image_table`; M must be invertible."""
+    assert mat_det(m) == 1, m
+    images = column_image_table(f.degree, m)
+    bits = 0
+    for t in bit_indices(f.bits):
+        bits ^= images[t]
+    return PolyMask(f.degree, bits)
 
 
 # -- the sieve, trivially reducible orbits included ----------------------------

@@ -8,11 +8,12 @@ the README's list of slow tests gives their measured times.
 import time
 
 import pytest
+from oracles import column_image_table
 
 from curvesearch.bounds import load_lauter
 from curvesearch.corpus import load_corpus, run_corpus
 from curvesearch.orbit import GL3_ORDER, SieveEngine, enumerate_gl3, orbit_of
-from curvesearch.polyrep import basis_size, column_image_table, full_mask, parse_poly
+from curvesearch.polyrep import basis_size, full_mask, parse_poly
 from curvesearch.search import SearchConfig, run_search
 
 # Pinned by our verified degree-6 sieve run and confirmed exactly by the
@@ -111,7 +112,8 @@ def test_criterion4_degree6_sieve_scale():
             size_sum += info.orbit_size
     elapsed = time.time() - t0
 
-    # Independent oracle: Burnside's lemma over the 168 substitution matrices.
+    # Independent oracle: Burnside's lemma over the 168 substitution matrices,
+    # each substitution built from products of linear forms.
     n = basis_size(6)
     burnside = 0
     for mat in enumerate_gl3():

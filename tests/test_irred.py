@@ -15,6 +15,7 @@ from oracles import (
     hom_divmod,
     hom_mul,
     is_irreducible,
+    mul_masks,
     naive_count,
     norm,
 )
@@ -29,7 +30,6 @@ from curvesearch.polyrep import (
     evaluate,
     full_mask,
     monomials,
-    mul_masks,
     parse_mask_id,
     parse_poly,
     partials,

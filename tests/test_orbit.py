@@ -4,9 +4,17 @@ import random
 
 import numpy as np
 import pytest
-from oracles import IDENTITY, mat_mul, sieve_all
+from oracles import (
+    IDENTITY,
+    column_image_table,
+    mat_det,
+    mat_mul,
+    sieve_all,
+    substitute_by_products,
+)
 
 from curvesearch import orbit
+from curvesearch.corpus import load_corpus
 from curvesearch.orbit import (
     GL3_ORDER,
     SieveEngine,
@@ -16,9 +24,9 @@ from curvesearch.orbit import (
 )
 from curvesearch.polyrep import (
     PolyMask,
-    column_image_table,
     basis_size,
     full_mask,
+    gl3_table,
     parse_poly,
     substitute,
 )
@@ -33,6 +41,8 @@ def test_enumerate_gl3():
     assert len(mats) == 168
     assert IDENTITY in mats
     assert len(set(mats)) == 168
+    assert list(mats) == sorted(mats)
+    assert all(mat_det(m) == 1 for m in mats)
 
 
 def test_group_closure():
@@ -57,6 +67,39 @@ def test_orbit_is_equivalence_class():
         orb = orbit_of(f)
         g = substitute(f, mats[rng.randrange(168)])
         assert orbit_of(g) == orb
+
+
+def test_orbit_of_matches_products():
+    # orbit_of gathers all 168 images from one table; the oracle substitutes
+    # one matrix at a time by products of linear forms.
+    mats = enumerate_gl3()
+    rng = random.Random(11)
+    polys = [PolyMask(d, rng.randint(1, full_mask(d)))
+             for d in range(7) for _ in range(8)]
+    polys += [parse_poly(e.poly) for e in load_corpus()]
+    assert len(polys) == 7 * 8 + 83
+    for f in polys:
+        assert orbit_of(f) == {substitute_by_products(f, m) for m in mats}, f
+
+
+def test_orbit_of_degree0_constant():
+    one = PolyMask(0, 1)
+    assert orbit_of(one) == {one}
+
+
+def test_gl3_action_built_once_per_degree():
+    # The sieve's byte tables, substitute and orbit_of all read the one
+    # cached table: the first use builds it, every later one hits the cache.
+    gl3_table.cache_clear()
+    orbit._byte_luts.cache_clear()
+    f = parse_poly("x^3*y + y^3*z + z^3*x")
+    seen = []
+    for use in (lambda: orbit._byte_luts(4), lambda: substitute(f, IDENTITY),
+                lambda: orbit_of(f)):
+        use()
+        info = gl3_table.cache_info()
+        seen.append((info.misses, info.hits))
+    assert seen == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_orbit_of_xyz_matches_brute_force():
@@ -147,6 +190,21 @@ def test_sieve_reps_are_orbit_minima_and_unique(d):
         assert len(orb) == info.orbit_size
         assert info.rep_bits not in seen
         seen.add(info.rep_bits)
+
+
+def test_sieve_orbit_sizes_match_oracle():
+    # The sieve sizes orbits by orbit-stabilizer on its image block; check a
+    # degree-5 sample, every orbit smaller than 168 included, against
+    # orbit_of and the per-matrix oracle.
+    mats = enumerate_gl3()
+    infos = SieveEngine(5).run_range(1 << 15)
+    small = [i for i in infos if i.orbit_size < GL3_ORDER]
+    sample = small + random.Random(12).sample(infos, 40)
+    assert len(small) > 10
+    for info in sample:
+        assert len(orbit_of(info.rep)) == info.orbit_size, info
+        oracle = {substitute_by_products(info.rep, m) for m in mats}
+        assert len(oracle) == info.orbit_size, info
 
 
 def test_sieve_trivial_skip_matches_filter():

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import IDENTITY, mat_mul
+from oracles import IDENTITY, column_image_table, mat_mul, mul_masks
 
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
@@ -17,9 +18,9 @@ from curvesearch.polyrep import (
     evaluate,
     format_poly,
     full_mask,
+    gl3_table,
     is_trivially_reducible,
     monomials,
-    mul_masks,
     parse_mask_id,
     parse_poly,
     partials,
@@ -146,6 +147,21 @@ def test_substitute_identity_and_symmetry():
 def test_substitute_rejects_singular():
     with pytest.raises(ValueError):
         substitute(parse_poly("x^2"), (0b001, 0b001, 0b100))
+
+
+def test_substitute_degree0_constant():
+    one = PolyMask(0, 1)
+    for m in enumerate_gl3():
+        assert substitute(one, m) == one
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_gl3_table_matches_products(d):
+    # The vectorized table against the per-matrix products of linear forms.
+    table = gl3_table(d)
+    assert table.shape == (168, basis_size(d)) and table.dtype == np.uint32
+    for g, m in enumerate(enumerate_gl3()):
+        assert tuple(table[g].tolist()) == column_image_table(d, m), m
 
 
 def test_substitution_group_action():

@@ -10,7 +10,7 @@ from functools import partial
 
 import oracles
 import pytest
-from oracles import conjugate_cubic_norm
+from oracles import conjugate_cubic_norm, mul_masks
 
 from curvesearch import cli, search, singular
 from curvesearch.bounds import load_lauter
@@ -19,7 +19,7 @@ from curvesearch.corpus import load_corpus
 from curvesearch.count import JointCounter, PointCounter, count_points
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import SieveEngine
-from curvesearch.polyrep import PolyMask, mul_masks, parse_mask_id, parse_poly
+from curvesearch.polyrep import PolyMask, parse_mask_id, parse_poly
 from curvesearch.search import (
     CHECKPOINT_MAGIC,
     CheckpointError,
