@@ -1,27 +1,30 @@
 """GL_3(F_2) orbits and the orbit sieve of the degree-d mask space.
 
-The sieve scans masks in ascending order over a live table with one entry
-per mask.  The live table is a numpy bool array, one byte per mask, so
-degree 6 holds 2^28 bytes = 256 MiB.  A mask whose entry is still set when
-the scan reaches it is the minimum of its orbit and is emitted as the
-orbit representative; all 168 images are then cleared.  Emission is an
-intrinsic property of the mask (being its orbit's minimum), so the result
-is independent of scan interleaving and of how ranges are batched, and
-sieving again up to a scan position rebuilds the table left there.
+The sieve scans masks in ascending order over a claimed-bit table with one
+bit per mask, LSB first: degree 6 holds 2^28 bits = 32 MiB.  The table
+starts as zeros, whose pages are mapped only as the scan writes them.  A
+mask whose bit is still clear when the scan reaches it is the minimum of
+its orbit and is emitted as the orbit representative; all 168 images are
+then claimed.  Emission is an intrinsic property of the mask (being its
+orbit's minimum), so the result is independent of scan interleaving and of
+how ranges are batched, and sieving again up to a scan position rebuilds
+the table left there.
 
 The kernel applies all 168 substitutions to blocks of candidate masks via
-per-matrix byte lookup tables: a degree-d substitution is F_2-linear on
-masks, so the image of a mask is the XOR of per-byte precomputed images.
-The candidates that are their orbits' minima are the block's
-representatives, and only their images are cleared.
+per-byte lookup tables: a degree-d substitution is F_2-linear on masks, so
+the image of a mask is the XOR of per-byte precomputed images.  A table
+row holds one byte value's 168 images, so a block is imaged by one
+contiguous row gather per mask byte.  The candidates that are their
+orbits' minima are the block's representatives, and only their images are
+claimed, in one fancy-index OR per bit position within a byte.
 
-A block holds 512 candidates.  Each block's clearing removes the next
+A block holds 512 candidates.  Each block's claims remove the next
 block's candidates that are images of representatives already found, and
 most live masks are such images, so small blocks image far fewer masks:
 the full degree-5 sieve images 31,016 candidates at 2^9 against 151,464 at
 2^16, and the full degree-6 sieve takes half the time.  Blocks of 2^8 and
 2^10 were no faster, and below that the per-block numpy overhead grows.
-The (168, 512) image array is 344 KB.  A representative's orbit size is
+The (512, 168) image array is 344 KB.  A representative's orbit size is
 168 over the number of matrices that fix it (orbit-stabilizer), read off
 the same image block.
 
@@ -74,22 +77,23 @@ class OrbitInfo:
 
 @lru_cache(maxsize=4)
 def _byte_luts(d: int) -> np.ndarray:
-    """Per-matrix, per-byte-position image tables, shape (168, nbytes, 256)."""
+    """Per-byte-position, per-byte-value images under every matrix, shape
+    (nbytes, 256, 168): a byte value's row holds its 168 images."""
     n = basis_size(d)
     cols = gl3_table(d)
-    luts = np.zeros((GL3_ORDER, (n + 7) // 8, 256), dtype=np.uint32)
+    luts = np.zeros(((n + 7) // 8, 256, GL3_ORDER), dtype=np.uint32)
     byte = np.arange(256)
     for t in range(n):
         # Every byte value with bit t % 8 set gains the image of monomial t.
-        luts[:, t // 8, (byte & (1 << t % 8)) > 0] ^= cols[:, t:t + 1]
+        luts[t // 8, (byte & (1 << t % 8)) > 0] ^= cols[:, t]
     return luts
 
 
 class SieveEngine:
     """Range-driven orbit sieve over the full degree-d mask space.
 
-    Owns the live table; `run_range` processes one span of the scan and
-    returns the orbits whose minimum lies inside it.  `position` only
+    Owns the claimed-bit table; `run_range` processes one span of the scan
+    and returns the orbits whose minimum lies inside it.  `position` only
     advances when a range completes, which is the checkpoint granularity.
     """
 
@@ -98,8 +102,9 @@ class SieveEngine:
             raise ValueError(f"sieve degree must be 1..6, got {degree}")
         self.degree = degree
         self.space = full_mask(degree)  # masks 1 .. space inclusive
-        self.table = np.ones(self.space + 1, dtype=bool)
-        self.table[0] = False
+        # Bit m (LSB first) is set once mask m is claimed; mask 0 never lives.
+        self.table = np.zeros((self.space + 8) // 8, dtype=np.uint8)
+        self.table[0] = 1
         self.position = 1
 
     @property
@@ -108,60 +113,73 @@ class SieveEngine:
 
     def run_range(self, span: int) -> list[OrbitInfo]:
         """Process masks [position, position + span) and advance position."""
+        if span < 1:
+            raise ValueError(f"sieve span must be positive, got {span}")
         lo = self.position
         hi = min(lo + span, self.space + 1)
         out: list[OrbitInfo] = []
         luts = _byte_luts(self.degree)
-        nbytes = luts.shape[1]
+        nbytes = luts.shape[0]
         ev_mask, dx, dy, dz = _filter_masks(self.degree)
         inv_filters = [
             np.uint32(~m & 0xFFFFFFFF) for m in (ev_mask, dx, dy, dz)
         ]
 
-        cand_all = np.flatnonzero(self.table[lo:hi]).astype(np.int64) + lo
+        first = lo & ~7
+        live = np.unpackbits(~self.table[first >> 3 : (hi + 7) >> 3],
+                             bitorder="little")
+        cand_all = np.flatnonzero(live[lo - first : hi - first])
+        cand_all += lo
+        cand_bit = np.left_shift(np.uint8(1), cand_all.astype(np.uint8) & 7)
         for start in range(0, len(cand_all), BLOCK):
             cand = cand_all[start : start + BLOCK]
-            cand = cand[self.table[cand]]  # drop masks claimed by earlier blocks
+            # Drop masks claimed by earlier blocks.
+            claimed = self.table[cand >> 3] & cand_bit[start : start + BLOCK]
+            cand = cand[claimed == 0]
             if len(cand) == 0:
                 continue
-            cand32 = cand.astype(np.uint32)
+            cand32 = cand.astype("<u4")
 
-            imgs = np.zeros((GL3_ORDER, len(cand)), dtype=np.uint32)
-            for bp in range(nbytes):
-                byte = ((cand32 >> np.uint32(8 * bp)) & np.uint32(0xFF)).astype(np.intp)
-                imgs ^= luts[:, bp, :][:, byte]
+            cbytes = cand32.view(np.uint8).reshape(-1, 4)
+            imgs = luts[0][cbytes[:, 0]]
+            for bp in range(1, nbytes):
+                imgs ^= luts[bp][cbytes[:, bp]]
 
-            orbit_min = imgs.min(axis=0)
-            rep_sel = orbit_min == cand32
+            rep_sel = imgs.min(axis=1) == cand32
             reps = cand32[rep_sel]
             if len(reps):
-                rimgs = np.ascontiguousarray(imgs[:, rep_sel])
+                rimgs = imgs[rep_sel]
 
                 # Orbit-stabilizer: |O| = 168 / #{M : rep M = rep}.
-                sizes = GL3_ORDER // np.count_nonzero(rimgs == reps, axis=0)
+                sizes = GL3_ORDER // np.count_nonzero(rimgs == reps[:, None], axis=1)
 
                 triv = np.zeros(len(reps), dtype=bool)
                 if self.degree >= 2:
                     for inv in inv_filters:
-                        triv |= ((rimgs & inv) == 0).any(axis=0)
+                        triv |= ((rimgs & inv) == 0).any(axis=1)
 
                 for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
                     out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
 
-                # Clearing only the representatives' images leaves the table
-                # that clearing every candidate's would.  A live candidate
-                # that is not its orbit's minimum m was not cleared by m in
-                # an earlier block, and a minimum is never cleared before it
-                # is scanned, so m is among this block's `reps`.
-                self.table[rimgs.reshape(-1)] = False
+                # Claiming only the representatives' images leaves the table
+                # that claiming every candidate's would.  A live candidate
+                # that is not its orbit's minimum m was not claimed by m in
+                # an earlier block, and a minimum is never claimed before it
+                # is scanned, so m is among this block's `reps`.  One pass
+                # per bit position: repeated bytes in a pass all set the
+                # same bit, so the last write of each is correct.
+                flat = rimgs.reshape(-1)
+                at = (flat >> 3).astype(np.intp)
+                bit = (flat & 7).astype(np.uint8)
+                for k in range(8):
+                    self.table[at[bit == k]] |= np.uint8(1 << k)
 
         self.position = hi
         return out
 
     def pack_state(self) -> tuple[int, bytes]:
-        """(position, table packed one bit per mask, LSB first)."""
-        packed = np.packbits(self.table, bitorder="little")
-        return self.position, packed.tobytes()
+        """(position, live table packed one bit per mask, LSB first)."""
+        return self.position, (~self.table).tobytes()
 
 
 def _scan(degree: int) -> Iterator[OrbitInfo]:

@@ -256,7 +256,7 @@ def format_poly(f: PolyMask) -> str:
                 factors.append(var)
             elif e > 1:
                 factors.append(f"{var}^{e}")
-        parts.append("*".join(factors))
+        parts.append("*".join(factors) or "1")
     return " + ".join(parts)
 
 
@@ -270,6 +270,8 @@ def parse_poly(text: str) -> PolyMask:
         exps = {"x": 0, "y": 0, "z": 0}
         for factor in term.split("*"):
             factor = factor.strip()
+            if factor == "1":
+                continue
             if "^" in factor:
                 var, _, e = factor.partition("^")
                 var = var.strip()

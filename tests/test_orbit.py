@@ -261,3 +261,42 @@ def test_sieve_output_independent_of_block(monkeypatch):
         for other_infos, other_table in runs[1:]:
             assert other_infos == infos
             assert np.array_equal(other_table, table)
+
+
+def test_run_range_rejects_nonpositive_span():
+    eng = SieveEngine(3)
+    eng.run_range(100)
+    for span in (0, -50):
+        with pytest.raises(ValueError):
+            eng.run_range(span)
+    assert eng.position == 101
+
+
+def test_claimed_bits_match_orbit_oracle():
+    # The table holds one bit per mask, LSB first; after a scan that stops
+    # inside a byte, the set bits are mask 0 and the orbits of the emitted
+    # representatives, and pack_state is the bool live table packed by numpy.
+    eng = SieveEngine(4)
+    stop = 4003
+    infos = []
+    while eng.position < stop:
+        infos += eng.run_range(min(1000, stop - eng.position))
+    assert eng.position == stop and stop % 8
+    claimed = {0} | {g.bits for i in infos for g in orbit_of(i.rep)}
+    bits = np.unpackbits(eng.table, bitorder="little")
+    assert set(np.flatnonzero(bits).tolist()) == claimed
+    live = np.ones(full_mask(4) + 1, dtype=bool)
+    live[sorted(claimed)] = False
+    assert eng.pack_state() == (stop, np.packbits(live, bitorder="little").tobytes())
+    assert SieveEngine(6).table.nbytes == 2**25
+
+
+def test_degree6_sieve_prefix():
+    # Degree 6 is the only degree whose masks use all four bytes.  The first
+    # 2^21 masks hold 85,000 orbit minima, all trivially reducible.
+    eng = SieveEngine(6)
+    infos = eng.run_range(1 << 20) + eng.run_range(1 << 20)
+    assert eng.position == (1 << 21) + 1
+    assert len(infos) == 85_000
+    assert all(i.trivially_reducible for i in infos)
+    assert sum(i.orbit_size for i in infos) == 14_025_690

@@ -255,6 +255,22 @@ def test_text_and_mask_id_round_trip():
         parse_mask_id("d6:0x0")
 
 
+def test_text_round_trip_degrees_0_to_6():
+    # The constant prints as "1", as the partial derivative of a linear form
+    # does, and parses back.
+    assert format_poly(PolyMask(0, 1)) == "1"
+    assert format_poly(partials(parse_poly("x + y"))[0]) == "1"
+    assert parse_poly("1") == PolyMask(0, 1)
+    rng = random.Random(19)
+    for d in range(7):
+        top = full_mask(d)
+        masks = {1, top, *(1 << t for t in range(basis_size(d)))}
+        masks |= {rng.randint(1, top) for _ in range(20)}
+        for bits in masks:
+            f = PolyMask(d, bits)
+            assert parse_poly(format_poly(f)) == f, f
+
+
 @given(st.integers(1, 6), st.data())
 @settings(max_examples=200, deadline=None)
 def test_mask_id_round_trip_random(d, data):
