@@ -62,11 +62,6 @@ class BoundTable:
         return bound, source
 
 
-def effective_bound(q: int, g: int, table: BoundTable | None = None
-                    ) -> tuple[int, str]:
-    return (table or BoundTable()).effective(q, g)
-
-
 def load_lauter(path: str | Path | None = None) -> BoundTable:
     """Parse a "q g bound" file ('#' comments); rejects duplicates and any
     entry that is not an improvement on the Serre bound."""
@@ -125,8 +120,7 @@ def genus_interval(d: int, r: int, per_field_smooth: dict[int, int]
 
 
 def smooth_model_range(q: int, smooth: int, credited: int, d: int, r: int,
-                       genus_hi: int, table: BoundTable | None = None
-                       ) -> tuple[int, int]:
+                       genus_hi: int, table: BoundTable) -> tuple[int, int]:
     """(N_lo, N_hi) for the smooth-model point count over F_q.
 
     N_lo adds only blowup points from ordinary singularities (exact_known).
@@ -143,5 +137,5 @@ def smooth_model_range(q: int, smooth: int, credited: int, d: int, r: int,
         cap = smooth + d - 1
     else:
         cap = smooth + (d // 2) * r + 1
-    bound, _ = effective_bound(q, genus_hi, table)
+    bound, _ = table.effective(q, genus_hi)
     return n_lo, min(cap, bound)

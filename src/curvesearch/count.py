@@ -23,26 +23,26 @@ the representative it was expanded from, and a count keeps the smooth
 points' degrees.
 
 A curve's values come from one log-domain evaluator over its own
-monomials, in one pass over the representatives.  The search counts many
-curves of one degree over several fields, so it counts through a
-`JointCounter`: its columns concatenate the representatives of all the
-fields, and the fields' counters hold column views of them.  Addition is
-XOR in every F_{2^m}, so one accumulator over the joint columns holds a
-curve's values in every field at once.  Each degree's monomial table (the
-values of every basis monomial at every joint column) is built up front,
-one field's column segment at a time, and each field's
-`PointCounter.monomial_table` is a view of it.  Curves come in sieve order,
-where consecutive orbit minima share most monomials, so the accumulator
-keeps the last curve's values and is updated by the rows of the monomials
-in which the two curves differ; where those are more rows than the curve
-has, the curve is accumulated in full.  The zeros are found in one scan
-and the partials evaluated once, at all the zeros; the zeros are then split
-per field by column offset, and each field's counter tallies its own, as
-its `count` does.  Tables pay for themselves only over many counts (tens
-of MB for the largest fields), so single-curve counting (`count_points`,
-`verify`) goes through `PointCounter.count`, which builds none.  A table
-that cannot be allocated leaves its degree on the evaluator; both paths
-give the same values.
+monomials, in one pass over the representatives; this is how a standalone
+`PointCounter` counts (`count_points`, `verify`, the certificate), and it
+builds no tables, which pay for themselves only over many counts (tens of
+MB for the largest fields).  Bulk counting goes through a `JointCounter`,
+over one field or several, which is the only owner of monomial tables: its
+columns concatenate the representatives of all its fields, and the
+fields' counters hold column views of them.  Addition is XOR in every
+F_{2^m}, so one accumulator over the joint columns holds a curve's values
+in every field at once.  Each degree's monomial table (the values of every
+basis monomial at every joint column) is built up front, one field's
+column segment at a time by that field's evaluator, and each member's
+`PointCounter.monomial_table` is a view of its columns.  Curves come in
+sieve order, where consecutive orbit minima share most monomials, so the
+accumulator keeps the last curve's values and is updated by the rows of
+the monomials in which the two curves differ; where those are more rows
+than the curve has, the curve is accumulated in full.  The zeros are found
+in one scan and the partials evaluated once, at all the zeros; the zeros
+are then split per field by column offset, and each field's counter
+tallies its own, as its `count` does.  A table that cannot be allocated
+leaves its degree on the evaluator; both paths give the same values.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -98,9 +97,9 @@ class PointCounter:
 
     `coords` holds the orbit minima of P^2(F_q) in canonical order (one
     column each) and `weights` their orbit sizes, which sum to `n_points`
-    = q^2 + q + 1.  Monomial tables are stored monomial-major (row t =
-    values of basis monomial t at every representative) so that
-    accumulating a curve is a sequence of contiguous XOR passes.
+    = q^2 + q + 1.  A counter evaluates each curve's own monomials and
+    keeps no tables; a member of a `JointCounter` reads its columns of the
+    joint tables through `monomial_table`.
     """
 
     def __init__(self, field: FieldTable):
@@ -140,8 +139,6 @@ class PointCounter:
         self.coords = coords
         self.weights = weights
         self._square = orbit[1].tolist()
-        # degree -> monomial table, or None where the allocation failed
-        self._tables: dict[int, np.ndarray | None] = {}
         # The `JointCounter` that holds this counter's columns, and which of
         # its columns they are, if any.  The reference is weak, so that no
         # cycle keeps the joint tables alive after the joint counter goes.
@@ -171,32 +168,16 @@ class PointCounter:
                     row[z] = 0
             yield row
 
-    def _fill_table(self, d: int, out: np.ndarray) -> None:
-        """Write the degree-d table into `out`, which may be this field's
-        columns of a joint table."""
-        for t, row in enumerate(self._monomial_rows(d, range(len(out)), slice(None))):
-            out[t] = row
-
-    def _build_table(self, d: int) -> np.ndarray:
-        out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
-        self._fill_table(d, out)
-        return out
-
     def monomial_table(self, d: int) -> np.ndarray | None:
-        """Build (once) and keep the degree-d table, so that later counts of
-        degree-d curves, or of degree-(d+1) curves' partials, use it; None
-        when it does not fit in memory (degree d then uses the evaluator).
-        A counter inside a live `JointCounter` returns its columns of the
-        joint table, which the first such call builds for every field."""
-        if d not in self._tables:
-            joint = self._joint and self._joint[0]()
-            if joint is None:
-                self._tables[d] = _table_or_none(self._build_table, d,
-                                                 f"q={self.q}")
-            else:
-                table = joint.monomial_table(d)
-                self._tables[d] = None if table is None else table[:, self._joint[1]]
-        return self._tables[d]
+        """This counter's columns of its joint counter's degree-d table,
+        which the first call for d builds for every field; None for a
+        counter outside a live `JointCounter`, or where the table does not
+        fit in memory (degree d then uses the evaluator)."""
+        joint = self._joint and self._joint[0]()
+        if joint is None:
+            return None
+        table = joint.monomial_table(d)
+        return None if table is None else table[:, self._joint[1]]
 
     # -- evaluation ------------------------------------------------------------
 
@@ -205,12 +186,8 @@ class PointCounter:
         """Values of the degree-d form with basis monomials `cols` at the
         representatives `sel` (a slice or an index array); `cols` is not
         empty."""
-        table = self._tables.get(d)
-        if table is None:
-            rows = self._monomial_rows(d, cols, sel)
-        else:
-            rows = (table[c][sel] for c in cols)
-        acc = next(rows).copy()
+        rows = self._monomial_rows(d, cols, sel)
+        acc = next(rows)
         for row in rows:
             acc ^= row
         return acc
@@ -270,17 +247,27 @@ class JointCounter:
         self._acc: dict[int, np.ndarray] = {}
 
     def _build_table(self, d: int) -> np.ndarray:
+        """The degree-d table, monomial-major (row t = values of basis
+        monomial t at every column), so that accumulating a curve is a
+        sequence of contiguous XOR passes; each field fills its columns."""
         out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
         for c in self.counters.values():
-            c._fill_table(d, out[:, c._joint[1]])
+            cols = c._joint[1]
+            for t, row in enumerate(c._monomial_rows(d, range(len(out)), slice(None))):
+                out[t, cols] = row
         return out
 
     def monomial_table(self, d: int) -> np.ndarray | None:
         """Build (once) and keep the degree-d table over every field's
         columns; None when it does not fit in memory."""
         if d not in self._tables:
-            self._tables[d] = _table_or_none(self._build_table, d,
-                                             f"q in {tuple(self.counters)}")
+            try:
+                self._tables[d] = self._build_table(d)
+            except MemoryError:
+                warnings.warn(f"monomial table for q in {tuple(self.counters)}, "
+                              f"d={d} does not fit in memory; falling back to "
+                              "direct evaluation")
+                self._tables[d] = None
         return self._tables[d]
 
     def _split(self, sel: np.ndarray
@@ -340,15 +327,6 @@ class JointCounter:
                 for c, own, part in self._split(zeros)}
 
 
-def _table_or_none(build, d: int, where: str) -> np.ndarray | None:
-    try:
-        return build(d)
-    except MemoryError:
-        warnings.warn(f"monomial table for {where}, d={d} does not fit in "
-                      "memory; falling back to direct evaluation")
-        return None
-
-
 def _singular(values_at, f: PolyMask, partial_cols: tuple[tuple[int, ...], ...],
               zeros: np.ndarray) -> np.ndarray:
     """Which of f's zeros are singular: those where every partial vanishes
@@ -360,14 +338,14 @@ def _singular(values_at, f: PolyMask, partial_cols: tuple[tuple[int, ...], ...],
     return singular
 
 
-@lru_cache(maxsize=256)
 def _columns(f: PolyMask) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The basis columns of f and of its nonzero partials, read off once
-    per curve although the curve is counted over several fields."""
+    """The basis columns of f and of its nonzero partials."""
     return (tuple(bit_indices(f.bits)),
             tuple(tuple(bit_indices(p.bits)) for p in partials(f) if p.bits))
 
 
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:
-    """One-shot count for a single curve (tables are only worth it in bulk)."""
+    """One-shot count for a single curve, by the evaluator; bulk counting
+    over one field goes through `JointCounter([field])`, whose tables pay
+    for themselves over many counts."""
     return PointCounter(field).count(f)

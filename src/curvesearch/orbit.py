@@ -61,7 +61,7 @@ def orbit_of(f: PolyMask) -> set[PolyMask]:
     return {PolyMask(f.degree, b) for b in gl3_images(f).tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitInfo:
     """One orbit as emitted by the sieve."""
 

@@ -101,6 +101,11 @@ class SearchConfig:
             raise ConfigError("duplicate field orders")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not -(1 << 31) <= self.keep_margin < 1 << 31:
+            # a checkpoint stores the margin as a signed 32-bit integer
+            raise ConfigError(
+                f"keep_margin must be in -2^31..2^31-1, got {self.keep_margin}"
+            )
         if self.range_bits < 0:
             raise ConfigError(f"range_bits must be >= 0, got {self.range_bits}")
         if self.stop_after_ranges is not None and self.stop_after_ranges < 1:

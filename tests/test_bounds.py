@@ -7,7 +7,6 @@ import pytest
 from curvesearch.bounds import (
     BoundTable,
     GenusInconsistency,
-    effective_bound,
     genus_interval,
     ihara_bound,
     load_lauter,
@@ -81,7 +80,7 @@ def test_effective_bound_sources():
     assert table.effective(8, 6) == (35, "lauter")
     assert table.effective(64, 3) == (113, "serre")
     assert table.effective(8, 8) == (43, "ihara")
-    assert effective_bound(64, 3) == (113, "serre")
+    assert BoundTable().effective(64, 3) == (113, "serre")
 
 
 def test_lauter_loader_validation(tmp_path):

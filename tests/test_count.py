@@ -111,26 +111,28 @@ def test_total_is_smooth_plus_singular_and_bounded():
         assert 0 <= pc.total <= 73
 
 
-def _tabulated(field) -> PointCounter:
-    counter = PointCounter(field)
+def _tabulated(field) -> JointCounter:
+    """A one-field joint counter with its tables for degrees 1..6 built."""
+    joint = JointCounter([field])
     for d in range(1, 7):
-        assert counter.monomial_table(d) is not None
-    return counter
+        assert joint.monomial_table(d) is not None
+    return joint
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_against_naive_oracle(m):
-    # Both count paths: the curve's own monomials, and prebuilt tables.
+    # Both count paths: a counter's evaluator over the curve's own
+    # monomials, and a joint pass over prebuilt tables.
     # F_16 and F_64 mix orbit sizes 1, 2, 4 and 1, 2, 3, 6.
     field = build_field(m)
-    counters = (PointCounter(field), _tabulated(field))
+    counter, joint = PointCounter(field), _tabulated(field)
     rng = random.Random(m)
     for _ in range(200 // m if m < 6 else 12):
         d = rng.randint(1, 6)
         f = PolyMask(d, rng.randint(1, full_mask(d)))
         b = naive_count(f, field)
-        for counter in counters:
-            assert counter.count(f) == b
+        assert counter.count(f) == b
+        assert joint.count_all(f) == {field.order: b}
 
 
 def conjugate_line_triangle() -> PolyMask:
@@ -156,17 +158,17 @@ def test_conjugate_singular_points_expanded_in_order(make):
     assert sorted(b.singular_degrees) == {conjugate_cubic_norm: [1, 2, 2],
                                           conjugate_line_triangle: [3, 3, 3]}[make]
     assert any(c > 1 for p in b.singular_points for c in p)
-    for counter in (PointCounter(f64), _tabulated(f64)):
-        assert counter.count(f) == b
+    assert PointCounter(f64).count(f) == b
+    assert _tabulated(f64).count_all(f) == {64: b}
 
 
 def test_streaming_fallback_matches_tables(monkeypatch):
     # Force the real fallback: table allocation fails.
     f16 = build_field(4)
     with_tables = _tabulated(f16)
-    streaming = PointCounter(f16)
+    streaming = JointCounter([f16])
     # Only the degree-3 table fails: degree 2 (its partials) stays tabulated.
-    partial = PointCounter(f16)
+    partial = JointCounter([f16])
     real_build = partial._build_table
 
     def no_memory(d):
@@ -183,17 +185,18 @@ def test_streaming_fallback_matches_tables(monkeypatch):
     with pytest.warns(UserWarning, match="falling back"):
         for d in range(1, 7):
             assert streaming.monomial_table(d) is None
-    with pytest.warns(UserWarning, match="q=16, d=3"):
+    with pytest.warns(UserWarning, match="q in \\(16,\\), d=3"):
         assert partial.monomial_table(3) is None
+    assert partial.counters[16].monomial_table(3) is None
     assert (partial.monomial_table(2) == with_tables.monomial_table(2)).all()
     for _ in range(40):
         d = rng.randint(1, 6)
         f = PolyMask(d, rng.randint(1, full_mask(d)))
-        a, b = with_tables.count(f), streaming.count(f)
-        assert a == b == naive_count(f, f16)
+        a, b = with_tables.count_all(f), streaming.count_all(f)
+        assert a == b == {16: naive_count(f, f16)}
     for _ in range(20):
         f = PolyMask(3, rng.randint(1, full_mask(3)))
-        assert with_tables.count(f) == partial.count(f)
+        assert with_tables.count_all(f) == partial.count_all(f)
     assert streaming.monomial_table(3) is None
     assert partial.monomial_table(3) is None
 
@@ -252,17 +255,20 @@ def test_joint_pass_against_oracles():
             if key not in naive:
                 naive[key] = naive_count(f, field)
             assert got[field.order] == counter.count(f) == naive[key], (n, f)
-    # The members hold views of the joint columns and tables.
+    # The members hold views of the joint columns and tables: each its own
+    # columns, as a one-field joint counter would build them.
     table = joint.monomial_table(4)
-    for counter, alone in zip(joint.counters.values(), own):
+    for counter, field in zip(joint.counters.values(), fields):
         assert counter.coords.base is joint.coords
         assert counter.weights.base is joint.weights
         assert counter.monomial_table(4).base is table
-        assert (counter.monomial_table(4) == alone.monomial_table(4)).all()
-    # A counter that outlives its joint counter builds its own tables.
+        assert (counter.monomial_table(4)
+                == JointCounter([field]).monomial_table(4)).all()
+    # Only a joint counter holds tables: a standalone counter, or one that
+    # outlives its joint counter, has none.
+    assert own[0].monomial_table(3) is None
     orphan = JointCounter(fields[:1]).counters[8]
-    assert orphan.monomial_table(3).base is None
-    assert (orphan.monomial_table(3) == own[0].monomial_table(3)).all()
+    assert orphan.monomial_table(3) is None
 
 
 def test_joint_pass_over_the_nine_fields():

@@ -59,6 +59,27 @@ def test_config_rejects_negative_range_bits_and_stop():
     SearchConfig(degree=4, fields=(64,), range_bits=0, stop_after_ranges=1)
 
 
+def test_threshold_outside_checkpoint_field_rejected(tmp_path, capsys):
+    # A checkpoint stores the margin as a signed 32-bit integer: a margin
+    # outside it is refused before any sieving, with exit 2 and no
+    # traceback, and the extremes inside it round-trip through a checkpoint.
+    ck, out = tmp_path / "ck.bin", tmp_path / "cat.jsonl"
+    for bad in (1 << 31, 3_000_000_000, -(1 << 31) - 1):
+        assert main(["search", "--degree", "2", "--fields", "8",
+                     "--threshold", str(bad), "--checkpoint", str(ck),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "keep_margin" in err and "Traceback" not in err
+        assert not ck.exists()
+    for margin in ((1 << 31) - 1, -(1 << 31) + 1):
+        cfg = SearchConfig(degree=2, fields=(8,), keep_margin=margin,
+                           checkpoint_path=str(ck), out_path=str(out))
+        assert run_search(cfg) == []
+        # The load checks the stored margin against cfg's; 2^6 ends the scan.
+        assert search._checkpoint_load(str(ck), cfg, load_lauter()) == (1 << 6, 0, 0)
+        ck.unlink()
+
+
 def test_degree4_f64_finds_the_two_record_quartics():
     stats = SearchStats()
     records = run_search(SearchConfig(degree=4, fields=(64,)), stats=stats)
@@ -205,16 +226,16 @@ def test_singular_points_counted_exactly_across_fields():
 
 def test_tables_only_where_counting_repeats(monkeypatch):
     # Single-curve calls evaluate the curve's own monomials; the search
-    # fills each (field, d) and (field, d - 1) segment of the joint tables
-    # once, before counting.
+    # builds the joint degree-d and degree-(d - 1) tables once, before
+    # counting.
     events = []
-    real_fill = PointCounter._fill_table
+    real_build = JointCounter._build_table
     real_count = PointCounter.count
     real_pass = JointCounter.count_all
 
-    def fill(self, d, out):
-        events.append(("build", self.q, d))
-        return real_fill(self, d, out)
+    def build(self, d):
+        events.append(("build", tuple(self.counters), d))
+        return real_build(self, d)
 
     def counting(self, f):
         events.append(("count", self.q, f.degree))
@@ -224,13 +245,13 @@ def test_tables_only_where_counting_repeats(monkeypatch):
         events.append(("count", tuple(self.counters), f.degree))
         return real_pass(self, f)
 
-    monkeypatch.setattr(PointCounter, "_fill_table", fill)
+    monkeypatch.setattr(JointCounter, "_build_table", build)
     monkeypatch.setattr(PointCounter, "count", counting)
     monkeypatch.setattr(JointCounter, "count_all", joint_pass)
     f = parse_poly("x^5 + y^5 + z^5")
     assert verify(f, 64).counts[64].smooth == count_points(f, build_field(6)).smooth
     assert ("count", 64, 5) in events
-    assert not [e for e in events if e[0] == "build" and e[1] == 64]
+    assert not [e for e in events if e[0] == "build"]
 
     # The certificate counts the fields the search does not cover (F_16,
     # F_32, F_256, ...) one curve at a time, without tables.
@@ -239,7 +260,7 @@ def test_tables_only_where_counting_repeats(monkeypatch):
     assert run_search(SearchConfig(degree=4, fields=fields, jobs=1))
     first_count = next(i for i, e in enumerate(events) if e[0] == "count")
     builds = [e for e in events if e[0] == "build"]
-    assert sorted(builds) == [("build", q, d) for q in fields for d in (3, 4)]
+    assert sorted(builds) == [("build", fields, d) for d in (3, 4)]
     assert events[:first_count] == builds
     assert events[first_count] == ("count", fields, 4)
 

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from curvesearch import search
-from curvesearch.count import PointCounter
+from curvesearch.count import JointCounter
 from curvesearch.gf2m import build_field
 from curvesearch.polyrep import parse_poly
 
@@ -17,7 +17,8 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
     # so a renamed or removed one fails here rather than in a --trace 1 run.
     # The count hooks also read counter attributes (q, n_points) after each
     # call, so one table build and one count run under the tracer, and the
-    # certificate hook reads its result, so one certificate runs too.
+    # certificate hook reads its result, so one certificate runs too.  Only
+    # a joint counter's members have tables, so the counter is one of those.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("layers", "tracer", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
@@ -29,7 +30,8 @@ def test_traced_benchmark_patches_resolve(monkeypatch):
         layers.install(tracer)
         patched = list(tracer._patches)
         with tracer.span("search", "root"):
-            counter = PointCounter(build_field(3))
+            joint = JointCounter([build_field(3)])
+            counter = joint.counters[8]
             counter.monomial_table(2)
             f = parse_poly("x^3 + y^2*z + y*z^2")
             search.certify_absolute(f, {8: counter.count(f)})
