@@ -31,18 +31,29 @@ over one field or several, which is the only owner of monomial tables: its
 columns concatenate the representatives of all its fields, and the
 fields' counters hold column views of them.  Addition is XOR in every
 F_{2^m}, so one accumulator over the joint columns holds a curve's values
-in every field at once.  Each degree's monomial table (the values of every
-basis monomial at every joint column) is built up front, one field's
+in every field at once.  A degree's monomial table (the values of every
+basis monomial at every joint column) is built on request, one field's
 column segment at a time by that field's evaluator, and each member's
-`PointCounter.monomial_table` is a view of its columns.  Curves come in
-sieve order, where consecutive orbit minima share most monomials, so the
-accumulator keeps the last curve's values and is updated by the rows of
-the monomials in which the two curves differ; where those are more rows
-than the curve has, the curve is accumulated in full.  The zeros are found
-in one scan and the partials evaluated once, at all the zeros; the zeros
-are then split per field by column offset, and each field's counter
-tallies its own, as its `count` does.  A table that cannot be allocated
-leaves its degree on the evaluator; both paths give the same values.
+`PointCounter.monomial_table` is a view of its columns; a search builds
+the table of its own degree only (29.5 MB at degree 6 and 22.2 MB at
+degree 5 over F_8..F_2048).  Curves come in sieve order, where
+consecutive orbit minima share most monomials, so the accumulator keeps
+the last curve's values and is updated by the rows of the monomials in
+which the two curves differ; where those are more rows than the curve
+has, the curve is accumulated in full.  The zeros are found in one scan
+and the partials evaluated once, at all the zeros; the zeros are then
+split per field by column offset, and each field's counter tallies its
+own, as its `count` does.
+
+The partials have degree d - 1, but they are read off the degree-d table.
+Every column is a normalized point P, whose leading coordinate x_v (the
+first nonzero one of x, y, z) is 1, so g(P) = (x_v g)(P) for any form g,
+and x_v f_w is a degree-d form: its monomials are the lifts x_v m / x_w of
+f's monomials m with an odd exponent of x_w.  Only two partials are read:
+by Euler's identity x f_x + y f_y + z f_z = d f, at a zero f_v(P) is the
+sum over w != v of x_w f_w(P), so f_v vanishes where the other two do.  A
+table that cannot be allocated leaves its degree on the evaluator,
+partials included (at degree d - 1); both paths give the same values.
 """
 
 from __future__ import annotations
@@ -50,12 +61,20 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .gf2m import FieldTable
-from .polyrep import PolyMask, basis_size, bit_indices, monomials, partials
+from .polyrep import (
+    PolyMask,
+    basis_size,
+    bit_indices,
+    monomial_index,
+    monomials,
+    partials,
+)
 
 @dataclass(frozen=True)
 class PointCount:
@@ -150,23 +169,22 @@ class PointCounter:
         representatives `sel` (a slice or an index array), one row per
         monomial.
 
-        Computed in the log domain: x^i y^j z^k = exp[(i log x + j log y +
-        k log z) mod (q - 1)], zeroed where a coordinate with a positive
-        exponent is 0 (log 0 is only a sentinel).
+        Computed in the log domain: x^i y^j z^k = exp[i log x + j log y +
+        k log z], with no reduction mod q - 1 and no patching of zeros: the
+        exp table is repeated up to s = d (q - 2) + 1, one more than any sum
+        of d true logs, and is 0 from s to d s; log 0 is s, so a sum that
+        takes it (a zero coordinate with a positive exponent) lands there.
         """
-        field = self.field
-        xyz = [self.coords[v][sel] for v in range(3)]
-        logs = [field.log[c] for c in xyz]
-        zeros = [np.flatnonzero(c == 0) for c in xyz]
+        s = d * (self.q - 2) + 1
+        exp = np.zeros(d * s + 1, dtype=self.field.exp.dtype)
+        exp[:s] = np.resize(self.field.exp, s)
+        log = self.field.log.astype(np.int32)
+        log[0] = s
+        logs = [log[self.coords[v][sel]] for v in range(3)]
         basis = monomials(d)
         for c in cols:
             exps = basis[c]  # i + j + k = d >= 1, so the sum is an array
-            e = sum(k * lg for k, lg in zip(exps, logs) if k)
-            row = field.exp[e % (self.q - 1)]
-            for k, z in zip(exps, zeros):
-                if k:
-                    row[z] = 0
-            yield row
+            yield exp[sum(k * lg for k, lg in zip(exps, logs) if k)]
 
     def monomial_table(self, d: int) -> np.ndarray | None:
         """This counter's columns of its joint counter's degree-d table,
@@ -181,7 +199,7 @@ class PointCounter:
 
     # -- evaluation ------------------------------------------------------------
 
-    def values_at(self, d: int, cols: tuple[int, ...], sel: slice | np.ndarray
+    def values_at(self, d: int, cols: list[int], sel: slice | np.ndarray
                   ) -> np.ndarray:
         """Values of the degree-d form with basis monomials `cols` at the
         representatives `sel` (a slice or an index array); `cols` is not
@@ -196,9 +214,9 @@ class PointCounter:
         """Totals plus the singular points (all partials vanishing)."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
-        cols, partial_cols = _columns(f)
+        cols = bit_indices(f.bits)
         zeros = np.flatnonzero(self.values_at(f.degree, cols, slice(None)) == 0)
-        return self._tally(zeros, _singular(self.values_at, f, partial_cols, zeros))
+        return self._tally(zeros, _singular(self.values_at, f, zeros))
 
     def _tally(self, zeros: np.ndarray, singular: np.ndarray) -> PointCount:
         """The count from the representatives `zeros` on the curve, of which
@@ -241,6 +259,11 @@ class JointCounter:
             c.coords, c.weights = self.coords[:, cols], self.weights[cols]
             c._joint = (weakref.ref(self), cols)
         self.counters = {c.q: c for c in counters}
+        # Per field: its first column on the line x = 0, its column of
+        # (0:0:1), which is its last, and its end.
+        self._edges = np.array([(lo + np.count_nonzero(c.coords[0]), hi - 1, hi)
+                                for c, lo, hi in zip(counters, self.offsets,
+                                                     self.offsets[1:])]).ravel()
         self._tables: dict[int, np.ndarray | None] = {}
         # degree -> the last curve counted (0 before the first) and its values
         self._last: dict[int, int] = {}
@@ -278,21 +301,14 @@ class JointCounter:
         for c, lo, a, b in zip(self.counters.values(), self.offsets, cuts, cuts[1:]):
             yield c, sel[a:b] - lo, slice(a, b)
 
-    def values_at(self, d: int, cols: tuple[int, ...], sel: np.ndarray
-                  ) -> np.ndarray:
+    def values_at(self, d: int, cols: list[int], sel: np.ndarray) -> np.ndarray:
         """Values of the degree-d form with basis monomials `cols` at the
-        ascending columns `sel`; without a table, each field evaluates its
-        own."""
-        table = self._tables.get(d)
-        if table is None:
-            return np.concatenate([c.values_at(d, cols, own)
-                                   for c, own, _ in self._split(sel)])
-        acc = table[cols[0], sel]
-        for c in cols[1:]:
-            acc ^= table[c, sel]
-        return acc
+        ascending columns `sel`, each field evaluating its own; the path of
+        a degree without a table."""
+        return np.concatenate([c.values_at(d, cols, own)
+                               for c, own, _ in self._split(sel)])
 
-    def _values(self, f: PolyMask, cols: tuple[int, ...]) -> np.ndarray:
+    def _values(self, f: PolyMask, cols: list[int]) -> np.ndarray:
         """f's values at every column: the last degree-d curve's, updated by
         the rows of the monomials in which the two differ, or from zero by
         f's own rows where those are fewer.  The result is the accumulator
@@ -320,28 +336,92 @@ class JointCounter:
         each field's tally of its own zeros."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
-        cols, partial_cols = _columns(f)
+        cols = bit_indices(f.bits)
         zeros = np.flatnonzero(self._values(f, cols) == 0)
-        singular = _singular(self.values_at, f, partial_cols, zeros)
+        table = self._tables.get(f.degree)
+        singular = (_singular(self.values_at, f, zeros) if table is None
+                    else self._singular_lifted(table, f, cols, zeros))
         return {c.q: c._tally(own, singular[part])
                 for c, own, part in self._split(zeros)}
 
+    def _singular_lifted(self, table: np.ndarray, f: PolyMask, cols: list[int],
+                         zeros: np.ndarray) -> np.ndarray:
+        """Which of f's zeros are singular, from the degree-d table: at a
+        zero with leading coordinate x_v, the two partials f_w, w != v, are
+        read as the table's values of x_v f_w (see the module docstring).
+        Every zero is read as affine first, from one gather of each row the
+        lifts use; those on the line x = 0 are then read again."""
+        lifts = _lifts(f.degree)
+        forms = _lifted_rows(lifts[0], cols)
+        rows = {r: table[r].take(zeros) for r in set().union(*forms)}
+        singular = _vanishing(rows, forms, len(zeros))
+        cuts = zeros.searchsorted(self._edges).tolist()
+        line = [p for start, last in zip(cuts[::3], cuts[1::3])
+                for p in range(start, last)]
+        if line:
+            at = zeros[line]
+            singular[line] = _vanishing(table.take(at, axis=1),
+                                        _lifted_rows(lifts[1], cols), len(at))
+        # At (0:0:1) every basis monomial but the last, z^d, vanishes.
+        apex = all(len(table) - 1 not in form
+                   for form in _lifted_rows(lifts[2], cols))
+        for last, end in zip(cuts[1::3], cuts[2::3]):
+            if end > last:
+                singular[last] = apex
+        return singular
 
-def _singular(values_at, f: PolyMask, partial_cols: tuple[tuple[int, ...], ...],
-              zeros: np.ndarray) -> np.ndarray:
-    """Which of f's zeros are singular: those where every partial vanishes
-    (the gradient of a nonzero linear form is a nonzero constant)."""
+
+def _lifted_rows(lifts: tuple[tuple[int, ...], ...], cols: list[int]
+                 ) -> list[list[int]]:
+    """The rows of x_v f_w for the two w != v, from x_v's `_lifts` and
+    the basis monomials `cols` of f."""
+    return [[r for t in cols if (r := lift[t]) >= 0] for lift in lifts]
+
+
+def _vanishing(rows, forms: list[list[int]], n: int) -> np.ndarray:
+    """Where, of n columns, every one of `forms` vanishes: a form is a
+    list of rows, and `rows[r]` holds row r at those columns."""
+    nonzero = None
+    for form in forms:
+        if form:
+            acc = rows[form[0]]
+            for r in form[1:]:
+                acc = acc ^ rows[r]
+            nonzero = acc if nonzero is None else nonzero | acc
+    return np.ones(n, dtype=bool) if nonzero is None else nonzero == 0
+
+
+def _singular(values_at, f: PolyMask, zeros: np.ndarray) -> np.ndarray:
+    """Which of f's zeros are singular: those where every nonzero partial
+    vanishes (the gradient of a linear form is a nonzero constant), by the
+    degree-(d - 1) `values_at`."""
     singular = np.full(len(zeros), f.degree > 1)
     if f.degree > 1:
-        for pcols in partial_cols:
-            singular &= values_at(f.degree - 1, pcols, zeros) == 0
+        for p in partials(f):
+            if p.bits:
+                singular &= values_at(f.degree - 1, bit_indices(p.bits), zeros) == 0
     return singular
 
 
-def _columns(f: PolyMask) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The basis columns of f and of its nonzero partials."""
-    return (tuple(bit_indices(f.bits)),
-            tuple(tuple(bit_indices(p.bits)) for p in partials(f) if p.bits))
+@lru_cache(maxsize=None)
+def _lifts(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """`_lifts(d)[v]`, for x_0, x_1, x_2 = x, y, z, holds one map for each
+    w != v, in ascending order: entry t is the degree-d basis index of
+    x_v dm/dx_w for the basis monomial m = m_t, or -1 where m's exponent
+    of x_w is even and its derivative vanishes mod 2.  A lift is
+    injective, so x_v f_w is the set of lifts of f's monomials."""
+    basis, index = monomials(d), monomial_index(d)
+
+    def lift(v: int, w: int, e: tuple[int, int, int]) -> int:
+        if e[w] % 2 == 0:
+            return -1
+        e = list(e)
+        e[w] -= 1
+        e[v] += 1
+        return index[tuple(e)]
+
+    return tuple(tuple(tuple(lift(v, w, e) for e in basis)
+                       for w in range(3) if w != v) for v in range(3))
 
 
 def count_points(f: PolyMask, field: FieldTable) -> PointCount:

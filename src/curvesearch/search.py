@@ -33,6 +33,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import IO, Iterable, Iterator
 
 from .bounds import (
@@ -525,7 +526,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     batches of at most 64 in sieve order; a range with none is not
     dispatched.  Each worker counts an orbit over every field in one joint
     pass, updated from the last orbit it counted (see `CurvePipeline`), so
-    the joint monomial tables are built in the parent before forking.  The
+    the joint monomial table is built in the parent before forking.  The
     parent sieves exactly one range ahead: it sieves range k + 1 while the
     workers count range k, then writes range k's records and checkpoints the
     scan position at the end of k, so the catalog keeps its order.  A resume
@@ -565,11 +566,11 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         while engine.position < position:
             engine.run_range(min(span, position - engine.position))
         # Every counted orbit is counted over every field, so the joint
-        # tables pay for themselves; built before forking, workers share the
+        # degree-d table pays for itself, and the partials are read off it
+        # too (see `count.JointCounter`): one table, 29.5 MB at degree 6
+        # over the nine fields.  Built before forking, workers share the
         # parent's read-only pages instead of each building their own.
         pipeline.joint.monomial_table(cfg.degree)
-        if cfg.degree > 1:
-            pipeline.joint.monomial_table(cfg.degree - 1)
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
@@ -714,9 +715,23 @@ def read_catalog(path: str, *, lenient_tail: bool = False) -> list[CurveRecord]:
 # -- single-curve verification -----------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _bundled_bounds() -> BoundTable:
+    """The bundled Lauter table, parsed once per process."""
+    return load_lauter(None)
+
+
+@lru_cache(maxsize=None)
+def _verify_pipeline(q: int) -> CurvePipeline:
+    """`verify`'s pipeline over F_q under the bundled table, one per q per
+    process; a single-curve analysis leaves nothing in it."""
+    return CurvePipeline((q,), _bundled_bounds())
+
+
 def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
            ) -> CurveRecord:
-    """Full analysis of one curve over one field (regression entry point)."""
+    """Full analysis of one curve over one field (regression entry point);
+    an explicit `lauter_path` is parsed on each call."""
     if isinstance(poly, str):
         poly = poly.strip()
         f = parse_mask_id(poly) if poly.startswith("d") and ":" in poly \
@@ -731,8 +746,8 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
         raise ConfigError(f"{format_poly(f)} is trivially reducible")
     if q not in SUPPORTED_FIELDS and q not in (2, 4):
         raise ConfigError(f"unsupported field order {q}")
-    bound_table = load_lauter(lauter_path)
-    pipeline = CurvePipeline((q,), bound_table)
+    pipeline = (_verify_pipeline(q) if lauter_path is None
+                else CurvePipeline((q,), load_lauter(lauter_path)))
     counts = {q: pipeline.counters[q].count(f)}
     orbit_size = len(orbit_of(f))
     record = pipeline.analyze(f, orbit_size, counts)
@@ -759,7 +774,7 @@ def report(records: Iterable[CurveRecord], bound_table: BoundTable | None = None
     appendix.  The records are folded one at a time, keeping only the best
     value of each (q, g) and the appendix line of each ambiguous record, so
     `records` may be a generator over a catalog file (`iter_catalog`)."""
-    bound_table = bound_table or load_lauter(None)
+    bound_table = bound_table or _bundled_bounds()
     genera = range(1, 11)
 
     seen = False

@@ -11,9 +11,10 @@ tests call.  The package never imports this module.
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
 monic divisors in the graded-lex term order, pruned by Newton-corner
 compatibility (the leading and trailing monomials of a divisor must divide
-those of the target); division by a single divisor leaves remainder zero
-exactly on multiples.  Over F_{2^s} only the s conjugate factors of degree
-d/s of an F_2-irreducible f are swept.
+those of the target) and by the points off the target (a divisor vanishes
+only where the target does); division by a single divisor leaves remainder
+zero exactly on multiples.  Over F_{2^s} only the s conjugate factors of
+degree d/s of an F_2-irreducible f are swept.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from curvesearch.polyrep import (
     bit_indices,
     decode,
     encode,
+    evaluate,
     monomial_index,
     monomials,
     partials,
@@ -323,14 +325,48 @@ def _monic_forms(e: int, field: FieldTable, lead_f: Triple, trail_f: Triple
 
 def _sweep(f: PolyMask, degrees: Iterable[int], k: int) -> Factor | None:
     """Trial division: the first monic divisor of f over F_{2^k} whose
-    degree is in `degrees`, or None."""
+    degree is in `degrees`, or None.
+
+    A divisor of f vanishes only where f does, so a candidate that vanishes
+    at a point of P^2(F_{2^s}) off f, s = max(k, 2), is rejected before
+    dividing (0 and 1 are the same elements of F_2 and F_4); exact division
+    decides the rest."""
     fd = mask_to_dict(f)
     field = build_field(k)
+    s = max(k, 2)
+    mul = _mul_table(s)
+    off_f = [i for i, values in enumerate(_point_values(s, f.degree))
+             if _value(fd, values, mul)]
     for e in degrees:
+        at = [_point_values(s, e)[i] for i in off_f]
         for g in _monic_forms(e, field, _leading(fd), _trailing(fd)):
-            if hom_divmod(fd, g, field)[1]:
+            if all(_value(g, values, mul) for values in at) \
+                    and hom_divmod(fd, g, field)[1]:
                 return _witness(g, k)
     return None
+
+
+@lru_cache(maxsize=None)
+def _mul_table(k: int) -> list[list[int]]:
+    field = build_field(k)
+    return [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+
+
+@lru_cache(maxsize=None)
+def _point_values(k: int, e: int) -> tuple[dict[Triple, int], ...]:
+    """The value of each degree-e monomial at each point of P^2(F_{2^k}),
+    points in canonical order."""
+    field = build_field(k)
+    return tuple({m: evaluate(encode([m]), p, field) for m in monomials(e)}
+                 for p in projective_points(field))
+
+
+def _value(g: HomPoly, values: dict[Triple, int], mul: list[list[int]]) -> int:
+    """g at a point, from its monomials' `values` there and a product table."""
+    acc = 0
+    for m, c in g.items():
+        acc ^= mul[c][values[m]]
+    return acc
 
 
 def find_factor(f: PolyMask, k: int) -> Factor | None:

@@ -9,6 +9,7 @@ from oracles import conjugate_cubic_norm, generator, hom_mul, naive_count
 
 from curvesearch.count import (
     JointCounter,
+    PointCount,
     PointCounter,
     count_points,
     projective_points,
@@ -167,7 +168,7 @@ def test_streaming_fallback_matches_tables(monkeypatch):
     f16 = build_field(4)
     with_tables = _tabulated(f16)
     streaming = JointCounter([f16])
-    # Only the degree-3 table fails: degree 2 (its partials) stays tabulated.
+    # Only the degree-3 table fails: degree 2 stays tabulated.
     partial = JointCounter([f16])
     real_build = partial._build_table
 
@@ -291,10 +292,66 @@ def test_joint_pass_over_the_nine_fields():
             assert got[field.order] == naive_count(f, field), f
 
 
+NINE_FIELDS = [build_field(m) for m in range(3, 12)]
+
+
+def _off_affine_singular_curves() -> list[PolyMask]:
+    """Curves singular off the affine chart x = 1: nodes at (0:0:1) and
+    at (0:1:0), and a quartic in the square of the ideal (x, y^2 + y z +
+    z^2) of the conjugate pair (0:1:a), (0:1:a^2), a in F_4 outside F_2."""
+    return [parse_poly("x^3 + y^3 + x*y*z"), parse_poly("x^3 + z^3 + x*y*z"),
+            parse_poly("x^3*y + x*y^2*z + x*y*z^2 + x*z^3 + y^4 + y^2*z^2 + z^4")]
+
+
+@pytest.fixture(scope="module")
+def nine_field_oracle() -> dict[PolyMask, dict[int, PointCount]]:
+    """Seeded forms of degrees 2..6 and the off-affine singular curves,
+    each with its count over the nine fields: by `naive_count` up to F_64
+    and by the standalone evaluator, which reads all three partials at
+    degree d - 1, above (a scan of F_2048 takes minutes)."""
+    rng = random.Random(21)
+    curves = [PolyMask(d, rng.randint(1, full_mask(d))) for d in range(2, 7)]
+    curves += _off_affine_singular_curves()
+    return {f: {field.order: naive_count(f, field) if field.order <= 64
+                else PointCounter(field).count(f) for field in NINE_FIELDS}
+            for f in curves}
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["degree-d-table", "fallback"])
+def test_nine_field_pass_against_oracle(nine_field_oracle, table, monkeypatch):
+    # One joint pass over F_8..F_2048 per curve, with only the curve's
+    # degree-d table (its partials read off it), or with that table forced
+    # absent (the degree-(d - 1) evaluator reads the partials): each
+    # field's total, smooth count, singular points in canonical order and
+    # the degrees of its singular and smooth points match the oracle.
+    off_affine = _off_affine_singular_curves()
+    nodes = [nine_field_oracle[f][8].singular_points for f in off_affine[:2]]
+    assert nodes == [((0, 0, 1),), ((0, 1, 0),)]
+    pair = nine_field_oracle[off_affine[2]][64]
+    assert pair.singular_degrees == (2, 2)
+    assert all(x == 0 and z > 1 for x, _, z in pair.singular_points)
+    for f, want in nine_field_oracle.items():
+        joint = JointCounter(NINE_FIELDS)
+        if not table:
+            def no_memory(d):
+                raise MemoryError
+
+            monkeypatch.setattr(joint, "_build_table", no_memory)
+            with pytest.warns(UserWarning, match="falling back"):
+                assert joint.monomial_table(f.degree) is None
+        else:
+            assert joint.monomial_table(f.degree) is not None
+        got = joint.count_all(f)
+        assert list(joint._tables) == [f.degree]
+        assert list(got) == [field.order for field in NINE_FIELDS]
+        for q, b in want.items():
+            assert got[q] == b, (f, q)
+
+
 def test_joint_table_allocation_failure(monkeypatch):
     # Where the joint table for degree 5 cannot be allocated, every field's
-    # counter gets None for it and the joint pass evaluates degree 5 directly;
-    # degree 4 (its partials, and the degree-4 curves) stays tabulated.
+    # counter gets None for it and the joint pass evaluates degree 5, and its
+    # partials, directly; degree 4 stays tabulated.
     fields = [build_field(m) for m in (3, 4, 5)]
     joint = JointCounter(fields)
     real_build = joint._build_table
