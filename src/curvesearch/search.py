@@ -26,13 +26,14 @@ not those the checkpoint counted.
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable, Iterator
 
@@ -46,7 +47,7 @@ from .bounds import (
 )
 from .count import JointCounter, PointCount
 from .gf2m import build_field
-from .irred import certify_absolute
+from .irred import _parity_checks, certify_absolute
 from .orbit import OrbitInfo, SieveEngine, orbit_of
 from .polyrep import (
     PolyMask,
@@ -332,7 +333,10 @@ class CurvePipeline:
                 key = p if k == 1 else (q, p)
                 if key not in analysed:
                     analysed[key] = analyze_singular_point(f, p, field, k)
-                s = replace(analysed[key], q=q)
+                a = analysed[key]
+                s = a if a.q == q else SingularPoint(
+                    point=a.point, q=q, k=a.k, multiplicity=a.multiplicity,
+                    cone=a.cone, cone_type=a.cone_type, ordinary=a.ordinary)
                 singular.append(s)
                 lower, exact = blowup_points_estimate(s, field)
                 if exact:
@@ -428,6 +432,16 @@ def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
     return records, stats
 
 
+def _encode_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
+                   ) -> tuple[bytes, int, SearchStats]:
+    """`_process_orbits`, with the kept records as their catalog lines:
+    (lines, number kept, stats).  Workers and the jobs=1 loop both return
+    this, so the parent only writes bytes."""
+    records, stats = _process_orbits(batch, pipe, margin)
+    text = "".join(rec.to_json() + "\n" for rec in records).encode()
+    return text, len(records), stats
+
+
 # Set once in each pool worker by `_init_worker`; a forked worker inherits
 # the pipeline's tables instead of receiving them pickled.
 _worker_args: tuple[CurvePipeline, int] | None = None
@@ -438,9 +452,8 @@ def _init_worker(pipe: CurvePipeline, margin: int) -> None:
     _worker_args = (pipe, margin)
 
 
-def _process_in_worker(batch: list[OrbitInfo]
-                       ) -> tuple[list[CurveRecord], SearchStats]:
-    return _process_orbits(batch, *_worker_args)
+def _process_in_worker(batch: list[OrbitInfo]) -> tuple[bytes, int, SearchStats]:
+    return _encode_orbits(batch, *_worker_args)
 
 
 def _merge_stats(total: SearchStats, part: SearchStats) -> None:
@@ -518,18 +531,24 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
                ) -> list[CurveRecord]:
     """Run the full pipeline; records come in sieve order, which is the
     canonical order.  With cfg.out_path set, each range's records are only
-    appended to the file and [] is returned.  With cfg.checkpoint_path set,
-    progress resumes from a compatible checkpoint (see `_open_catalog`).
+    appended to the file and [] is returned; without it, the records are
+    those `read_catalog` would read from that file.  With
+    cfg.checkpoint_path set, progress resumes from a compatible checkpoint
+    (see `_open_catalog`).
 
-    The parent sieves; the workers count.  Trivially reducible orbits are
-    tallied in the parent, and only the countable ones go to the workers, in
-    batches of at most 64 in sieve order; a range with none is not
-    dispatched.  Each worker counts an orbit over every field in one joint
-    pass, updated from the last orbit it counted (see `CurvePipeline`), so
-    the joint monomial table is built in the parent before forking.  The
-    parent sieves exactly one range ahead: it sieves range k + 1 while the
-    workers count range k, then writes range k's records and checkpoints the
-    scan position at the end of k, so the catalog keeps its order.  A resume
+    The parent sieves; the workers count and encode.  Trivially reducible
+    orbits are tallied in the parent, and only the countable ones go to the
+    workers, in batches of at most 64 in sieve order; a range with none is
+    not dispatched.  Each worker counts an orbit over every field in one
+    joint pass, updated from the last orbit it counted (see
+    `CurvePipeline`), so the joint monomial table is built in the parent
+    before forking, and so are the certificate's parity checks.  A worker
+    returns a batch's kept records as catalog lines, with their number and
+    the batch's stats (`_encode_orbits`), so the parent does no per-record
+    work.  The parent sieves exactly one range ahead: it sieves range k + 1
+    while the workers count range k, then writes range k's bytes and
+    checkpoints the scan position at the end of k, so the catalog keeps its
+    order.  A resume
     sieves again up to the saved position and discards those orbits: the
     sieve's output does not depend on how its scan is split, and the
     replay's clearing keeps the rest of the scan from imaging every mask
@@ -537,13 +556,14 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
 
     The lookahead never sieves past `stop_after_ranges`, and on an error the
     pool is terminated without waiting for the range in flight.  With
-    jobs=1 the parent counts each range's batches when it collects them.
+    jobs=1 the parent counts and encodes each range's batches when it
+    collects them.
     """
     if cfg.long_run:
         warnings.warn(
             "degree-6 search over fields beyond 2^9 is a long run: over the "
-            "nine fields it is projected at 21-42 minutes on 2 cores "
-            "(1.7-2.1 ms per orbit along sieve order, 2.9-3.3 ms on a uniform "
+            "nine fields it is projected at 18-32 minutes on 2 cores "
+            "(1.5-1.9 ms per orbit along sieve order, 2.5 ms on a uniform "
             "sample of orbits); checkpointing is recommended"
         )
     bound_table = load_lauter(cfg.lauter_path)
@@ -554,11 +574,12 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     position, kept, crc = 1, 0, 0
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         position, kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table)
+    # Without a catalog file the lines collect in memory, to be parsed back
+    # when the run ends.
     out_fh = (_open_catalog(cfg.out_path, position, kept, crc)
-              if cfg.out_path else None)
+              if cfg.out_path else io.BytesIO())
 
     total_stats = stats if stats is not None else SearchStats()
-    records: list[CurveRecord] = []
     span = 1 << cfg.range_bits
     pool = None
     engine = SieveEngine(cfg.degree)
@@ -571,6 +592,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         # over the nine fields.  Built before forking, workers share the
         # parent's read-only pages instead of each building their own.
         pipeline.joint.monomial_table(cfg.degree)
+        _parity_checks(cfg.degree)  # the certificate's F_2 factor test
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
@@ -593,21 +615,17 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             stopping = ranges_done == cfg.stop_after_ranges
             ahead = None if engine.done or stopping else sieve_range()
             results = (pending.get() if pending is not None
-                       else [_process_orbits(b, pipeline, cfg.keep_margin)
+                       else [_encode_orbits(b, pipeline, cfg.keep_margin)
                              for b in batches])
             total_stats.orbits_seen += trivial
             total_stats.orbits_trivial += trivial
-            for recs, st in results:
+            for text, n, st in results:
                 _merge_stats(total_stats, st)
-                kept += len(recs)
-                if out_fh is None:
-                    records.extend(recs)
-                else:
-                    text = "".join(rec.to_json() + "\n" for rec in recs).encode()
-                    out_fh.write(text)
+                kept += n
+                out_fh.write(text)
+                if cfg.out_path:
                     crc = zlib.crc32(text, crc)
-            if out_fh is not None:
-                out_fh.flush()
+            out_fh.flush()
             if cfg.checkpoint_path:
                 _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, end,
                                  kept, crc)
@@ -623,9 +641,13 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         if pool is not None:
             pool.close()
             pool.join()
-        if out_fh is not None:
+        if cfg.out_path:
             out_fh.close()
-    return records
+    if cfg.out_path:
+        return []
+    out_fh.seek(0)
+    return [_parse_record("in-memory catalog", n, line)
+            for n, line in enumerate(out_fh, 1)]
 
 
 def _open_catalog(path: str, position: int, kept: int, crc: int) -> IO[bytes]:

@@ -307,9 +307,7 @@ def test_production_decides_without_scans(monkeypatch):
     monkeypatch.setattr(PointCounter, "count", counting)
     monkeypatch.setattr(search, "certify_absolute", certify)
     pipe = search.CurvePipeline(search.SUPPORTED_FIELDS, load_lauter())
-    for counter in pipe.counters.values():
-        counter.monomial_table(5)
-        counter.monomial_table(4)
+    pipe.joint.monomial_table(5)  # as `run_search` builds it
     engine = SieveEngine(5)
     engine.run_range(1 << 15)  # trivially reducible masks only
     records, stats = search._process_orbits(engine.run_range(1 << 11), pipe, 80)
@@ -350,14 +348,44 @@ def test_catalog_round_trip(tmp_path):
     cfg = SearchConfig(degree=4, fields=(64,))
     # A file-backed run holds no records: the file is the catalog.
     assert run_search(replace(cfg, out_path=str(out))) == []
-    lines = [r.to_json() for r in run_search(cfg)]
-    assert lines
-    assert out.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in lines)
+    text = out.read_text(encoding="utf-8")
     loaded = read_catalog(str(out))
-    assert [r.to_json() for r in loaded] == lines
+    lines = [r.to_json() for r in loaded]
+    assert lines and text == "".join(ln + "\n" for ln in lines)
+    # An in-memory run returns exactly what `read_catalog` reads from the
+    # file, and both are the same at any `jobs`.
+    for jobs in (1, 2):
+        assert run_search(replace(cfg, jobs=jobs, out_path=str(out))) == []
+        assert out.read_text(encoding="utf-8") == text
+        assert run_search(replace(cfg, jobs=jobs)) == loaded
     # canonical order
     masks = [(r.degree, r.mask) for r in loaded]
     assert masks == sorted(masks)
+
+
+def test_pooled_parent_writes_bytes_only(tmp_path, monkeypatch):
+    # Workers send each batch as its catalog lines: the parent of a pooled,
+    # file-backed run encodes no record, and no record crosses the pool.
+    # Forked workers inherit both patches.
+    parent = os.getpid()
+    real_to_json = CurveRecord.to_json
+
+    def to_json(self):
+        assert os.getpid() != parent, "the parent encoded a record"
+        return real_to_json(self)
+
+    def no_pickle(self, protocol):
+        raise AssertionError("a record was pickled")
+
+    monkeypatch.setattr(CurveRecord, "to_json", to_json)
+    monkeypatch.setattr(CurveRecord, "__reduce_ex__", no_pickle)
+    out = tmp_path / "cat.jsonl"
+    stats = SearchStats()
+    cfg = SearchConfig(degree=4, fields=(8, 64), jobs=2, range_bits=10,
+                       out_path=str(out))
+    assert run_search(cfg, stats=stats) == []
+    monkeypatch.undo()
+    assert stats.kept == len(read_catalog(str(out))) > 0
 
 
 def test_parallel_catalog_identity(tmp_path):
