@@ -14,46 +14,51 @@ lcm(deg y, deg z); (0, 1, z) is a minimum iff z is minimal in its s-orbit,
 weight deg z; (0, 0, 1) has weight 1.
 
 A count evaluates the curve at the representatives only: `total` is the
-sum of the weights of the zeros, and the partials are evaluated at the
-zeros alone.  Each singular representative is expanded back into its orbit
+sum of the weights of the zeros, and singularity is tested at the zeros
+alone.  Each singular representative is expanded back into its orbit
 by squaring its coordinates, and the singular points are reported in
 canonical order, exactly as a pass over every point would list them.  A
 weight is the point's degree: each singular point carries the degree of
 the representative it was expanded from, and a count keeps the smooth
 points' degrees.
 
-A curve's values come from one log-domain evaluator over its own
-monomials, in one pass over the representatives; this is how a standalone
-`PointCounter` counts (`count_points`, `verify`, the certificate), and it
-builds no tables, which pay for themselves only over many counts (tens of
-MB for the largest fields).  Bulk counting goes through a `JointCounter`,
-over one field or several, which is the only owner of monomial tables: its
-columns concatenate the representatives of all its fields, and the
-fields' counters hold column views of them.  Addition is XOR in every
-F_{2^m}, so one accumulator over the joint columns holds a curve's values
-in every field at once.  A degree's monomial table (the values of every
-basis monomial at every joint column) is built on request, one field's
-column segment at a time by that field's evaluator, and each member's
+Every value a count reads is an XOR of rows of degree-d basis monomials,
+one value per representative, and each counter has one source of such
+rows.  A standalone `PointCounter` evaluates the rows it is asked for by
+one log-domain evaluator; this is how `count_points`, `verify` and the
+certificate count, and it builds no tables, which pay for themselves only
+over many counts (tens of MB for the largest fields).  Bulk counting goes
+through a `JointCounter`, over one field or several: its columns
+concatenate the representatives of all its fields, and the fields'
+counters hold column views of them.  Addition is XOR in every F_{2^m}, so
+one accumulator over the joint columns holds a curve's values in every
+field at once.  The joint counter reads its rows off its degree-d monomial
+table (the values of every basis monomial at every joint column) where it
+holds one, and has each field's evaluator compute them otherwise: the
+table is only a cache.  It is built on request, one field's column segment
+at a time by that field's evaluator, and each member's
 `PointCounter.monomial_table` is a view of its columns; a search builds
 the table of its own degree only (29.5 MB at degree 6 and 22.2 MB at
-degree 5 over F_8..F_2048).  Curves come in sieve order, where
-consecutive orbit minima share most monomials, so the accumulator keeps
-the last curve's values and is updated by the rows of the monomials in
-which the two curves differ; where those are more rows than the curve
-has, the curve is accumulated in full.  The zeros are found in one scan
-and the partials evaluated once, at all the zeros; the zeros are then
-split per field by column offset, and each field's counter tallies its
-own, as its `count` does.
+degree 5 over F_8..F_2048).  A table that cannot be allocated leaves the
+same rows to the evaluator, with the same values.  Curves come in sieve
+order, where consecutive orbit minima share most monomials, so the
+accumulator keeps the last curve's values and is updated by the rows of
+the monomials in which the two curves differ; where those are more rows
+than the curve has, the curve is accumulated in full.  The zeros are found
+in one scan and tested once, all together; they are then split per field
+by column offset, and each field's counter tallies its own, as its `count`
+does.
 
-The partials have degree d - 1, but they are read off the degree-d table.
-Every column is a normalized point P, whose leading coordinate x_v (the
-first nonzero one of x, y, z) is 1, so g(P) = (x_v g)(P) for any form g,
-and x_v f_w is a degree-d form: its monomials are the lifts x_v m / x_w of
-f's monomials m with an odd exponent of x_w.  Only two partials are read:
-by Euler's identity x f_x + y f_y + z f_z = d f, at a zero f_v(P) is the
-sum over w != v of x_w f_w(P), so f_v vanishes where the other two do.  A
-table that cannot be allocated leaves its degree on the evaluator,
-partials included (at degree d - 1); both paths give the same values.
+Singularity is decided one way on every path, from degree-d rows.  Every
+column is a normalized point P, whose leading coordinate x_v (the first
+nonzero one of x, y, z) is 1, so g(P) = (x_v g)(P) for any form g, and
+x_v f_w is a degree-d form: its monomials are the lifts x_v m / x_w of f's
+monomials m with an odd exponent of x_w.  Only two partials are read: by
+Euler's identity x f_x + y f_y + z f_z = d f, at a zero f_v(P) is the sum
+over w != v of x_w f_w(P), so f_v vanishes where the other two do.  Every
+zero is read as affine (v = x) first, and those on the line x = 0 are read
+again (v = y); at (0:0:1), where every basis monomial but z^d vanishes,
+the answer is read off f's coefficients.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .polyrep import (
     bit_indices,
     monomial_index,
     monomials,
-    partials,
+    partials,  # unused here; perfbench/layers.py wraps `count.partials`
 )
 
 @dataclass(frozen=True)
@@ -157,17 +162,20 @@ class PointCounter:
         weights[n_affine:-1] = deg[ys]
         self.coords = coords
         self.weights = weights
+        # Its first column on the line x = 0, its column of (0:0:1), which
+        # is its last, and its end: the edges `_singular` reads.
+        self._edges = np.array([n_affine, n - 1, n])
         self._square = orbit[1].tolist()
         # The `JointCounter` that holds this counter's columns, and which of
         # its columns they are, if any.  The reference is weak, so that no
         # cycle keeps the joint tables alive after the joint counter goes.
         self._joint: tuple[weakref.ref[JointCounter], slice] | None = None
 
-    def _monomial_rows(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
-                       ) -> Iterator[np.ndarray]:
+    def _monomial_rows(self, d: int, cols: Iterable[int],
+                       sel: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
         """Values of the degree-d basis monomials `cols` at the
         representatives `sel` (a slice or an index array), one row per
-        monomial.
+        monomial: this counter's row source.
 
         Computed in the log domain: x^i y^j z^k = exp[i log x + j log y +
         k log z], with no reduction mod q - 1 and no patching of zeros: the
@@ -197,26 +205,18 @@ class PointCounter:
         table = joint.monomial_table(d)
         return None if table is None else table[:, self._joint[1]]
 
-    # -- evaluation ------------------------------------------------------------
-
-    def values_at(self, d: int, cols: list[int], sel: slice | np.ndarray
-                  ) -> np.ndarray:
-        """Values of the degree-d form with basis monomials `cols` at the
-        representatives `sel` (a slice or an index array); `cols` is not
-        empty."""
-        rows = self._monomial_rows(d, cols, sel)
-        acc = next(rows)
-        for row in rows:
-            acc ^= row
-        return acc
-
     def count(self, f: PolyMask) -> PointCount:
-        """Totals plus the singular points (all partials vanishing)."""
+        """Totals plus the singular points, from the evaluator's rows."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
         cols = bit_indices(f.bits)
-        zeros = np.flatnonzero(self.values_at(f.degree, cols, slice(None)) == 0)
-        return self._tally(zeros, _singular(self.values_at, f, zeros))
+        rows = self._monomial_rows(f.degree, cols)
+        acc = next(rows)
+        for row in rows:
+            acc ^= row
+        zeros = np.flatnonzero(acc == 0)
+        return self._tally(zeros, _singular(self._monomial_rows, self._edges,
+                                            f, cols, zeros))
 
     def _tally(self, zeros: np.ndarray, singular: np.ndarray) -> PointCount:
         """The count from the representatives `zeros` on the curve, of which
@@ -259,11 +259,8 @@ class JointCounter:
             c.coords, c.weights = self.coords[:, cols], self.weights[cols]
             c._joint = (weakref.ref(self), cols)
         self.counters = {c.q: c for c in counters}
-        # Per field: its first column on the line x = 0, its column of
-        # (0:0:1), which is its last, and its end.
-        self._edges = np.array([(lo + np.count_nonzero(c.coords[0]), hi - 1, hi)
-                                for c, lo, hi in zip(counters, self.offsets,
-                                                     self.offsets[1:])]).ravel()
+        self._edges = np.concatenate([c._edges + lo
+                                      for c, lo in zip(counters, self.offsets)])
         self._tables: dict[int, np.ndarray | None] = {}
         # degree -> the last curve counted (0 before the first) and its values
         self._last: dict[int, int] = {}
@@ -276,7 +273,7 @@ class JointCounter:
         out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
         for c in self.counters.values():
             cols = c._joint[1]
-            for t, row in enumerate(c._monomial_rows(d, range(len(out)), slice(None))):
+            for t, row in enumerate(c._monomial_rows(d, range(len(out)))):
                 out[t, cols] = row
         return out
 
@@ -301,12 +298,22 @@ class JointCounter:
         for c, lo, a, b in zip(self.counters.values(), self.offsets, cuts, cuts[1:]):
             yield c, sel[a:b] - lo, slice(a, b)
 
-    def values_at(self, d: int, cols: list[int], sel: np.ndarray) -> np.ndarray:
-        """Values of the degree-d form with basis monomials `cols` at the
-        ascending columns `sel`, each field evaluating its own; the path of
-        a degree without a table."""
-        return np.concatenate([c.values_at(d, cols, own)
-                               for c, own, _ in self._split(sel)])
+    def _rows(self, d: int, monos: list[int], sel: slice | np.ndarray = slice(None)
+              ) -> Iterator[np.ndarray]:
+        """Values of the degree-d basis monomials `monos` at every column
+        (the default) or at the ascending columns `sel`, one row per
+        monomial: the degree-d table's rows where it is held, read in place
+        at every column, or else each field's evaluator's rows at its own
+        columns."""
+        table = self._tables.get(d)
+        if table is not None:
+            if isinstance(sel, slice):
+                return (table[t] for t in monos)
+            return (table[t].take(sel) for t in monos)
+        owns = ([c._monomial_rows(d, monos) for c in self.counters.values()]
+                if isinstance(sel, slice) else
+                [c._monomial_rows(d, monos, own) for c, own, _ in self._split(sel)])
+        return map(np.concatenate, zip(*owns))
 
     def _values(self, f: PolyMask, cols: list[int]) -> np.ndarray:
         """f's values at every column: the last degree-d curve's, updated by
@@ -317,90 +324,69 @@ class JointCounter:
         if d not in self._acc:  # the zero curve's values
             self._acc[d] = np.zeros(len(self.weights), dtype=np.uint16)
             self._last[d] = 0
-        acc, table = self._acc[d], self._tables.get(d)
+        acc = self._acc[d]
         delta = self._last[d] ^ f.bits
-        if table is None:
-            acc[:] = self.values_at(d, cols, np.arange(len(acc)))
-        else:
-            if delta.bit_count() > len(cols):
-                acc.fill(0)
-                delta = f.bits
-            for c in bit_indices(delta):
-                acc ^= table[c]
+        if delta.bit_count() > len(cols):
+            acc.fill(0)
+            delta = f.bits
+        for row in self._rows(d, bit_indices(delta)):
+            acc ^= row
         self._last[d] = f.bits
         return acc
 
     def count_all(self, f: PolyMask) -> dict[int, PointCount]:
         """f's count over every field, by field order: one accumulation and
-        zero scan over all the columns, the partials at all the zeros, then
-        each field's tally of its own zeros."""
+        zero scan over all the columns, one singularity test of all the
+        zeros, then each field's tally of its own zeros."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
         cols = bit_indices(f.bits)
         zeros = np.flatnonzero(self._values(f, cols) == 0)
-        table = self._tables.get(f.degree)
-        singular = (_singular(self.values_at, f, zeros) if table is None
-                    else self._singular_lifted(table, f, cols, zeros))
+        singular = _singular(self._rows, self._edges, f, cols, zeros)
         return {c.q: c._tally(own, singular[part])
                 for c, own, part in self._split(zeros)}
 
-    def _singular_lifted(self, table: np.ndarray, f: PolyMask, cols: list[int],
-                         zeros: np.ndarray) -> np.ndarray:
-        """Which of f's zeros are singular, from the degree-d table: at a
-        zero with leading coordinate x_v, the two partials f_w, w != v, are
-        read as the table's values of x_v f_w (see the module docstring).
-        Every zero is read as affine first, from one gather of each row the
-        lifts use; those on the line x = 0 are then read again."""
-        lifts = _lifts(f.degree)
-        forms = _lifted_rows(lifts[0], cols)
-        rows = {r: table[r].take(zeros) for r in set().union(*forms)}
-        singular = _vanishing(rows, forms, len(zeros))
-        cuts = zeros.searchsorted(self._edges).tolist()
-        line = [p for start, last in zip(cuts[::3], cuts[1::3])
-                for p in range(start, last)]
-        if line:
-            at = zeros[line]
-            singular[line] = _vanishing(table.take(at, axis=1),
-                                        _lifted_rows(lifts[1], cols), len(at))
-        # At (0:0:1) every basis monomial but the last, z^d, vanishes.
-        apex = all(len(table) - 1 not in form
-                   for form in _lifted_rows(lifts[2], cols))
-        for last, end in zip(cuts[1::3], cuts[2::3]):
-            if end > last:
-                singular[last] = apex
-        return singular
+
+def _singular(rows, edges: np.ndarray, f: PolyMask, cols: list[int],
+              zeros: np.ndarray) -> np.ndarray:
+    """Which of f's `zeros`, ascending columns, are singular, from a row
+    source `rows(d, monos, sel)` and the column `edges` of each field (its
+    first column on the line x = 0, its column of (0:0:1), its end): at a
+    zero with leading coordinate x_v, the partials f_w, w != v, are read as
+    x_v f_w (see the module docstring).  Every zero is read as affine first;
+    those on the line x = 0 are then read again."""
+    d = f.degree
+    lifts = _lifts(d)
+    singular = _vanishing(rows, d, lifts[0], cols, zeros)
+    cuts = zeros.searchsorted(edges).tolist()
+    line = [p for start, last in zip(cuts[::3], cuts[1::3])
+            for p in range(start, last)]
+    if line:
+        singular[line] = _vanishing(rows, d, lifts[1], cols, zeros[line])
+    # At (0:0:1) every basis monomial but the last, z^d, vanishes.
+    apex = all(lift[t] != basis_size(d) - 1 for lift in lifts[2] for t in cols)
+    for last, end in zip(cuts[1::3], cuts[2::3]):
+        if end > last:
+            singular[last] = apex
+    return singular
 
 
-def _lifted_rows(lifts: tuple[tuple[int, ...], ...], cols: list[int]
-                 ) -> list[list[int]]:
-    """The rows of x_v f_w for the two w != v, from x_v's `_lifts` and
-    the basis monomials `cols` of f."""
-    return [[r for t in cols if (r := lift[t]) >= 0] for lift in lifts]
-
-
-def _vanishing(rows, forms: list[list[int]], n: int) -> np.ndarray:
-    """Where, of n columns, every one of `forms` vanishes: a form is a
-    list of rows, and `rows[r]` holds row r at those columns."""
+def _vanishing(rows, d: int, lifts: tuple[tuple[int, ...], ...], cols: list[int],
+               sel: np.ndarray) -> np.ndarray:
+    """Where, at the columns `sel`, both x_v f_w vanish, for x_v's `_lifts`
+    and the basis monomials `cols` of f: each form is a list of rows, and
+    each row the two use is read from `rows` once."""
+    forms = [[r for t in cols if (r := lift[t]) >= 0] for lift in lifts]
+    need = sorted(set().union(*forms))
+    at = dict(zip(need, rows(d, need, sel)))
     nonzero = None
     for form in forms:
         if form:
-            acc = rows[form[0]]
+            acc = at[form[0]]
             for r in form[1:]:
-                acc = acc ^ rows[r]
+                acc = acc ^ at[r]
             nonzero = acc if nonzero is None else nonzero | acc
-    return np.ones(n, dtype=bool) if nonzero is None else nonzero == 0
-
-
-def _singular(values_at, f: PolyMask, zeros: np.ndarray) -> np.ndarray:
-    """Which of f's zeros are singular: those where every nonzero partial
-    vanishes (the gradient of a linear form is a nonzero constant), by the
-    degree-(d - 1) `values_at`."""
-    singular = np.full(len(zeros), f.degree > 1)
-    if f.degree > 1:
-        for p in partials(f):
-            if p.bits:
-                singular &= values_at(f.degree - 1, bit_indices(p.bits), zeros) == 0
-    return singular
+    return np.ones(len(sel), dtype=bool) if nonzero is None else nonzero == 0
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,6 @@ not those the checkpoint counted.
 
 from __future__ import annotations
 
-import io
 import json
 import multiprocessing
 import os
@@ -574,10 +573,11 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     position, kept, crc = 1, 0, 0
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         position, kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table)
-    # Without a catalog file the lines collect in memory, to be parsed back
-    # when the run ends.
+    # Without a catalog file, each range's lines are parsed into the records
+    # as they arrive.
     out_fh = (_open_catalog(cfg.out_path, position, kept, crc)
-              if cfg.out_path else io.BytesIO())
+              if cfg.out_path else None)
+    records: list[CurveRecord] = []
 
     total_stats = stats if stats is not None else SearchStats()
     span = 1 << cfg.range_bits
@@ -587,8 +587,8 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         while engine.position < position:
             engine.run_range(min(span, position - engine.position))
         # Every counted orbit is counted over every field, so the joint
-        # degree-d table pays for itself, and the partials are read off it
-        # too (see `count.JointCounter`): one table, 29.5 MB at degree 6
+        # degree-d table pays for itself, and the singularity test reads its
+        # rows too (see `count.JointCounter`): one table, 29.5 MB at degree 6
         # over the nine fields.  Built before forking, workers share the
         # parent's read-only pages instead of each building their own.
         pipeline.joint.monomial_table(cfg.degree)
@@ -622,10 +622,14 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             for text, n, st in results:
                 _merge_stats(total_stats, st)
                 kept += n
-                out_fh.write(text)
-                if cfg.out_path:
+                if out_fh is None:
+                    records += [_parse_record("in-memory catalog", len(records) + i, ln)
+                                for i, ln in enumerate(text.splitlines(), 1)]
+                else:
+                    out_fh.write(text)
                     crc = zlib.crc32(text, crc)
-            out_fh.flush()
+            if out_fh is not None:
+                out_fh.flush()
             if cfg.checkpoint_path:
                 _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, end,
                                  kept, crc)
@@ -641,13 +645,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         if pool is not None:
             pool.close()
             pool.join()
-        if cfg.out_path:
+        if out_fh is not None:
             out_fh.close()
-    if cfg.out_path:
-        return []
-    out_fh.seek(0)
-    return [_parse_record("in-memory catalog", n, line)
-            for n, line in enumerate(out_fh, 1)]
+    return records
 
 
 def _open_catalog(path: str, position: int, kept: int, crc: int) -> IO[bytes]:

@@ -3,10 +3,11 @@
 Each one computes by brute force what the package computes another way, and
 the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
-minima, trial division against the parity checks and the smooth-point
-certificate.  It also holds the few accessors (field division, the Frobenius
-map, a field's generator and subfields, a witness as a dict) that only the
-tests call.  The package never imports this module.
+minima, all three partials against the two lifted ones, trial division
+against the parity checks and the smooth-point certificate.  It also
+holds the few accessors (field division, the Frobenius map, a field's
+generator and subfields, a witness as a dict) that only the tests call.
+The package never imports this module.
 
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
 monic divisors in the graded-lex term order, pruned by Newton-corner
@@ -19,10 +20,12 @@ degree d/s of an F_2-irreducible f are swept.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
-from curvesearch.count import PointCount, projective_points
+import numpy as np
+
+from curvesearch.count import PointCount, PointCounter, projective_points
 from curvesearch.gf2m import FieldTable, _polymod, build_field
 from curvesearch.irred import (
     Factor,
@@ -213,6 +216,26 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
             smooth_degrees.add(k)
     return PointCount(field.order, total, total - len(singular), tuple(singular),
                       tuple(singular_degrees), frozenset(smooth_degrees))
+
+
+def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
+    """Oracle for fields too large to scan: a count on the Frobenius orbit
+    minima whose singular points are the zeros where all three partials
+    vanish, each evaluated at degree d - 1 (the gradient of a linear form is
+    a nonzero constant), rather than two of them read as degree-d lifts."""
+    counter = PointCounter(field)
+
+    def values(g: PolyMask, sel) -> np.ndarray:
+        return reduce(np.bitwise_xor,
+                      counter._monomial_rows(g.degree, bit_indices(g.bits), sel))
+
+    zeros = np.flatnonzero(values(f, slice(None)) == 0)
+    singular = np.full(len(zeros), f.degree > 1)
+    if f.degree > 1:
+        for p in partials(f):
+            if p.bits:
+                singular &= values(p, zeros) == 0
+    return counter._tally(zeros, singular)
 
 
 # -- multiplicity from the local expansion -------------------------------------

@@ -5,7 +5,13 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import conjugate_cubic_norm, generator, hom_mul, naive_count
+from oracles import (
+    conjugate_cubic_norm,
+    generator,
+    hom_mul,
+    naive_count,
+    partials_count,
+)
 
 from curvesearch.count import (
     JointCounter,
@@ -303,25 +309,29 @@ def _off_affine_singular_curves() -> list[PolyMask]:
             parse_poly("x^3*y + x*y^2*z + x*y*z^2 + x*z^3 + y^4 + y^2*z^2 + z^4")]
 
 
+def _oracle_count(f: PolyMask, field) -> PointCount:
+    """f's count by `naive_count` up to F_64, and above by `partials_count`,
+    which reads all three partials at degree d - 1 (a scan of F_2048 takes
+    minutes)."""
+    return naive_count(f, field) if field.order <= 64 else partials_count(f, field)
+
+
 @pytest.fixture(scope="module")
 def nine_field_oracle() -> dict[PolyMask, dict[int, PointCount]]:
     """Seeded forms of degrees 2..6 and the off-affine singular curves,
-    each with its count over the nine fields: by `naive_count` up to F_64
-    and by the standalone evaluator, which reads all three partials at
-    degree d - 1, above (a scan of F_2048 takes minutes)."""
+    each with its `_oracle_count` over the nine fields."""
     rng = random.Random(21)
     curves = [PolyMask(d, rng.randint(1, full_mask(d))) for d in range(2, 7)]
     curves += _off_affine_singular_curves()
-    return {f: {field.order: naive_count(f, field) if field.order <= 64
-                else PointCounter(field).count(f) for field in NINE_FIELDS}
+    return {f: {field.order: _oracle_count(f, field) for field in NINE_FIELDS}
             for f in curves}
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["degree-d-table", "fallback"])
 def test_nine_field_pass_against_oracle(nine_field_oracle, table, monkeypatch):
     # One joint pass over F_8..F_2048 per curve, with only the curve's
-    # degree-d table (its partials read off it), or with that table forced
-    # absent (the degree-(d - 1) evaluator reads the partials): each
+    # degree-d table (the singularity test reads its rows), or with that
+    # table forced absent (the evaluator computes the same rows): each
     # field's total, smooth count, singular points in canonical order and
     # the degrees of its singular and smooth points match the oracle.
     off_affine = _off_affine_singular_curves()
@@ -348,10 +358,26 @@ def test_nine_field_pass_against_oracle(nine_field_oracle, table, monkeypatch):
             assert got[q] == b, (f, q)
 
 
+def test_standalone_count_against_oracle(nine_field_oracle):
+    # A standalone count decides singularity by the lifted test, as the
+    # joint pass does, so it too reads the zeros on the line x = 0 and at
+    # (0:0:1) through the lifts.  Over F_2..F_2048 it matches the scan up to
+    # F_64 and the three-partial oracle above, on every linear form, the
+    # seeded forms of degrees 2..6 and the off-affine singular curves.
+    fields = [build_field(m) for m in range(1, 12)]
+    curves = [PolyMask(1, bits) for bits in range(1, 8)] + list(nine_field_oracle)
+    for f in curves:
+        for field in fields:
+            want = (nine_field_oracle.get(f, {}).get(field.order)
+                    or _oracle_count(f, field))
+            got = PointCounter(field).count(f)
+            assert got == count_points(f, field) == want, (f, field.order)
+
+
 def test_joint_table_allocation_failure(monkeypatch):
     # Where the joint table for degree 5 cannot be allocated, every field's
-    # counter gets None for it and the joint pass evaluates degree 5, and its
-    # partials, directly; degree 4 stays tabulated.
+    # counter gets None for it and the joint pass evaluates degree 5's rows
+    # directly; degree 4 stays tabulated.
     fields = [build_field(m) for m in (3, 4, 5)]
     joint = JointCounter(fields)
     real_build = joint._build_table
