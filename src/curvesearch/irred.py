@@ -1,15 +1,18 @@
-"""Irreducibility by parity checks and exact absolute-irreducibility
+"""Irreducibility over F_2 by normal forms, and exact absolute-irreducibility
 certificates from smooth-point counts.
 
 Reducibility over F_2 is decided by linear algebra.  A degree-d mask f is
 reducible iff f = g h for a nonzero form g of degree 1 <= e <= d/2.  For a
-fixed g, h -> g h is F_2-linear and injective on masks, so its image is a
-subspace, cut out by the parity-check rows read off the reduced echelon
-form of {g m : m a degree-(d-e) monomial}: f is a multiple of g iff
-popcount(row & f) is even for every row of g.  The rows of all g are built
-once per degree (19,282 rows at degree 6) and tested against f at once;
-the witness is the divisor g that trial division, the tests' oracle,
-would meet first.
+fixed g, h -> g h is F_2-linear and injective on masks, so the multiples
+of g are the span of {g m : m a degree-(d-e) monomial}.  These masks have
+distinct top bits (the top monomial of g, times m), so dividing by them,
+top bit first, takes a mask to its normal form, a linear map whose kernel
+is exactly the multiples of g.  One table holds the normal form of every
+monomial modulo every g of every degree e (28 x 1,093 entries, 122 KB, at
+degree 6), built for all g at once, and f is a multiple of g iff the XOR of
+its monomials' entries is 0.  The columns are in the order in which trial
+division, the tests' oracle, meets the divisors, so the first zero column
+is the witness.
 
 Absolute irreducibility is decided from smooth-point counts.  Let f be
 irreducible over F_2 of degree d <= 6.  Its absolutely irreducible
@@ -52,9 +55,9 @@ from .polyrep import (
     PolyMask,
     Triple,
     basis_size,
+    bit_indices,
     decode,
     evaluate,
-    full_mask,
     monomial_index,
     monomials,
     partials,
@@ -103,69 +106,53 @@ def _witness(g: HomPoly, k: int) -> Factor:
     return Factor(k=k, degree=sum(_leading(g)), terms=terms)
 
 
-def _check_rows(image: list[int], n: int) -> list[int]:
-    """Parity-check rows of the span of the independent n-bit `image`: from
-    its reduced echelon form, row j (one per non-pivot bit j) holds bit j
-    and the pivots of the reduced vectors that have bit j."""
-    pivots: dict[int, int] = {}
-    for v in image:
-        for p, r in pivots.items():
-            if v >> p & 1:
-                v ^= r
-        top = v.bit_length() - 1
-        for p, r in pivots.items():
-            if r >> top & 1:
-                pivots[p] = r ^ v
-        pivots[top] = v
-    rows = {j: 1 << j for j in range(n) if j not in pivots}
-    for p, r in pivots.items():
-        r ^= 1 << p
-        while r:
-            low = r & -r
-            rows[low.bit_length() - 1] |= 1 << p
-            r ^= low
-    return list(rows.values())
-
-
 @lru_cache(maxsize=None)
-def _parity_checks(d: int) -> tuple[np.ndarray, ...]:
-    """For e = 1..d/2, a (forms, checks) uint32 array: row g - 1 holds the
-    parity checks of the multiples of the degree-e form with mask g."""
-    n = basis_size(d)
+def _normal_forms(d: int) -> tuple[np.ndarray, tuple[PolyMask, ...]]:
+    """(table, forms): entry [t, j] of the (monomials, forms) uint32 table is
+    monomial t reduced modulo the degree-d multiples of forms[j], the forms
+    of degree 1..d/2 in witness order (see `_f2_factor`)."""
     index = monomial_index(d)
-    blocks = []
+    n = len(index)
+    forms, step = [], np.zeros((n, 0), dtype=np.uint32)
     for e in range(1, d // 2 + 1):
-        # shifted[t][c]: the mask of monomial t of degree e times cofactor c.
-        shifted = [[1 << index[(a[0] + b[0], a[1] + b[1], a[2] + b[2])]
-                    for b in monomials(d - e)] for a in monomials(e)]
-        block = np.empty((full_mask(e), n - basis_size(d - e)), dtype=np.uint32)
-        image = [0] * basis_size(d - e)  # image[c] = g * monomial c
-        for i in range(1, full_mask(e) + 1):
-            # Gray-code order: g gains or loses one monomial per step.
-            image = [a ^ b for a, b in zip(image, shifted[(i & -i).bit_length() - 1])]
-            block[(i ^ i >> 1) - 1] = _check_rows(image, n)
-        blocks.append(block)
-    return tuple(blocks)
+        width = basis_size(e)
+        hs = sorted(range(1, 1 << width), key=lambda h: (
+            h & -h, int(f"{h:0{width}b}"[::-1], 2)))
+        forms += [PolyMask(e, h) for h in hs]
+        g = np.array(hs, dtype=np.uint32)
+        # top[a, c]: the index of monomial a of degree e times monomial c of
+        # degree d - e; multiples[j, c]: the mask of g_j times monomial c.
+        top = np.array([[index[(a[0] + b[0], a[1] + b[1], a[2] + b[2])]
+                         for b in monomials(d - e)] for a in monomials(e)],
+                       dtype=np.uint32)
+        multiples = np.zeros((len(hs), len(top[0])), dtype=np.uint32)
+        for a, row in enumerate(top):
+            multiples ^= (g[:, None] >> a & 1) << row
+        # The top bit of g_j m_c is tops[j, c], that of g_j's top monomial
+        # times m_c (the order is multiplicative), so block[p, j] is g_j's
+        # multiple with top bit p, and 0 when p is no such bit.
+        tops = top[[h.bit_length() - 1 for h in hs]]
+        block = np.zeros((n, len(hs)), dtype=np.uint32)
+        block[tops, np.arange(len(hs))[:, None]] = multiples
+        step = np.hstack([step, block])
+    table = np.repeat(1 << np.arange(n, dtype=np.uint32)[:, None], len(forms), axis=1)
+    for p in range(n - 1, -1, -1):  # divide every monomial, top bit first
+        rows = table[p:]  # monomial t has no bit above t
+        rows ^= (rows >> p & 1) * step[p]
+    table.flags.writeable = False  # shared by every caller and forked worker
+    return table, tuple(forms)
 
 
 def _f2_factor(f: PolyMask) -> Factor | None:
     """The F_2 divisor of degree 1..d/2 that the sweep meets first, or None:
-    of the forms g with no failing check, the lowest degree, then the lowest
-    set bit of g (its leading monomial), then g bit-reversed (the odometer)."""
-    x = np.uint32(f.bits)
-    for e, block in enumerate(_parity_checks(f.degree), start=1):
-        v = block & x
-        v ^= v >> 16
-        v ^= v >> 8
-        v ^= v >> 4
-        odd = (0x6996 >> (v & 0xF)) & 1  # parity of the low nibble
-        fails = odd.any(axis=1)
-        if not fails.all():
-            width = basis_size(e)
-            g = min((np.flatnonzero(~fails) + 1).tolist(), key=lambda h: (
-                h & -h, int(f"{h:0{width}b}"[::-1], 2)))
-            return _witness(mask_to_dict(PolyMask(e, g)), 1)
-    return None
+    of the forms g that leave f no remainder, the lowest degree, then the
+    lowest set bit of g (its leading monomial), then g bit-reversed (the
+    odometer), which is the order of the table's columns."""
+    table, forms = _normal_forms(f.degree)
+    hits = np.bitwise_xor.reduce(table[bit_indices(f.bits)], axis=0) == 0
+    if not hits.any():
+        return None
+    return _witness(mask_to_dict(forms[int(hits.argmax())]), 1)
 
 
 def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:

@@ -120,10 +120,11 @@ class SieveEngine:
         out: list[OrbitInfo] = []
         luts = _byte_luts(self.degree)
         nbytes = luts.shape[0]
-        ev_mask, dx, dy, dz = _filter_masks(self.degree)
-        inv_filters = [
-            np.uint32(~m & 0xFFFFFFFF) for m in (ev_mask, dx, dy, dz)
-        ]
+        # An orbit has a member divisible by y or by z iff it has one
+        # divisible by x: the swaps x <-> y and x <-> z lie in GL_3(F_2).
+        # So the orbit's flag needs only the all-even and x masks.
+        inv_filters = [np.uint32(~m & 0xFFFFFFFF)
+                       for m in _filter_masks(self.degree)[:2]]
 
         first = lo & ~7
         live = np.unpackbits(~self.table[first >> 3 : (hi + 7) >> 3],

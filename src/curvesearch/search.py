@@ -46,7 +46,7 @@ from .bounds import (
 )
 from .count import JointCounter, PointCount
 from .gf2m import build_field
-from .irred import _parity_checks, certify_absolute
+from .irred import _normal_forms, certify_absolute
 from .orbit import OrbitInfo, SieveEngine, orbit_of
 from .polyrep import (
     PolyMask,
@@ -541,7 +541,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     not dispatched.  Each worker counts an orbit over every field in one
     joint pass, updated from the last orbit it counted (see
     `CurvePipeline`), so the joint monomial table is built in the parent
-    before forking, and so are the certificate's parity checks.  A worker
+    before forking, and so is the certificate's normal-form table.  A worker
     returns a batch's kept records as catalog lines, with their number and
     the batch's stats (`_encode_orbits`), so the parent does no per-record
     work.  The parent sieves exactly one range ahead: it sieves range k + 1
@@ -592,7 +592,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         # over the nine fields.  Built before forking, workers share the
         # parent's read-only pages instead of each building their own.
         pipeline.joint.monomial_table(cfg.degree)
-        _parity_checks(cfg.degree)  # the certificate's F_2 factor test
+        _normal_forms(cfg.degree)  # the certificate's F_2 factor table, shared too
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))

@@ -4,7 +4,7 @@ Each one computes by brute force what the package computes another way, and
 the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
 minima, all three partials against the two lifted ones, trial division
-against the parity checks and the smooth-point certificate.  It also
+against the normal-form table and the smooth-point certificate.  It also
 holds the few accessors (field division, the Frobenius map, a field's
 generator and subfields, a witness as a dict) that only the tests call.
 The package never imports this module.

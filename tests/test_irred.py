@@ -1,10 +1,11 @@
-"""Parity-check and trial-division irreducibility, and absolute-irreducibility
+"""Normal-form and trial-division irreducibility, and absolute-irreducibility
 certificates."""
 
 import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import oracles
 import pytest
 from oracles import (
@@ -27,6 +28,9 @@ from curvesearch.irred import certify_absolute, find_simple_point, mask_to_dict
 from curvesearch.orbit import SieveEngine
 from curvesearch.polyrep import (
     PolyMask,
+    basis_size,
+    bit_indices,
+    encode,
     evaluate,
     full_mask,
     monomials,
@@ -131,9 +135,45 @@ def test_exhaustive_degree_le4_against_product_oracle():
             assert is_irreducible(f, 1) == (bits not in products[d]), f
 
 
+def _f2_rank(vectors: list[int]) -> int:
+    """Rank over F_2 of integer bit vectors, by plain elimination."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def test_normal_form_kernel_is_exactly_the_multiples():
+    # For every divisor form g of degree e <= d/2, d = 2..6 (all 1,093 at
+    # degree 6): every product of g with a degree-(d - e) monomial reduces
+    # to 0 in g's column, and the column's n entries have rank
+    # n - basis_size(d - e).  Multiplication by g is injective, so the
+    # kernel of the column's map holds the multiples of g and has their
+    # dimension: it is exactly the multiples of g.
+    for d in range(2, 7):
+        table, forms = irred._normal_forms(d)
+        n = basis_size(d)
+        assert sorted(forms) == [PolyMask(e, g) for e in range(1, d // 2 + 1)
+                                 for g in range(1, full_mask(e) + 1)]
+        assert table.shape == (n, len(forms)) and table.dtype == np.uint32
+        for j, g in enumerate(forms):
+            column = table[:, j].tolist()
+            for c in monomials(d - g.degree):
+                product = mul_masks(g, encode([c]))
+                acc = 0
+                for t in bit_indices(product.bits):
+                    acc ^= column[t]
+                assert acc == 0, (g, c)
+            assert _f2_rank(column) == n - basis_size(d - g.degree), g
+    assert len(irred._normal_forms(6)[1]) == 1_093
+
+
 @pytest.mark.slow
 def test_parity_checks_against_trial_division():
-    # The parity-check witness is the trial-division sweep's witness on every
+    # The normal-form witness is the trial-division sweep's witness on every
     # mask of degree <= 4, and on seeded uniform degree-5 and degree-6 masks
     # topped up with random products (uniform masks are mostly irreducible).
     masks = [PolyMask(d, bits) for d in range(1, 5)
@@ -231,7 +271,7 @@ def test_each_certificate_sweep_runs_once(monkeypatch):
 
 def test_certificate_sweeps_over_f2_only_for_witnesses(monkeypatch):
     # Neither an F_2-irreducible curve nor a reducible one is swept over F_2:
-    # the parity checks give the witness the sweep would find.
+    # the normal forms give the witness the sweep would find.
     prod = mul_masks(
         PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5")
     )

@@ -27,6 +27,7 @@ from curvesearch.polyrep import (
     basis_size,
     full_mask,
     gl3_table,
+    is_trivially_reducible,
     parse_poly,
     substitute,
 )
@@ -216,6 +217,30 @@ def test_sieve_trivial_skip_matches_filter():
     assert len(emitted) == len(kept) < len(infos)
     assert emitted == kept
     assert sum(i.orbit_size for i in infos) == full_mask(4)
+
+
+def test_trivial_flag_matches_orbit_oracle():
+    # The sieve flags an orbit from its images' all-even and x masks only.
+    # The flag must still say whether some member fires the full filter, on
+    # every orbit of degrees 2-4 and on seeded degree-5 and degree-6 orbits.
+    # A degree-6 orbit is emitted by a one-mask range at its minimum, since
+    # being the minimum does not depend on where the scan started.
+    rng = random.Random(24)
+    infos = [info for d in (2, 3, 4) for info in sieve_all(d)]
+    infos += rng.sample(sieve_all(5), 400)
+    reps = {min(orbit_of(PolyMask(6, rng.randint(1, full_mask(6)))))
+            for _ in range(300)}
+    eng = SieveEngine(6)
+    for rep in sorted(reps):
+        eng.position = rep.bits
+        infos += eng.run_range(1)
+    assert len(infos) == 304 + 400 + len(reps)
+    for d in range(2, 7):
+        flags = {info.trivially_reducible for info in infos if info.degree == d}
+        assert flags == {False, True}, d
+    for info in infos:
+        oracle = any(is_trivially_reducible(h) for h in orbit_of(info.rep))
+        assert info.trivially_reducible == oracle, info
 
 
 def test_sieve_replay_rebuilds_state():

@@ -266,7 +266,7 @@ def test_tables_only_where_counting_repeats(monkeypatch):
 
 
 def test_production_decides_without_scans(monkeypatch):
-    # F_2 witnesses come from the parity checks, absolute irreducibility from
+    # F_2 witnesses come from the normal forms, absolute irreducibility from
     # smooth-point counts and cone types from gcd root counts: the search and
     # `verify` run no trial division and no direction scan, both of which
     # stay as test oracles.  Over the nine fields, the certificate reads its
