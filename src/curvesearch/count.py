@@ -290,6 +290,11 @@ class JointCounter:
                 self._tables[d] = None
         return self._tables[d]
 
+    def drop_tables(self) -> None:
+        """Let go of every table held.  The rows come from the evaluators
+        until a table is requested again, with the same values."""
+        self._tables.clear()
+
     def _split(self, sel: np.ndarray
                ) -> Iterator[tuple[PointCounter, np.ndarray, slice]]:
         """Per field: its counter, the columns of the ascending `sel` that

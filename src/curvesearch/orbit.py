@@ -26,7 +26,19 @@ the full degree-5 sieve images 31,016 candidates at 2^9 against 151,464 at
 2^10 were no faster, and below that the per-block numpy overhead grows.
 The (512, 168) image array is 344 KB.  A representative's orbit size is
 168 over the number of matrices that fix it (orbit-stabilizer), read off
-the same image block.
+the same image block.  Its trivial flag is read off the representative
+alone: squares are GL_3(F_2)-invariant, an orbit with a member divisible
+by y or z has one divisible by x (the swaps x <-> y and x <-> z lie in
+GL_3(F_2)), and the x-divisible masks are the low basis_size(d - 1) bits,
+below every other mask, so some member fires the filter iff the minimum
+does.
+
+A range's live bits are unpacked 2^16 masks at a time, each sub-span's
+from the table as the claims before it left it, into one int64 index per
+live mask: 512 KB at most, whatever the span.  Unpacking a 2^22-mask
+range at once took 32 MiB of indices in its first range and peaked a
+fresh degree-6 engine at 139 MB RSS.  Emission depends only on the mask,
+so the sub-spans change neither the output nor the table a range leaves.
 
 All of this reads the one GL_3(F_2) action table of `polyrep.gl3_table`:
 the byte tables are built from it, and `orbit_of` takes all 168 images
@@ -52,8 +64,10 @@ from .polyrep import (  # enumerate_gl3 is re-exported for callers of this modul
     _filter_masks,
 )
 
-# Candidate masks per kernel pass (see the module docstring for the size).
+# Candidate masks per kernel pass, and masks per unpacking of the live bits
+# (see the module docstring for both sizes).
 BLOCK = 1 << 9
+UNPACK = 1 << 16
 
 
 def orbit_of(f: PolyMask) -> set[PolyMask]:
@@ -118,13 +132,21 @@ class SieveEngine:
         lo = self.position
         hi = min(lo + span, self.space + 1)
         out: list[OrbitInfo] = []
+        for sub in range(lo, hi, UNPACK):
+            self._run_span(sub, min(sub + UNPACK, hi), out)
+        self.position = hi
+        return out
+
+    def _run_span(self, lo: int, hi: int, out: list[OrbitInfo]) -> None:
+        """Sieve masks [lo, hi), appending the orbits whose minimum lies
+        there to `out`."""
         luts = _byte_luts(self.degree)
         nbytes = luts.shape[0]
-        # An orbit has a member divisible by y or by z iff it has one
-        # divisible by x: the swaps x <-> y and x <-> z lie in GL_3(F_2).
-        # So the orbit's flag needs only the all-even and x masks.
-        inv_filters = [np.uint32(~m & 0xFFFFFFFF)
-                       for m in _filter_masks(self.degree)[:2]]
+        # The flag reads the minimum's all-even and x tests (see the module
+        # docstring); degree 1 never fires.
+        inv_filters = ([np.uint32(~m & 0xFFFFFFFF)
+                        for m in _filter_masks(self.degree)[:2]]
+                       if self.degree >= 2 else [])
 
         first = lo & ~7
         live = np.unpackbits(~self.table[first >> 3 : (hi + 7) >> 3],
@@ -155,9 +177,8 @@ class SieveEngine:
                 sizes = GL3_ORDER // np.count_nonzero(rimgs == reps[:, None], axis=1)
 
                 triv = np.zeros(len(reps), dtype=bool)
-                if self.degree >= 2:
-                    for inv in inv_filters:
-                        triv |= ((rimgs & inv) == 0).any(axis=1)
+                for inv in inv_filters:
+                    triv |= (reps & inv) == 0
 
                 for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
                     out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
@@ -174,9 +195,6 @@ class SieveEngine:
                 bit = (flat & 7).astype(np.uint8)
                 for k in range(8):
                     self.table[at[bit == k]] |= np.uint8(1 << k)
-
-        self.position = hi
-        return out
 
     def pack_state(self) -> tuple[int, bytes]:
         """(position, live table packed one bit per mask, LSB first)."""

@@ -540,23 +540,31 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     workers, in batches of at most 64 in sieve order; a range with none is
     not dispatched.  Each worker counts an orbit over every field in one
     joint pass, updated from the last orbit it counted (see
-    `CurvePipeline`), so the joint monomial table is built in the parent
-    before forking, and so is the certificate's normal-form table.  A worker
-    returns a batch's kept records as catalog lines, with their number and
-    the batch's stats (`_encode_orbits`), so the parent does no per-record
-    work.  The parent sieves exactly one range ahead: it sieves range k + 1
-    while the workers count range k, then writes range k's bytes and
-    checkpoints the scan position at the end of k, so the catalog keeps its
-    order.  A resume
-    sieves again up to the saved position and discards those orbits: the
-    sieve's output does not depend on how its scan is split, and the
-    replay's clearing keeps the rest of the scan from imaging every mask
-    whose orbit minimum lies below the position.
+    `CurvePipeline`).  The parent builds the joint degree-d monomial table
+    and the certificate's normal-form table, then forks the pool, whose
+    workers share those pages read-only, and then drops the monomial table,
+    which it never reads: it keeps only the sieve's claimed-bit table.  A
+    worker the pool respawns forks without the monomial table and counts
+    through the evaluators, to the same values.  With jobs=1 the parent
+    keeps the table and counts and encodes each range's batches when it
+    collects them.  A worker returns a batch's kept records as catalog
+    lines, with their number and the batch's stats (`_encode_orbits`), so
+    the parent does no per-record work.  The parent sieves exactly one
+    range ahead: it sieves range k + 1 while the workers count range k,
+    then writes range k's bytes and checkpoints the scan position at the
+    end of k, so the catalog keeps its order.
+
+    A resume forks first and then sieves again up to the saved position,
+    discarding those orbits, so the workers never map the claimed-bit pages
+    the replay writes.  The sieve's output does not depend on how its scan
+    is split, and the replay's clearing keeps the rest of the scan from
+    imaging every mask whose orbit minimum lies below the position.  A
+    checkpoint that counted records below its position resumes only into
+    the catalog file that holds them: without `out_path` it raises
+    CheckpointError.
 
     The lookahead never sieves past `stop_after_ranges`, and on an error the
-    pool is terminated without waiting for the range in flight.  With
-    jobs=1 the parent counts and encodes each range's batches when it
-    collects them.
+    pool is terminated without waiting for the range in flight.
     """
     if cfg.long_run:
         warnings.warn(
@@ -573,6 +581,12 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     position, kept, crc = 1, 0, 0
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         position, kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table)
+    if kept and not cfg.out_path:
+        raise CheckpointError(
+            f"{cfg.checkpoint_path}: the checkpoint counted {kept} records below "
+            f"scan position {position}, which only its catalog file holds; "
+            "resume with that file as the output"
+        )
     # Without a catalog file, each range's lines are parsed into the records
     # as they arrive.
     out_fh = (_open_catalog(cfg.out_path, position, kept, crc)
@@ -584,8 +598,6 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     pool = None
     engine = SieveEngine(cfg.degree)
     try:
-        while engine.position < position:
-            engine.run_range(min(span, position - engine.position))
         # Every counted orbit is counted over every field, so the joint
         # degree-d table pays for itself, and the singularity test reads its
         # rows too (see `count.JointCounter`): one table, 29.5 MB at degree 6
@@ -596,6 +608,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         if cfg.jobs > 1:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
+            pipeline.joint.drop_tables()  # the workers keep their pages
+        while engine.position < position:
+            engine.run_range(min(span, position - engine.position))
 
         def sieve_range():
             """Sieve the next range and dispatch its countable orbits:

@@ -401,6 +401,25 @@ def test_joint_table_allocation_failure(monkeypatch):
     assert joint.count_all(f)[8] == naive_count(f, fields[0])
 
 
+def test_dropped_tables_leave_the_counts():
+    # A search's parent drops its table once its workers have forked: the
+    # counter then reads its rows from the evaluators, by deltas from the
+    # accumulator the table filled, to the same counts.  The table stays a
+    # cache, built again on request.
+    fields = [build_field(m) for m in (3, 4, 5)]
+    joint = JointCounter(fields)
+    seq = _delta_sequence(29)
+    built = {d: joint.monomial_table(d).copy() for d in {f.degree for f in seq}}
+    own = {field.order: PointCounter(field) for field in fields}
+    for i, f in enumerate(seq):
+        if i == len(seq) // 2:
+            joint.drop_tables()
+            assert not joint._tables
+        assert joint.count_all(f) == {q: c.count(f) for q, c in own.items()}, f
+    assert not joint._tables
+    assert (joint.monomial_table(4) == built[4]).all()
+
+
 def test_counts_invariant_on_orbits():
     # Totals, tallies and the singular points' degrees are GL_3(F_2)
     # invariants (the action permutes points and commutes with Frobenius).

@@ -1,6 +1,7 @@
 """Group enumeration, orbit computation, and the sieve."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,11 +221,16 @@ def test_sieve_trivial_skip_matches_filter():
 
 
 def test_trivial_flag_matches_orbit_oracle():
-    # The sieve flags an orbit from its images' all-even and x masks only.
-    # The flag must still say whether some member fires the full filter, on
-    # every orbit of degrees 2-4 and on seeded degree-5 and degree-6 orbits.
-    # A degree-6 orbit is emitted by a one-mask range at its minimum, since
-    # being the minimum does not depend on where the scan started.
+    # The sieve flags an orbit from its minimum's all-even and x masks only.
+    # The flag must be the full filter on the minimum, over full scans of
+    # degrees 2-5 and the first 2^21 degree-6 masks.  It must also say
+    # whether some member fires the filter, on every orbit of degrees 2-4
+    # and on seeded degree-5 and degree-6 orbits.  A degree-6 orbit is
+    # emitted by a one-mask range at its minimum, since being the minimum
+    # does not depend on where the scan started.
+    prefix = SieveEngine(6).run_range(1 << 21)
+    for info in [info for d in (2, 3, 4, 5) for info in sieve_all(d)] + prefix:
+        assert info.trivially_reducible == is_trivially_reducible(info.rep), info
     rng = random.Random(24)
     infos = [info for d in (2, 3, 4) for info in sieve_all(d)]
     infos += rng.sample(sieve_all(5), 400)
@@ -266,9 +272,11 @@ def test_sieve_replay_rebuilds_state():
 
 
 def test_sieve_output_independent_of_block(monkeypatch):
-    # The block size sets only how many candidates are imaged at once: the
+    # The block size sets only how many candidates are imaged at once, and
+    # the unpacking size only how many masks' live bits are read at once: the
     # full degree-4 sieve and the first 2^15 degree-5 masks emit the same
-    # orbits and leave the same live table for every block and span.
+    # orbits and leave the same live table for every block, unpacking size
+    # and span.  Unpacking 1000 masks at a time starts sub-spans inside bytes.
     def scan(degree: int, last: int, span: int):
         eng = SieveEngine(degree)
         infos = []
@@ -278,14 +286,39 @@ def test_sieve_output_independent_of_block(monkeypatch):
 
     for degree, last in ((4, full_mask(4)), (5, 1 << 15)):
         runs = []
-        for block in (1 << 4, 1 << 9, 1 << 16):
+        for block, unpack in ((1 << 4, 1000), (1 << 9, 1 << 16), (1 << 16, 1000)):
             monkeypatch.setattr(orbit, "BLOCK", block)
+            monkeypatch.setattr(orbit, "UNPACK", unpack)
             runs += [scan(degree, last, 1 << bits) for bits in (10, 15)]
         infos, table = runs[0]
         assert len(infos) > 100
         for other_infos, other_table in runs[1:]:
             assert other_infos == infos
             assert np.array_equal(other_table, table)
+
+
+def test_range_memory_does_not_grow_with_span():
+    # One range over the whole degree-5 space, 2^21 masks, unpacks its live
+    # bits 2^16 masks at a time: it emits the orbits and leaves the table of
+    # 2^10-mask ranges, and its transient memory (numpy's buffers included,
+    # which tracemalloc traces) stays that of one sub-span.  Unpacked at once,
+    # the 2^21 live masks' int64 indices alone took 16 MiB.
+    step = SieveEngine(5)
+    infos = []
+    while not step.done:
+        infos += step.run_range(1 << 10)
+    orbit._byte_luts(5)  # built by the scan above, outside the measurement
+    eng = SieveEngine(5)
+    tracemalloc.start()
+    try:
+        whole = eng.run_range(1 << 21)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert whole == infos
+    assert np.array_equal(eng.table, step.table)
+    assert peak - current < 4 << 20
+    assert eng.done and 1 << 21 > 4 * orbit.UNPACK
 
 
 def test_run_range_rejects_nonpositive_span():

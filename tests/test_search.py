@@ -1,6 +1,7 @@
 """Pipeline, checkpointing, parallel invariance, CLI surfaces."""
 
 import json
+import multiprocessing.pool
 import os
 import struct
 import threading
@@ -412,6 +413,88 @@ def test_run_search_is_reentrant():
         t.join(timeout=600)
         assert not t.is_alive()
     assert results == serial
+
+
+def _watch_parent(monkeypatch) -> list:
+    """Patch the search so that its parent records, in order, each pool it
+    forks ("fork") and each sieve range it runs, as (the range's first
+    mask, whether the joint counter then holds its degree-4 table)."""
+    events, joints = [], []
+    real_table = JointCounter.monomial_table
+    real_range = SieveEngine.run_range
+    real_pool = multiprocessing.pool.Pool.__init__
+
+    def monomial_table(self, d):
+        joints.append(self)
+        return real_table(self, d)
+
+    def run_range(self, span):
+        events.append((self.position,
+                       bool(joints) and joints[-1]._tables.get(4) is not None))
+        return real_range(self, span)
+
+    def pool(self, *args, **kwargs):
+        events.append("fork")
+        real_pool(self, *args, **kwargs)
+
+    monkeypatch.setattr(JointCounter, "monomial_table", monomial_table)
+    monkeypatch.setattr(SieveEngine, "run_range", run_range)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", pool)
+    return events
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parent_drops_its_table_once_forked(monkeypatch, jobs):
+    # With workers the parent only sieves: once its pool has forked, its
+    # joint counter holds no monomial table, while the workers count with
+    # the pages they forked with.  With jobs=1 the parent counts, and keeps
+    # its table.
+    cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=12)
+    serial = [r.to_json() for r in run_search(cfg)]
+    events = _watch_parent(monkeypatch)
+    assert [r.to_json() for r in run_search(replace(cfg, jobs=jobs))] == serial
+    ranges = [(1 + k * (1 << 12), jobs == 1) for k in range(8)]
+    assert events == (["fork"] if jobs > 1 else []) + ranges
+
+
+def test_resume_forks_before_the_replay(tmp_path, monkeypatch):
+    # A resume builds the table and forks its pool before it sieves again up
+    # to the checkpoint, so the workers never map the claimed-bit pages the
+    # replay writes, and the parent replays without the table.
+    full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
+    cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=2,
+                       out_path=str(out), checkpoint_path=str(ck))
+    assert run_search(replace(cfg, out_path=str(full), checkpoint_path=None)) == []
+    with pytest.raises(InterruptedError):
+        run_search(replace(cfg, stop_after_ranges=3))
+    events = _watch_parent(monkeypatch)
+    assert run_search(replace(cfg, range_bits=11)) == []
+    position = 1 + 3 * (1 << 10)
+    replay = [(1, False), (1 + (1 << 11), False)]
+    rest = [(p, False) for p in range(position, 1 << 15, 1 << 11)]
+    assert events == ["fork"] + replay + rest
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_resume_without_catalog_file_refused(tmp_path, capsys):
+    # A checkpoint that counted records below its scan position resumes only
+    # into the catalog file that holds them; without one, the resume would
+    # return none of them.  Degree 3 over F_8 and F_16 keeps all six of its
+    # records below mask 321.
+    ck = tmp_path / "ck.bin"
+    cfg = SearchConfig(degree=3, fields=(8, 16), range_bits=6,
+                       checkpoint_path=str(ck))
+    assert len(run_search(replace(cfg, checkpoint_path=None))) == 6
+    with pytest.raises(InterruptedError):
+        run_search(replace(cfg, stop_after_ranges=5))
+    blob = ck.read_bytes()
+    with pytest.raises(CheckpointError, match="counted 6 records below scan "
+                                              "position 321"):
+        run_search(cfg)
+    assert main(["search", "--degree", "3", "--fields", "8,16",
+                 "--checkpoint", str(ck)]) == 3
+    assert "counted 6 records" in capsys.readouterr().err
+    assert ck.read_bytes() == blob
 
 
 def test_checkpoint_resume_identity(tmp_path):
