@@ -43,7 +43,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         out_path=args.out,
     )
     stats = SearchStats()
-    records = run_search(cfg, stats=stats)
+    catalog = run_search(cfg, stats=stats)
     print(
         f"orbits={stats.orbits_seen} trivially-reducible={stats.orbits_trivial} "
         f"counted={stats.counted} kept={stats.kept} "
@@ -54,9 +54,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     if args.out:
         print(f"catalog: {stats.kept} records appended -> {args.out}", file=sys.stderr)
-    else:
-        for rec in records:
-            print(rec.to_json())
+    sys.stdout.buffer.write(catalog)  # b"" with --out
     return EXIT_OK
 
 

@@ -14,18 +14,20 @@ some (q, g) pair inside the genus interval is within the configured margin
 of the effective bound (genus 0 never qualifies).
 
 The catalog is one JSON object per line in sieve order, the canonical
-(degree, mask) order; a resume first cuts the file back to the checkpoint's
-scan position, so interrupted and resumed runs converge to byte-identical
-files.  Checkpoints store the sieve scan position and the number and CRC-32
-of the catalog lines below it, and end with a CRC-32 of their own bytes; a
-resume sieves again up to the position, discarding what it emits.  They
-refuse to load when damaged or under a changed configuration or Lauter
-table, and a resume refuses a catalog whose lines below the position are
-not those the checkpoint counted.
+(degree, mask) order, and moves only as bytes.  Checkpoints need a catalog
+file: they store the sieve scan position and the number and CRC-32 of the
+catalog lines below it, and end with a CRC-32 of their own bytes.  A resume
+keeps exactly the counted lines, cuts the rest, and sieves again up to the
+position, discarding what it emits, so interrupted and resumed runs
+converge to byte-identical files.  Checkpoints refuse to load when damaged
+or under a changed configuration or Lauter table, and a resume refuses a
+catalog whose lines below the position are not those the checkpoint
+counted.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
@@ -113,6 +115,9 @@ class SearchConfig:
             raise ConfigError(
                 f"stop_after_ranges must be None or >= 1, got {self.stop_after_ranges}"
             )
+        if self.checkpoint_path and not self.out_path:
+            # Only the catalog file holds the records below a checkpoint.
+            raise ConfigError("a checkpoint needs a catalog file (out_path, --out)")
         object.__setattr__(self, "fields", tuple(sorted(self.fields)))
 
     @property
@@ -475,8 +480,8 @@ def _lauter_digest(table: BoundTable) -> bytes:
 def _checkpoint_save(path: str, cfg: SearchConfig, bounds: BoundTable,
                      position: int, kept: int, crc: int) -> None:
     """`kept` records lie below the sieve's scan `position`, and `crc` is the
-    CRC-32 of their catalog lines as written (0 when no catalog file is
-    written).  A CRC-32 of all preceding bytes closes the file."""
+    CRC-32 of their catalog lines as written.  A CRC-32 of all preceding
+    bytes closes the file."""
     blob = (
         CHECKPOINT_MAGIC
         + struct.pack("<BBi", cfg.degree, len(cfg.fields), cfg.keep_margin)
@@ -526,12 +531,11 @@ def _checkpoint_load(path: str, cfg: SearchConfig, bounds: BoundTable
 # -- the search driver ------------------------------------------------------------------
 
 
-def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
-               ) -> list[CurveRecord]:
-    """Run the full pipeline; records come in sieve order, which is the
-    canonical order.  With cfg.out_path set, each range's records are only
-    appended to the file and [] is returned; without it, the records are
-    those `read_catalog` would read from that file.  With
+def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
+    """Run the full pipeline and return the catalog's bytes, one record per
+    line in sieve order, which is the canonical order.  With cfg.out_path
+    set, each range's lines are only appended to that file and b"" is
+    returned; without it, the returned bytes are exactly that file.  With
     cfg.checkpoint_path set, progress resumes from a compatible checkpoint
     (see `_open_catalog`).
 
@@ -549,19 +553,16 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     keeps the table and counts and encodes each range's batches when it
     collects them.  A worker returns a batch's kept records as catalog
     lines, with their number and the batch's stats (`_encode_orbits`), so
-    the parent does no per-record work.  The parent sieves exactly one
-    range ahead: it sieves range k + 1 while the workers count range k,
-    then writes range k's bytes and checkpoints the scan position at the
-    end of k, so the catalog keeps its order.
+    the parent neither encodes nor parses a record.  The parent sieves
+    exactly one range ahead: it sieves range k + 1 while the workers count
+    range k, then writes range k's bytes and checkpoints the scan position
+    at the end of k, so the catalog keeps its order.
 
     A resume forks first and then sieves again up to the saved position,
     discarding those orbits, so the workers never map the claimed-bit pages
     the replay writes.  The sieve's output does not depend on how its scan
     is split, and the replay's clearing keeps the rest of the scan from
-    imaging every mask whose orbit minimum lies below the position.  A
-    checkpoint that counted records below its position resumes only into
-    the catalog file that holds them: without `out_path` it raises
-    CheckpointError.
+    imaging every mask whose orbit minimum lies below the position.
 
     The lookahead never sieves past `stop_after_ranges`, and on an error the
     pool is terminated without waiting for the range in flight.
@@ -569,9 +570,8 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     if cfg.long_run:
         warnings.warn(
             "degree-6 search over fields beyond 2^9 is a long run: over the "
-            "nine fields it is projected at 18-32 minutes on 2 cores "
-            "(1.5-1.9 ms per orbit along sieve order, 2.5 ms on a uniform "
-            "sample of orbits); checkpointing is recommended"
+            "nine fields one full run took 1,048 s wall on 2 cores (1.32 ms "
+            "of worker CPU per counted orbit); checkpointing is recommended"
         )
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)
@@ -581,22 +581,13 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
     position, kept, crc = 1, 0, 0
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         position, kept, crc = _checkpoint_load(cfg.checkpoint_path, cfg, bound_table)
-    if kept and not cfg.out_path:
-        raise CheckpointError(
-            f"{cfg.checkpoint_path}: the checkpoint counted {kept} records below "
-            f"scan position {position}, which only its catalog file holds; "
-            "resume with that file as the output"
-        )
-    # Without a catalog file, each range's lines are parsed into the records
-    # as they arrive.
-    out_fh = (_open_catalog(cfg.out_path, position, kept, crc)
-              if cfg.out_path else None)
-    records: list[CurveRecord] = []
 
     total_stats = stats if stats is not None else SearchStats()
     span = 1 << cfg.range_bits
     pool = None
     engine = SieveEngine(cfg.degree)
+    sink = (_open_catalog(cfg.out_path, position, kept, crc) if cfg.out_path
+            else io.BytesIO())
     try:
         # Every counted orbit is counted over every field, so the joint
         # degree-d table pays for itself, and the singularity test reads its
@@ -637,14 +628,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
             for text, n, st in results:
                 _merge_stats(total_stats, st)
                 kept += n
-                if out_fh is None:
-                    records += [_parse_record("in-memory catalog", len(records) + i, ln)
-                                for i, ln in enumerate(text.splitlines(), 1)]
-                else:
-                    out_fh.write(text)
-                    crc = zlib.crc32(text, crc)
-            if out_fh is not None:
-                out_fh.flush()
+                sink.write(text)
+                crc = zlib.crc32(text, crc)
+            sink.flush()
             if cfg.checkpoint_path:
                 _checkpoint_save(cfg.checkpoint_path, cfg, bound_table, end,
                                  kept, crc)
@@ -652,6 +638,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
                 raise InterruptedError(
                     f"stopped after {ranges_done} ranges (testing hook)"
                 )
+        return b"" if cfg.out_path else sink.getvalue()
     except BaseException:
         if pool is not None:
             pool.terminate()  # do not wait for the range in flight
@@ -660,40 +647,40 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None
         if pool is not None:
             pool.close()
             pool.join()
-        if out_fh is not None:
-            out_fh.close()
-    return records
+        sink.close()
 
 
 def _open_catalog(path: str, position: int, kept: int, crc: int) -> IO[bytes]:
-    """Open the catalog for appending, truncated after its last complete
-    record below the sieve's scan `position`.  This drops a torn last line,
-    records written but not yet checkpointed, and on a fresh run (position
-    1) the old file.  A complete line that does not parse raises ValueError;
-    lines below the position that are not the `kept` lines with CRC-32
-    `crc` the checkpoint counted raise CheckpointError.
+    """Open the catalog for appending after the `kept` lines, of CRC-32
+    `crc`, that the checkpoint counted below the sieve's scan `position`,
+    and cut what follows them: a torn last line, records written but not yet
+    checkpointed, and on a fresh run (position 1) the old file.  Counted
+    lines that are missing or differ raise CheckpointError, as does a next
+    complete line below the position, a record the checkpoint did not count.
+    That line is the only one parsed, and raises ValueError when malformed.
     """
     with open(path, "a+b") as fh:
-        keep = lines = found = 0
-        if position > 1:
-            fh.seek(0)
-            for n, line in enumerate(fh, 1):
-                if not line.endswith(b"\n"):
-                    break  # torn by a kill during a write
-                if line.strip() and _parse_record(path, n, line).mask >= position:
-                    break
-                keep = fh.tell()
-                lines += 1
-                found = zlib.crc32(line, found)
-        if lines != kept:
-            raise CheckpointError(
-                f"{path}: {lines} complete catalog lines below scan position "
-                f"{position}, but the checkpoint counted {kept}"
-            )
+        fh.seek(0)
+        found = 0
+        for n in range(kept):
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise CheckpointError(
+                    f"{path}: {n} complete catalog lines below scan position "
+                    f"{position}, but the checkpoint counted {kept}"
+                )
+            found = zlib.crc32(line, found)
         if found != crc:
             raise CheckpointError(
                 f"{path}: the {kept} catalog lines below scan position "
                 f"{position} differ from those the checkpoint counted"
+            )
+        keep = fh.tell()
+        line = fh.readline() if position > 1 else b""
+        if line.endswith(b"\n") and _parse_record(path, kept + 1, line).mask < position:
+            raise CheckpointError(
+                f"{path}: more catalog lines below scan position {position} "
+                f"than the {kept} the checkpoint counted"
             )
         fh.truncate(keep)
     return open(path, "ab")

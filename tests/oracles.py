@@ -6,7 +6,8 @@ tables, a scan of every point against the counts on Frobenius orbit
 minima, all three partials against the two lifted ones, trial division
 against the normal-form table and the smooth-point certificate.  It also
 holds the few accessors (field division, the Frobenius map, a field's
-generator and subfields, a witness as a dict) that only the tests call.
+generator and subfields, a witness as a dict, an in-memory search's
+records) that only the tests call.
 The package never imports this module.
 
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
@@ -48,6 +49,7 @@ from curvesearch.polyrep import (
     monomials,
     partials,
 )
+from curvesearch.search import CurveRecord, SearchConfig, run_search
 from curvesearch.singular import PointT, local_expansion
 
 
@@ -178,6 +180,11 @@ def substitute_by_products(f: PolyMask, m: Mat3) -> PolyMask:
 def sieve_all(degree: int) -> list[OrbitInfo]:
     """Run the whole sieve, returning every orbit (trivial ones included)."""
     return list(_scan(degree))
+
+
+def search_records(cfg: SearchConfig, **kwargs) -> list[CurveRecord]:
+    """The records of an in-memory run, read from the bytes it returns."""
+    return [CurveRecord.from_json(ln) for ln in run_search(cfg, **kwargs).splitlines()]
 
 
 # -- point counting by a scan of every point -----------------------------------

