@@ -25,8 +25,9 @@ points' degrees.
 Every value a count reads is an XOR of rows of degree-d basis monomials,
 one value per representative, and each counter has one source of such
 rows.  A standalone `PointCounter` evaluates the rows it is asked for by
-one log-domain evaluator; this is how `count_points`, `verify` and the
-certificate count, and it builds no tables, which pay for themselves only
+one log-domain evaluator, at one add and one gather per row within one
+exponent of x; this is how `count_points`, `verify` and the certificate
+count, and it builds no tables, which pay for themselves only
 over many counts (tens of MB for the largest fields).  Bulk counting goes
 through a `JointCounter`, over one field or several: its columns
 concatenate the representatives of all its fields, and the fields'
@@ -35,8 +36,9 @@ one accumulator over the joint columns holds a curve's values in every
 field at once.  The joint counter reads its rows off its degree-d monomial
 table (the values of every basis monomial at every joint column) where it
 holds one, and has each field's evaluator compute them otherwise: the
-table is only a cache.  It is built on request, one field's column segment
-at a time by that field's evaluator, and each member's
+table is only a cache.  It is built on request from the same log-domain
+indices as the evaluator's rows, each field's columns in chunks of
+`TABLE_CHUNK` and each row gathered straight into place, and each member's
 `PointCounter.monomial_table` is a view of its columns; a search builds
 the table of its own degree only (29.5 MB at degree 6 and 22.2 MB at
 degree 5 over F_8..F_2048).  A table that cannot be allocated leaves the
@@ -80,6 +82,8 @@ from .polyrep import (
     monomials,
     partials,  # unused here; perfbench/layers.py wraps `count.partials`
 )
+
+TABLE_CHUNK = 1 << 16  # columns per chunk of a field in a table build
 
 @dataclass(frozen=True)
 class PointCount:
@@ -174,25 +178,41 @@ class PointCounter:
     def _monomial_rows(self, d: int, cols: Iterable[int],
                        sel: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
         """Values of the degree-d basis monomials `cols` at the
-        representatives `sel` (a slice or an index array), one row per
-        monomial: this counter's row source.
+        representatives `sel` (a slice or an index array), one fresh row
+        per monomial: this counter's row source."""
+        exp, indices = self._log_indices(d, cols, sel)
+        return (exp.take(idx) for idx in indices)
 
-        Computed in the log domain: x^i y^j z^k = exp[i log x + j log y +
-        k log z], with no reduction mod q - 1 and no patching of zeros: the
-        exp table is repeated up to s = d (q - 2) + 1, one more than any sum
-        of d true logs, and is 0 from s to d s; log 0 is s, so a sum that
-        takes it (a zero coordinate with a positive exponent) lands there.
-        """
+    def _log_indices(self, d: int, cols: Iterable[int], sel: slice | np.ndarray
+                     ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+        """(exp, indices): x^i y^j z^k = exp[d log y + i (log x - log y) +
+        k (log z - log y)] at `sel`, one index array per monomial of `cols`,
+        the same array stepped in place (by log z - log y within one exponent
+        of x).  No reduction mod q - 1 and no patching of zeros: exp repeats
+        up to s = d (q - 2) + 1, one more than any sum of d true logs, and is
+        0 from s to d s; log 0 is s, so a sum that takes it (a zero
+        coordinate with a positive exponent) lands there."""
         s = d * (self.q - 2) + 1
         exp = np.zeros(d * s + 1, dtype=self.field.exp.dtype)
         exp[:s] = np.resize(self.field.exp, s)
         log = self.field.log.astype(np.int32)
         log[0] = s
-        logs = [log[self.coords[v][sel]] for v in range(3)]
+        x, y, z = (log[self.coords[v][sel]] for v in range(3))
+        x -= y
+        z -= y
         basis = monomials(d)
-        for c in cols:
-            exps = basis[c]  # i + j + k = d >= 1, so the sum is an array
-            yield exp[sum(k * lg for k, lg in zip(exps, logs) if k)]
+
+        def indices() -> Iterator[np.ndarray]:
+            idx, at = d * y, (0, 0)  # y^d: (i, k) = (0, 0)
+            for c in cols:
+                i, _, k = basis[c]
+                for step, lg in ((i - at[0], x), (k - at[1], z)):
+                    if step:
+                        idx += lg if step == 1 else step * lg
+                at = (i, k)
+                yield idx
+
+        return exp, indices()
 
     def monomial_table(self, d: int) -> np.ndarray | None:
         """This counter's columns of its joint counter's degree-d table,
@@ -269,12 +289,17 @@ class JointCounter:
     def _build_table(self, d: int) -> np.ndarray:
         """The degree-d table, monomial-major (row t = values of basis
         monomial t at every column), so that accumulating a curve is a
-        sequence of contiguous XOR passes; each field fills its columns."""
+        sequence of contiguous XOR passes.  Each field's columns are filled
+        TABLE_CHUNK at a time, so no temporary spans a field, and each row
+        is gathered from the exp table straight into place (its indices are
+        all in range, and "clip" lets `take` write `out` unbuffered)."""
         out = np.empty((basis_size(d), len(self.weights)), dtype=np.uint16)
-        for c in self.counters.values():
-            cols = c._joint[1]
-            for t, row in enumerate(c._monomial_rows(d, range(len(out)))):
-                out[t, cols] = row
+        for c, lo in zip(self.counters.values(), self.offsets):
+            for a in range(0, len(c.weights), TABLE_CHUNK):
+                b = min(a + TABLE_CHUNK, len(c.weights))
+                exp, indices = c._log_indices(d, range(len(out)), slice(a, b))
+                for t, idx in enumerate(indices):
+                    exp.take(idx, out=out[t, lo + a: lo + b], mode="clip")
         return out
 
     def monomial_table(self, d: int) -> np.ndarray | None:

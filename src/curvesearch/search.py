@@ -550,13 +550,14 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     which it never reads: it keeps only the sieve's claimed-bit table.  A
     worker the pool respawns forks without the monomial table and counts
     through the evaluators, to the same values.  With jobs=1 the parent
-    keeps the table and counts and encodes each range's batches when it
-    collects them.  A worker returns a batch's kept records as catalog
-    lines, with their number and the batch's stats (`_encode_orbits`), so
-    the parent neither encodes nor parses a record.  The parent sieves
-    exactly one range ahead: it sieves range k + 1 while the workers count
-    range k, then writes range k's bytes and checkpoints the scan position
-    at the end of k, so the catalog keeps its order.
+    keeps the table and counts, encodes and writes one batch at a time.  A
+    worker returns a batch's kept records as catalog lines, with their
+    number and the batch's stats (`_encode_orbits`), so the parent neither
+    encodes nor parses a record.  The parent sieves exactly one range
+    ahead: it sieves range k + 1 while the workers count range k, then
+    writes, CRCs and merges each of range k's batches as it arrives, in
+    order (so it holds one batch's lines, not a range's), and checkpoints
+    the scan position at the end of k, so the catalog keeps its order.
 
     A resume forks first and then sieves again up to the saved position,
     discarding those orbits, so the workers never map the claimed-bit pages
@@ -609,7 +610,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
             infos = engine.run_range(span)
             countable = [info for info in infos if not info.trivially_reducible]
             batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
-            pending = (pool.map_async(_process_in_worker, batches)
+            pending = (pool.imap(_process_in_worker, batches, chunksize=1)
                        if pool is not None and batches else None)
             return len(infos) - len(countable), batches, pending, engine.position
 
@@ -620,9 +621,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
             ranges_done += 1
             stopping = ranges_done == cfg.stop_after_ranges
             ahead = None if engine.done or stopping else sieve_range()
-            results = (pending.get() if pending is not None
-                       else [_encode_orbits(b, pipeline, cfg.keep_margin)
-                             for b in batches])
+            results = (pending if pending is not None
+                       else (_encode_orbits(b, pipeline, cfg.keep_margin)
+                             for b in batches))
             total_stats.orbits_seen += trivial
             total_stats.orbits_trivial += trivial
             for text, n, st in results:

@@ -3,7 +3,8 @@
 Each one computes by brute force what the package computes another way, and
 the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
-minima, all three partials against the two lifted ones, trial division
+minima, each monomial row summed on its own against the stepped rows,
+all three partials against the two lifted ones, trial division
 against the normal-form table and the smooth-point certificate.  It also
 holds the few accessors (field division, the Frobenius map, a field's
 generator and subfields, a witness as a dict, an in-memory search's
@@ -225,16 +226,34 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
                       tuple(singular_degrees), frozenset(smooth_degrees))
 
 
+def monomial_rows(counter: PointCounter, d: int, cols: Iterable[int],
+                  sel: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
+    """Reference for `PointCounter._monomial_rows`: each row on its own, as
+    exp[i log x + j log y + k log z] over the representatives `sel`, with
+    the exp table repeated up to s = d (q - 2) + 1 and 0 from s to d s,
+    and log 0 = s, so a zero coordinate with a positive exponent gives 0."""
+    s = d * (counter.q - 2) + 1
+    exp = np.zeros(d * s + 1, dtype=counter.field.exp.dtype)
+    exp[:s] = np.resize(counter.field.exp, s)
+    log = counter.field.log.astype(np.int32)
+    log[0] = s
+    logs = [log[counter.coords[v][sel]] for v in range(3)]
+    basis = monomials(d)
+    for c in cols:
+        yield exp[sum(k * lg for k, lg in zip(basis[c], logs) if k)]
+
+
 def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
     """Oracle for fields too large to scan: a count on the Frobenius orbit
     minima whose singular points are the zeros where all three partials
     vanish, each evaluated at degree d - 1 (the gradient of a linear form is
-    a nonzero constant), rather than two of them read as degree-d lifts."""
+    a nonzero constant), rather than two of them read as degree-d lifts, and
+    every value from `monomial_rows`."""
     counter = PointCounter(field)
 
     def values(g: PolyMask, sel) -> np.ndarray:
         return reduce(np.bitwise_xor,
-                      counter._monomial_rows(g.degree, bit_indices(g.bits), sel))
+                      monomial_rows(counter, g.degree, bit_indices(g.bits), sel))
 
     zeros = np.flatnonzero(values(f, slice(None)) == 0)
     singular = np.full(len(zeros), f.degree > 1)

@@ -1,18 +1,23 @@
 """Projective point enumeration and curve point counting."""
 
 import random
+import tracemalloc
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
     conjugate_cubic_norm,
     generator,
     hom_mul,
+    monomial_rows,
     naive_count,
     partials_count,
 )
 
+from curvesearch import count
 from curvesearch.count import (
     JointCounter,
     PointCount,
@@ -22,7 +27,14 @@ from curvesearch.count import (
 )
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
-from curvesearch.polyrep import PolyMask, encode, full_mask, parse_poly, substitute
+from curvesearch.polyrep import (
+    PolyMask,
+    basis_size,
+    encode,
+    full_mask,
+    parse_poly,
+    substitute,
+)
 
 
 def test_projective_point_counts():
@@ -418,6 +430,77 @@ def test_dropped_tables_leave_the_counts():
         assert joint.count_all(f) == {q: c.count(f) for q, c in own.items()}, f
     assert not joint._tables
     assert (joint.monomial_table(4) == built[4]).all()
+
+
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["default-chunk", "chunk-1000"])
+def test_monomial_table_against_oracle(monkeypatch, chunk):
+    # The joint table over the nine fields holds, at every column, each
+    # monomial's row computed on its own, for degrees 1..6: with the
+    # default chunks, and with chunks of 1,000 columns, which start inside
+    # fields, straddle a field's first column on the line x = 0 and end on
+    # its (0:0:1).
+    joint = JointCounter(NINE_FIELDS)
+    members = list(zip(joint.counters.values(), joint.offsets))
+    if chunk is not None:
+        monkeypatch.setattr(count, "TABLE_CHUNK", chunk)
+        edges = [c._edges.tolist() for c, _ in members]
+        assert any(line // chunk and line % chunk for line, _, _ in edges)
+        assert any(end % chunk and end > chunk for _, _, end in edges)
+    for d in range(1, 7):
+        table = joint.monomial_table(d)
+        for c, lo in members:
+            want = np.array(list(monomial_rows(c, d, range(basis_size(d)))))
+            assert (table[:, lo: lo + len(c.weights)] == want).all(), (d, c.q)
+
+
+@lru_cache(maxsize=None)
+def _counter(m: int) -> PointCounter:
+    return PointCounter(build_field(m))
+
+
+@st.composite
+def _row_requests(draw):
+    """A field F_{2^m}, a degree d, ascending degree-d basis indices and
+    ascending representatives that include the field's first column on the
+    line x = 0 and its column of (0:0:1)."""
+    m, d = draw(st.integers(1, 11)), draw(st.integers(1, 6))
+    cols = sorted(draw(st.sets(st.integers(0, basis_size(d) - 1), min_size=1)))
+    line, apex, n = _counter(m)._edges.tolist()
+    sel = draw(st.sets(st.integers(0, n - 1), max_size=40)) | {line, apex}
+    return m, d, cols, np.array(sorted(sel))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_requests())
+# Degree 4's basis groups by the exponent of x as [0], [1, 2], [3, 4, 5],
+# [6..9], [10..14]: gaps inside groups and across them, in F_8 and F_2048.
+@example((3, 4, [0, 3, 5, 6, 9, 11, 14], np.array([0, 5, 24, 28])))
+@example((11, 4, [1, 4, 9, 10, 12], np.array([7, 381304, 381400, 381492])))
+def test_monomial_rows_against_oracle(request):
+    # The stepped evaluator's rows equal the rows computed on its own, and
+    # each row is a fresh array, since a count XORs into the first one.
+    m, d, cols, sel = request
+    counter = _counter(m)
+    rows = list(counter._monomial_rows(d, cols, sel))
+    want = list(monomial_rows(counter, d, cols, sel))
+    assert len(rows) == len(cols)
+    for row, ref in zip(rows, want):
+        assert row.dtype == ref.dtype and (row == ref).all()
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(rows)
+                   for b in rows[i + 1:])
+
+
+def test_table_build_memory():
+    # Built in column chunks, the degree-6 table over the nine fields needs
+    # little beyond its own bytes: no temporary spans a field.
+    joint = JointCounter(NINE_FIELDS)
+    tracemalloc.start()
+    try:
+        table = joint.monomial_table(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes < 4 << 20
 
 
 def test_counts_invariant_on_orbits():

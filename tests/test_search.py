@@ -5,6 +5,7 @@ import multiprocessing.pool
 import os
 import struct
 import threading
+import time
 import zlib
 from dataclasses import replace
 from functools import partial
@@ -391,6 +392,47 @@ def test_pooled_parent_writes_bytes_only(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert catalog == out.read_bytes()
     assert filed == in_memory and filed.kept == len(read_catalog(str(out))) > 0
+
+
+def test_parent_writes_each_batch_as_it_arrives(tmp_path, monkeypatch):
+    # The parent writes and merges a range's batches one by one, in order,
+    # as the workers return them, not once the whole range is counted.  At
+    # degree 5 over F_8 in ranges of 2^11 masks, the first 16 ranges hold
+    # no countable orbit and the 17th holds 248, four batches: the worker
+    # that counts the last one waits for the parent to merge the first.
+    engine = SieveEngine(5)
+    for _ in range(16):
+        assert not any(not i.trivially_reducible for i in engine.run_range(1 << 11))
+    countable = [i for i in engine.run_range(1 << 11) if not i.trivially_reducible]
+    assert len(countable) == 248
+    last = countable[192].rep_bits
+    marker = tmp_path / "merged"
+    parent = os.getpid()
+    real_encode, real_merge = search._encode_orbits, search._merge_stats
+
+    def encode(batch, pipe, margin):
+        if batch[0].rep_bits == last:
+            deadline = time.monotonic() + 10
+            while not marker.exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("the parent held the range's first batch")
+                time.sleep(0.01)
+        return real_encode(batch, pipe, margin)
+
+    def merge(total, part):
+        assert os.getpid() == parent
+        marker.touch()
+        real_merge(total, part)
+
+    cfg = SearchConfig(degree=5, fields=(8,), range_bits=11, stop_after_ranges=17)
+    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    with pytest.raises(InterruptedError):
+        run_search(replace(cfg, out_path=str(serial)))
+    monkeypatch.setattr(search, "_encode_orbits", encode)
+    monkeypatch.setattr(search, "_merge_stats", merge)
+    with pytest.raises(InterruptedError):
+        run_search(replace(cfg, jobs=2, out_path=str(pooled)))
+    assert marker.exists() and pooled.read_bytes() == serial.read_bytes()
 
 
 def test_parallel_catalog_identity(tmp_path):
