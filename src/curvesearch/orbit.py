@@ -4,11 +4,20 @@ The sieve scans masks in ascending order over a claimed-bit table with one
 bit per mask, LSB first: degree 6 holds 2^28 bits = 32 MiB.  The table
 starts as zeros, whose pages are mapped only as the scan writes them.  A
 mask whose bit is still clear when the scan reaches it is the minimum of
-its orbit and is emitted as the orbit representative; all 168 images are
-then claimed.  Emission is an intrinsic property of the mask (being its
-orbit's minimum), so the result is independent of scan interleaving and of
-how ranges are batched, and sieving again up to a scan position rebuilds
+its orbit and is emitted as the orbit representative, after which its
+images are claimed.  Emission is an intrinsic property of the mask (being
+its orbit's minimum), so the result is independent of scan interleaving and
+of how ranges are batched, and sieving again up to a scan position rebuilds
 the table left there.
+
+The x-divisible masks are the low basis_size(d - 1) bits, the x-region
+[1, x_end) below every other mask, and an orbit's minimum lies there iff a
+line divides its masks (GL_3(F_2) is transitive on the 7 F_2 lines).  So
+the scan drops line-divisible masks past x_end before imaging, as none is a
+minimum, and an x-region minimum claims only its images below x_end, other
+minima all 168: 2.1M claims on the first 2^21 degree-6 masks, not 14.3M.
+The line test XORs byte tables whose lane i holds the image's bits at or
+past x_end under a matrix taking line i to x: line i divides iff it is 0.
 
 The kernel applies all 168 substitutions to blocks of candidate masks via
 per-byte lookup tables: a degree-d substitution is F_2-linear on masks, so
@@ -29,9 +38,8 @@ The (512, 168) image array is 344 KB.  A representative's orbit size is
 the same image block.  Its trivial flag is read off the representative
 alone: squares are GL_3(F_2)-invariant, an orbit with a member divisible
 by y or z has one divisible by x (the swaps x <-> y and x <-> z lie in
-GL_3(F_2)), and the x-divisible masks are the low basis_size(d - 1) bits,
-below every other mask, so some member fires the filter iff the minimum
-does.
+GL_3(F_2)), and the x-region lies below every other mask, so some member
+fires the filter iff the minimum does.
 
 A range's live bits are unpacked 2^16 masks at a time, each sub-span's
 from the table as the claims before it left it, into one int64 index per
@@ -47,9 +55,9 @@ of a mask from it in one gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,8 +83,7 @@ def orbit_of(f: PolyMask) -> set[PolyMask]:
     return {PolyMask(f.degree, b) for b in gl3_images(f).tolist()}
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     """One orbit as emitted by the sieve."""
 
     degree: int
@@ -103,6 +110,32 @@ def _byte_luts(d: int) -> np.ndarray:
     return luts
 
 
+@lru_cache(maxsize=4)
+def _line_luts(d: int) -> np.ndarray:
+    """Line lanes per byte position and value, shape (nbytes, 256) uint64:
+    byte i holds the high bits (at or past x_end) of the image under a matrix
+    taking line i + 1 to x.  Byte 7 is 0xFF at position 0 only, so it is
+    0xFF in every mask's XOR and never reads as a zero lane."""
+    to_x = [int(np.argmax(gl3_images(PolyMask(1, line)) == 1)) for line in range(1, 8)]
+    luts = _byte_luts(d)
+    lanes = np.zeros(luts.shape[:2] + (8,), dtype=np.uint8)
+    lanes[..., :7] = luts[..., to_x] >> basis_size(d - 1)
+    lanes[0, :, 7] = 0xFF
+    return lanes.view("<u8")[..., 0]
+
+
+def _line_divisible(d: int, masks: np.ndarray) -> np.ndarray:
+    """Whether a line divides each degree-d mask: whether some lane of the XOR
+    of its bytes' `_line_luts` entries is 0, by the exact zero-byte test."""
+    luts = _line_luts(d)
+    mbytes = masks.astype("<u4").view(np.uint8).reshape(-1, 4)
+    acc = luts[0][mbytes[:, 0]]
+    for bp in range(1, len(luts)):
+        acc ^= luts[bp][mbytes[:, bp]]
+    ones = np.uint64(0x0101010101010101)
+    return ((acc - ones) & ~acc & (ones << np.uint64(7))) != 0
+
+
 class SieveEngine:
     """Range-driven orbit sieve over the full degree-d mask space.
 
@@ -120,6 +153,12 @@ class SieveEngine:
         self.table = np.zeros((self.space + 8) // 8, dtype=np.uint8)
         self.table[0] = 1
         self.position = 1
+        self.x_end = 1 << basis_size(degree - 1)
+        # The flag reads the minimum's all-even and x tests (see the module
+        # docstring); degree 1 never fires.
+        self._inv_filters = ([np.uint32(~m & 0xFFFFFFFF)
+                              for m in _filter_masks(degree)[:2]]
+                             if degree >= 2 else [])
 
     @property
     def done(self) -> bool:
@@ -141,18 +180,15 @@ class SieveEngine:
         """Sieve masks [lo, hi), appending the orbits whose minimum lies
         there to `out`."""
         luts = _byte_luts(self.degree)
-        nbytes = luts.shape[0]
-        # The flag reads the minimum's all-even and x tests (see the module
-        # docstring); degree 1 never fires.
-        inv_filters = ([np.uint32(~m & 0xFFFFFFFF)
-                        for m in _filter_masks(self.degree)[:2]]
-                       if self.degree >= 2 else [])
-
+        x_end = self.x_end
         first = lo & ~7
         live = np.unpackbits(~self.table[first >> 3 : (hi + 7) >> 3],
                              bitorder="little")
         cand_all = np.flatnonzero(live[lo - first : hi - first])
         cand_all += lo
+        if hi > x_end:  # line-divisible masks past x_end are never minima
+            cand_all = cand_all[(cand_all < x_end)
+                                | ~_line_divisible(self.degree, cand_all)]
         cand_bit = np.left_shift(np.uint8(1), cand_all.astype(np.uint8) & 7)
         for start in range(0, len(cand_all), BLOCK):
             cand = cand_all[start : start + BLOCK]
@@ -165,7 +201,7 @@ class SieveEngine:
 
             cbytes = cand32.view(np.uint8).reshape(-1, 4)
             imgs = luts[0][cbytes[:, 0]]
-            for bp in range(1, nbytes):
+            for bp in range(1, len(luts)):
                 imgs ^= luts[bp][cbytes[:, bp]]
 
             rep_sel = imgs.min(axis=1) == cand32
@@ -177,11 +213,10 @@ class SieveEngine:
                 sizes = GL3_ORDER // np.count_nonzero(rimgs == reps[:, None], axis=1)
 
                 triv = np.zeros(len(reps), dtype=bool)
-                for inv in inv_filters:
+                for inv in self._inv_filters:
                     triv |= (reps & inv) == 0
-
-                for rb, sz, tv in zip(reps.tolist(), sizes.tolist(), triv.tolist()):
-                    out.append(OrbitInfo(self.degree, rb, int(sz), bool(tv)))
+                out.extend(map(OrbitInfo, repeat(self.degree), reps.tolist(),
+                               sizes.tolist(), triv.tolist()))
 
                 # Claiming only the representatives' images leaves the table
                 # that claiming every candidate's would.  A live candidate
@@ -189,7 +224,10 @@ class SieveEngine:
                 # an earlier block, and a minimum is never claimed before it
                 # is scanned, so m is among this block's `reps`.  One pass
                 # per bit position: repeated bytes in a pass all set the
-                # same bit, so the last write of each is correct.
+                # same bit, so the last write of each is correct.  An
+                # x-region minimum claims only its images below x_end.
+                if reps[0] < x_end:
+                    rimgs = rimgs[(rimgs < x_end) | (reps >= x_end)[:, None]]
                 flat = rimgs.reshape(-1)
                 at = (flat >> 3).astype(np.intp)
                 bit = (flat & 7).astype(np.uint8)
@@ -197,7 +235,8 @@ class SieveEngine:
                     self.table[at[bit == k]] |= np.uint8(1 << k)
 
     def pack_state(self) -> tuple[int, bytes]:
-        """(position, live table packed one bit per mask, LSB first)."""
+        """(position, live table packed one bit per mask, LSB first); a live
+        bit at or past x_end may be a line-divisible mask the scan dropped."""
         return self.position, (~self.table).tobytes()
 
 

@@ -1,13 +1,16 @@
 """Group enumeration, orbit computation, and the sieve."""
 
+import pickle
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     IDENTITY,
     column_image_table,
+    divides,
     mat_det,
     mat_mul,
     sieve_all,
@@ -16,8 +19,11 @@ from oracles import (
 
 from curvesearch import orbit
 from curvesearch.corpus import load_corpus
+from curvesearch.gf2m import build_field
+from curvesearch.irred import mask_to_dict
 from curvesearch.orbit import (
     GL3_ORDER,
+    OrbitInfo,
     SieveEngine,
     enumerate_gl3,
     orbit_of,
@@ -174,6 +180,15 @@ def test_sieve_partitions_space(d):
         assert len(infos) == KNOWN_ORBITS[d]
 
 
+def test_orbit_info_pickles():
+    # The search pool ships emitted orbits to its workers.
+    infos = sieve_all(4)
+    back = pickle.loads(pickle.dumps(infos))
+    assert back == infos
+    assert all(type(info) is OrbitInfo for info in back)
+    assert [info.rep for info in back] == [info.rep for info in infos]
+
+
 def test_sieve_degree1_single_orbit():
     out = list(sieve(1))
     assert len(out) == 1
@@ -274,9 +289,10 @@ def test_sieve_replay_rebuilds_state():
 def test_sieve_output_independent_of_block(monkeypatch):
     # The block size sets only how many candidates are imaged at once, and
     # the unpacking size only how many masks' live bits are read at once: the
-    # full degree-4 sieve and the first 2^15 degree-5 masks emit the same
+    # full degree-4 sieve and the first 2^16 degree-5 masks emit the same
     # orbits and leave the same live table for every block, unpacking size
-    # and span.  Unpacking 1000 masks at a time starts sub-spans inside bytes.
+    # and span.  Unpacking 1000 masks at a time starts sub-spans inside bytes,
+    # and blocks and sub-spans straddle the degree-5 x_end, 2^15.
     def scan(degree: int, last: int, span: int):
         eng = SieveEngine(degree)
         infos = []
@@ -284,7 +300,7 @@ def test_sieve_output_independent_of_block(monkeypatch):
             infos += eng.run_range(span)
         return infos, eng.table
 
-    for degree, last in ((4, full_mask(4)), (5, 1 << 15)):
+    for degree, last in ((4, full_mask(4)), (5, 1 << 16)):
         runs = []
         for block, unpack in ((1 << 4, 1000), (1 << 9, 1 << 16), (1 << 16, 1000)):
             monkeypatch.setattr(orbit, "BLOCK", block)
@@ -331,30 +347,69 @@ def test_run_range_rejects_nonpositive_span():
 
 
 def test_claimed_bits_match_orbit_oracle():
-    # The table holds one bit per mask, LSB first; after a scan that stops
-    # inside a byte, the set bits are mask 0 and the orbits of the emitted
-    # representatives, and pack_state is the bool live table packed by numpy.
-    eng = SieveEngine(4)
-    stop = 4003
-    infos = []
-    while eng.position < stop:
-        infos += eng.run_range(min(1000, stop - eng.position))
-    assert eng.position == stop and stop % 8
-    claimed = {0} | {g.bits for i in infos for g in orbit_of(i.rep)}
-    bits = np.unpackbits(eng.table, bitorder="little")
-    assert set(np.flatnonzero(bits).tolist()) == claimed
-    live = np.ones(full_mask(4) + 1, dtype=bool)
-    live[sorted(claimed)] = False
-    assert eng.pack_state() == (stop, np.packbits(live, bitorder="little").tobytes())
+    # The table holds one bit per mask, LSB first.  After a scan that stops
+    # inside a byte past x_end, the set bits are mask 0 and the members of
+    # the emitted orbits that lie below x_end or whose minimum does not: an
+    # x-region minimum claims only its x-region images, and the scan drops
+    # the line-divisible masks past x_end unclaimed.  pack_state is the bool
+    # live table packed by numpy.
+    for d, stop in ((3, 700), (4, 4003), (5, 50_001)):
+        eng = SieveEngine(d)
+        infos = []
+        while eng.position < stop:
+            infos += eng.run_range(min(1000, stop - eng.position))
+        x_end = eng.x_end
+        assert eng.position == stop > x_end == 1 << basis_size(d - 1)
+        assert stop % 8
+        claimed = {0} | {g.bits for i in infos for g in orbit_of(i.rep)
+                         if g.bits < x_end or i.rep_bits >= x_end}
+        bits = np.unpackbits(eng.table, bitorder="little")
+        assert set(np.flatnonzero(bits).tolist()) == claimed, d
+        live = np.ones(full_mask(d) + 1, dtype=bool)
+        live[sorted(claimed)] = False
+        packed = np.packbits(live, bitorder="little").tobytes()
+        assert eng.pack_state() == (stop, packed), d
     assert SieveEngine(6).table.nbytes == 2**25
+
+
+F2 = build_field(1)
+LINES = [mask_to_dict(PolyMask(1, bits)) for bits in range(1, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.integers(0, full_mask(d)), max_size=8))))
+def test_line_filter_matches_oracles(case):
+    # The sieve drops a mask past x_end when the lanes of its line table say
+    # a line divides it.  On arbitrary masks, and always on 0 and around
+    # x_end, that test must be trial division by the 7 lines and must say
+    # whether the mask's orbit has its minimum in the x-region.  A nonzero
+    # linear form is a line itself, and 0 is divisible by every line.
+    d, masks = case
+    x_end = 1 << basis_size(d - 1)
+    masks = masks + [0, x_end - 1, x_end, x_end + 1]
+    got = orbit._line_divisible(d, np.array(masks, dtype=np.int64))
+    assert got.dtype == bool and len(got) == len(masks)
+    for bits, lanes in zip(masks, got.tolist()):
+        f = PolyMask(d, bits)
+        trial = bits == 0 or d == 1 or any(divides(line, mask_to_dict(f), F2)
+                                           for line in LINES)
+        assert lanes == trial == (min(orbit_of(f)).bits < x_end), f
 
 
 def test_degree6_sieve_prefix():
     # Degree 6 is the only degree whose masks use all four bytes.  The first
-    # 2^21 masks hold 85,000 orbit minima, all trivially reducible.
+    # 2^21 masks, the x-region, hold 85,000 orbit minima, all trivially
+    # reducible; masks 1..2^22 hold 322,502, of which 85,009 are trivial.
     eng = SieveEngine(6)
-    infos = eng.run_range(1 << 20) + eng.run_range(1 << 20)
-    assert eng.position == (1 << 21) + 1
-    assert len(infos) == 85_000
-    assert all(i.trivially_reducible for i in infos)
-    assert sum(i.orbit_size for i in infos) == 14_025_690
+    infos = []
+    for _ in range(4):
+        infos += eng.run_range(1 << 20)
+    assert eng.position == (1 << 22) + 1
+    x_region = [i for i in infos if i.rep_bits < eng.x_end == 1 << 21]
+    assert len(x_region) == 85_000
+    assert all(i.trivially_reducible for i in x_region)
+    assert sum(i.orbit_size for i in x_region) == 14_025_690
+    assert len(infos) == 322_502
+    assert sum(i.trivially_reducible for i in infos) == 85_009
+    assert sum(i.orbit_size for i in infos) == 53_542_615
