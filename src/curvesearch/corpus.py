@@ -143,10 +143,13 @@ def check_entry(entry: CorpusEntry) -> CorpusResult:
             f"[{record.genus.lo}, {record.genus.hi}]"
         )
 
-    if entry.n_lower is not None and record.n_lo(entry.q) < entry.n_lower:
-        failures.append(
-            f"N_lo {record.n_lo(entry.q)} below asserted bound {entry.n_lower}"
-        )
+    if entry.n_lower is not None:
+        if entry.q not in record.n_range:  # `verify`'s bounds-inconsistent record
+            failures.append(f"no N range over F_{entry.q}: {', '.join(record.flags)}")
+        elif record.n_lo(entry.q) < entry.n_lower:
+            failures.append(
+                f"N_lo {record.n_lo(entry.q)} below asserted bound {entry.n_lower}"
+            )
 
     if record.absolute != "yes":
         failures.append(f"absolute irreducibility not certified: {record.absolute}")

@@ -33,23 +33,20 @@ through a `JointCounter`, over one field or several: its columns
 concatenate the representatives of all its fields, and the fields'
 counters hold column views of them.  Addition is XOR in every F_{2^m}, so
 one accumulator over the joint columns holds a curve's values in every
-field at once.  The joint counter reads its rows off its degree-d monomial
-table (the values of every basis monomial at every joint column) where it
-holds one, and has each field's evaluator compute them otherwise: the
-table is only a cache.  It is built on request from the same log-domain
-indices as the evaluator's rows, each field's columns in chunks of
-`TABLE_CHUNK` and each row gathered straight into place, and each member's
-`PointCounter.monomial_table` is a view of its columns; a search builds
+field at once.  The joint counter reads every row off its degree-d
+monomial table (the values of every basis monomial at every joint
+column), which its first count of degree d builds from the same
+log-domain indices as the evaluator's rows, each field's columns in chunks
+of `TABLE_CHUNK` and each row gathered straight into place; each member's
+`PointCounter.monomial_table` is a view of its columns.  A search builds
 the table of its own degree only (29.5 MB at degree 6 and 22.2 MB at
-degree 5 over F_8..F_2048).  A table that cannot be allocated leaves the
-same rows to the evaluator, with the same values.  Curves come in sieve
-order, where consecutive orbit minima share most monomials, so the
-accumulator keeps the last curve's values and is updated by the rows of
-the monomials in which the two curves differ; where those are more rows
-than the curve has, the curve is accumulated in full.  The zeros are found
-in one scan and tested once, all together; they are then split per field
-by column offset, and each field's counter tallies its own, as its `count`
-does.
+degree 5 over F_8..F_2048).  Curves come in sieve order, where
+consecutive orbit minima share most monomials, so the accumulator keeps
+the last curve's values and is updated by the rows of the monomials in
+which the two curves differ; where those are more rows than the curve
+has, the curve is accumulated in full.  The zeros are found in one scan
+and tested once, all together; they are then split per field by column
+offset, and each field's counter tallies its own, as its `count` does.
 
 Singularity is decided one way on every path, from degree-d rows.  Every
 column is a normalized point P, whose leading coordinate x_v (the first
@@ -65,7 +62,6 @@ the answer is read off f's coefficients.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -217,13 +213,9 @@ class PointCounter:
     def monomial_table(self, d: int) -> np.ndarray | None:
         """This counter's columns of its joint counter's degree-d table,
         which the first call for d builds for every field; None for a
-        counter outside a live `JointCounter`, or where the table does not
-        fit in memory (degree d then uses the evaluator)."""
+        counter outside a live `JointCounter`."""
         joint = self._joint and self._joint[0]()
-        if joint is None:
-            return None
-        table = joint.monomial_table(d)
-        return None if table is None else table[:, self._joint[1]]
+        return None if joint is None else joint.monomial_table(d)[:, self._joint[1]]
 
     def count(self, f: PolyMask) -> PointCount:
         """Totals plus the singular points, from the evaluator's rows."""
@@ -281,7 +273,7 @@ class JointCounter:
         self.counters = {c.q: c for c in counters}
         self._edges = np.concatenate([c._edges + lo
                                       for c, lo in zip(counters, self.offsets)])
-        self._tables: dict[int, np.ndarray | None] = {}
+        self._tables: dict[int, np.ndarray] = {}
         # degree -> the last curve counted (0 before the first) and its values
         self._last: dict[int, int] = {}
         self._acc: dict[int, np.ndarray] = {}
@@ -302,48 +294,27 @@ class JointCounter:
                     exp.take(idx, out=out[t, lo + a: lo + b], mode="clip")
         return out
 
-    def monomial_table(self, d: int) -> np.ndarray | None:
+    def monomial_table(self, d: int) -> np.ndarray:
         """Build (once) and keep the degree-d table over every field's
-        columns; None when it does not fit in memory."""
+        columns."""
         if d not in self._tables:
-            try:
-                self._tables[d] = self._build_table(d)
-            except MemoryError:
-                warnings.warn(f"monomial table for q in {tuple(self.counters)}, "
-                              f"d={d} does not fit in memory; falling back to "
-                              "direct evaluation")
-                self._tables[d] = None
+            self._tables[d] = self._build_table(d)
         return self._tables[d]
 
     def drop_tables(self) -> None:
-        """Let go of every table held.  The rows come from the evaluators
-        until a table is requested again, with the same values."""
+        """Let go of every table held.  The next count of a degree builds
+        its table again, with the same values."""
         self._tables.clear()
-
-    def _split(self, sel: np.ndarray
-               ) -> Iterator[tuple[PointCounter, np.ndarray, slice]]:
-        """Per field: its counter, the columns of the ascending `sel` that
-        are its own, as its own indices, and their positions in `sel`."""
-        cuts = np.searchsorted(sel, self.offsets)
-        for c, lo, a, b in zip(self.counters.values(), self.offsets, cuts, cuts[1:]):
-            yield c, sel[a:b] - lo, slice(a, b)
 
     def _rows(self, d: int, monos: list[int], sel: slice | np.ndarray = slice(None)
               ) -> Iterator[np.ndarray]:
         """Values of the degree-d basis monomials `monos` at every column
-        (the default) or at the ascending columns `sel`, one row per
-        monomial: the degree-d table's rows where it is held, read in place
-        at every column, or else each field's evaluator's rows at its own
-        columns."""
-        table = self._tables.get(d)
-        if table is not None:
-            if isinstance(sel, slice):
-                return (table[t] for t in monos)
-            return (table[t].take(sel) for t in monos)
-        owns = ([c._monomial_rows(d, monos) for c in self.counters.values()]
-                if isinstance(sel, slice) else
-                [c._monomial_rows(d, monos, own) for c, own, _ in self._split(sel)])
-        return map(np.concatenate, zip(*owns))
+        (the default), read in place, or at the ascending columns `sel`,
+        one row of the degree-d table per monomial."""
+        table = self.monomial_table(d)
+        if isinstance(sel, slice):
+            return (table[t] for t in monos)
+        return (table[t].take(sel) for t in monos)
 
     def _values(self, f: PolyMask, cols: list[int]) -> np.ndarray:
         """f's values at every column: the last degree-d curve's, updated by
@@ -373,8 +344,10 @@ class JointCounter:
         cols = bit_indices(f.bits)
         zeros = np.flatnonzero(self._values(f, cols) == 0)
         singular = _singular(self._rows, self._edges, f, cols, zeros)
-        return {c.q: c._tally(own, singular[part])
-                for c, own, part in self._split(zeros)}
+        cuts = zeros.searchsorted(self.offsets).tolist()
+        return {c.q: c._tally(zeros[a:b] - lo, singular[a:b])
+                for c, lo, a, b in zip(self.counters.values(), self.offsets,
+                                       cuts, cuts[1:])}
 
 
 def _singular(rows, edges: np.ndarray, f: PolyMask, cols: list[int],

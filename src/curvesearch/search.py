@@ -548,9 +548,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     and the certificate's normal-form table, then forks the pool, whose
     workers share those pages read-only, and then drops the monomial table,
     which it never reads: it keeps only the sieve's claimed-bit table.  A
-    worker the pool respawns forks without the monomial table and counts
-    through the evaluators, to the same values.  With jobs=1 the parent
-    keeps the table and counts, encodes and writes one batch at a time.  A
+    worker the pool respawns forks without the monomial table and builds its
+    own on its first count.  With jobs=1 the parent keeps the table and
+    counts, encodes and writes one batch at a time.  A
     worker returns a batch's kept records as catalog lines, with their
     number and the batch's stats (`_encode_orbits`), so the parent neither
     encodes nor parses a record.  The parent sieves exactly one range
@@ -571,8 +571,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     if cfg.long_run:
         warnings.warn(
             "degree-6 search over fields beyond 2^9 is a long run: over the "
-            "nine fields one full run took 1,048 s wall on 2 cores (1.32 ms "
-            "of worker CPU per counted orbit); checkpointing is recommended"
+            "nine fields a full run takes about 17-25 minutes wall on 2 cores "
+            "(1.3-2.1 ms of worker CPU per counted orbit, with the host's "
+            "speed); checkpointing is recommended"
         )
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)
@@ -590,11 +591,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     sink = (_open_catalog(cfg.out_path, position, kept, crc) if cfg.out_path
             else io.BytesIO())
     try:
-        # Every counted orbit is counted over every field, so the joint
-        # degree-d table pays for itself, and the singularity test reads its
-        # rows too (see `count.JointCounter`): one table, 29.5 MB at degree 6
-        # over the nine fields.  Built before forking, workers share the
-        # parent's read-only pages instead of each building their own.
+        # Every count reads its rows off the joint degree-d table (see
+        # `count.JointCounter`): one table, 29.5 MB at degree 6 over the
+        # nine fields.  Built before forking, workers share the parent's
+        # read-only pages instead of each building their own.
         pipeline.joint.monomial_table(cfg.degree)
         _normal_forms(cfg.degree)  # the certificate's F_2 factor table, shared too
         if cfg.jobs > 1:

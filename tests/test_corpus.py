@@ -2,7 +2,7 @@
 
 import pytest
 
-from curvesearch.corpus import check_entry, load_corpus
+from curvesearch.corpus import check_entry, load_corpus, run_corpus
 from curvesearch.polyrep import parse_poly
 
 
@@ -52,3 +52,17 @@ def test_bad_corpus_file_rejected(tmp_path):
     bad.write_text("q = 8\n")
     with pytest.raises(ValueError, match="before any"):
         load_corpus(bad)
+
+
+def test_bounds_inconsistent_entry_fails(tmp_path):
+    # `verify` stands in a record with no N range for a curve whose bounds
+    # cross; an entry asserting a lower bound for it fails, and raises
+    # nothing.
+    path = tmp_path / "corpus.txt"
+    path.write_text("[crossed]\nq = 8\ngenus = 1\n"
+                    "poly = x^2*z + x*y^2 + x*y*z + y^2*z + y*z^2 + z^3\n"
+                    "smooth = 14\nn_lower = 1\n")
+    (result,) = run_corpus(load_corpus(path))
+    assert result.record.flags == ("bounds-inconsistent",)
+    assert "no N range over F_8: bounds-inconsistent" in result.failures
+    assert not result.passed

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import warnings
 from functools import lru_cache
 from math import gcd
 
@@ -181,45 +182,6 @@ def test_conjugate_singular_points_expanded_in_order(make):
     assert _tabulated(f64).count_all(f) == {64: b}
 
 
-def test_streaming_fallback_matches_tables(monkeypatch):
-    # Force the real fallback: table allocation fails.
-    f16 = build_field(4)
-    with_tables = _tabulated(f16)
-    streaming = JointCounter([f16])
-    # Only the degree-3 table fails: degree 2 stays tabulated.
-    partial = JointCounter([f16])
-    real_build = partial._build_table
-
-    def no_memory(d):
-        raise MemoryError
-
-    def no_memory_for_3(d):
-        if d == 3:
-            raise MemoryError
-        return real_build(d)
-
-    monkeypatch.setattr(streaming, "_build_table", no_memory)
-    monkeypatch.setattr(partial, "_build_table", no_memory_for_3)
-    rng = random.Random(5)
-    with pytest.warns(UserWarning, match="falling back"):
-        for d in range(1, 7):
-            assert streaming.monomial_table(d) is None
-    with pytest.warns(UserWarning, match="q in \\(16,\\), d=3"):
-        assert partial.monomial_table(3) is None
-    assert partial.counters[16].monomial_table(3) is None
-    assert (partial.monomial_table(2) == with_tables.monomial_table(2)).all()
-    for _ in range(40):
-        d = rng.randint(1, 6)
-        f = PolyMask(d, rng.randint(1, full_mask(d)))
-        a, b = with_tables.count_all(f), streaming.count_all(f)
-        assert a == b == {16: naive_count(f, f16)}
-    for _ in range(20):
-        f = PolyMask(3, rng.randint(1, full_mask(3)))
-        assert with_tables.count_all(f) == partial.count_all(f)
-    assert streaming.monomial_table(3) is None
-    assert partial.monomial_table(3) is None
-
-
 def _delta_sequence(seed: int) -> list[PolyMask]:
     """Degree-4 and degree-5 masks in alternation, each a few monomials
     from the last mask of its degree (as consecutive orbit minima are),
@@ -250,9 +212,8 @@ def _delta_sequence(seed: int) -> list[PolyMask]:
 def test_joint_pass_against_oracles():
     # One pass over the joint columns of several fields, by deltas along a
     # sequence of masks, equals each field's own count and the brute-force
-    # scan, degrees of singular and smooth points included.  Counting first
-    # without tables and then with them also checks the deltas starting
-    # from values the evaluator left.
+    # scan, degrees of singular and smooth points included.  Each degree's
+    # table is built by the first count of that degree.
     fields = [build_field(m) for m in (3, 4, 5)]
     joint = JointCounter(fields)
     own = [PointCounter(field) for field in fields]
@@ -265,8 +226,7 @@ def test_joint_pass_against_oracles():
                for a, b in pairs)
     for n, f in enumerate(seq):
         if n == 8:
-            for d in range(2, 7):
-                assert joint.monomial_table(d) is not None
+            assert sorted(joint._tables) == [4, 5]
         got = joint.count_all(f)
         assert list(got) == [8, 16, 32]
         for field, counter in zip(fields, own):
@@ -339,13 +299,15 @@ def nine_field_oracle() -> dict[PolyMask, dict[int, PointCount]]:
             for f in curves}
 
 
-@pytest.mark.parametrize("table", [True, False], ids=["degree-d-table", "fallback"])
-def test_nine_field_pass_against_oracle(nine_field_oracle, table, monkeypatch):
-    # One joint pass over F_8..F_2048 per curve, with only the curve's
-    # degree-d table (the singularity test reads its rows), or with that
-    # table forced absent (the evaluator computes the same rows): each
-    # field's total, smooth count, singular points in canonical order and
-    # the degrees of its singular and smooth points match the oracle.
+@pytest.mark.parametrize("prebuilt", [True, False],
+                         ids=["degree-d-table", "built-on-first-count"])
+def test_nine_field_pass_against_oracle(nine_field_oracle, prebuilt):
+    # One joint pass over F_8..F_2048 per curve, reading every row off the
+    # curve's degree-d table (the singularity test reads its rows too),
+    # built beforehand as a search builds it or by the count, which builds
+    # that table and no other: each field's total, smooth count, singular
+    # points in canonical order and the degrees of its singular and smooth
+    # points match the oracle.
     off_affine = _off_affine_singular_curves()
     nodes = [nine_field_oracle[f][8].singular_points for f in off_affine[:2]]
     assert nodes == [((0, 0, 1),), ((0, 1, 0),)]
@@ -354,15 +316,8 @@ def test_nine_field_pass_against_oracle(nine_field_oracle, table, monkeypatch):
     assert all(x == 0 and z > 1 for x, _, z in pair.singular_points)
     for f, want in nine_field_oracle.items():
         joint = JointCounter(NINE_FIELDS)
-        if not table:
-            def no_memory(d):
-                raise MemoryError
-
-            monkeypatch.setattr(joint, "_build_table", no_memory)
-            with pytest.warns(UserWarning, match="falling back"):
-                assert joint.monomial_table(f.degree) is None
-        else:
-            assert joint.monomial_table(f.degree) is not None
+        if prebuilt:
+            joint.monomial_table(f.degree)
         got = joint.count_all(f)
         assert list(joint._tables) == [f.degree]
         assert list(got) == [field.order for field in NINE_FIELDS]
@@ -386,50 +341,43 @@ def test_standalone_count_against_oracle(nine_field_oracle):
             assert got == count_points(f, field) == want, (f, field.order)
 
 
-def test_joint_table_allocation_failure(monkeypatch):
-    # Where the joint table for degree 5 cannot be allocated, every field's
-    # counter gets None for it and the joint pass evaluates degree 5's rows
-    # directly; degree 4 stays tabulated.
-    fields = [build_field(m) for m in (3, 4, 5)]
-    joint = JointCounter(fields)
-    real_build = joint._build_table
+def test_table_allocation_failure_propagates(monkeypatch):
+    # The degree-d table is the joint counter's only row source: where it
+    # cannot be allocated, the count fails with the allocation's error, with
+    # no warning and no table kept.
+    joint = JointCounter([build_field(3), build_field(4)])
 
-    def no_memory_for_5(d):
-        if d == 5:
-            raise MemoryError
-        return real_build(d)
+    def no_memory(d):
+        raise MemoryError
 
-    monkeypatch.setattr(joint, "_build_table", no_memory_for_5)
-    with pytest.warns(UserWarning, match="q in \\(8, 16, 32\\), d=5.*falling back"):
-        assert joint.counters[16].monomial_table(5) is None
-    assert joint.monomial_table(5) is None
-    assert all(c.monomial_table(5) is None for c in joint.counters.values())
-    for d in (3, 4):
-        assert joint.monomial_table(d) is not None
-    own = {field.order: PointCounter(field) for field in fields}
-    for f in _delta_sequence(23):
-        assert joint.count_all(f) == {q: c.count(f) for q, c in own.items()}, f
-    f = PolyMask(4, 0b111)
-    assert joint.count_all(f)[8] == naive_count(f, fields[0])
+    monkeypatch.setattr(joint, "_build_table", no_memory)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MemoryError):
+            joint.count_all(parse_poly("x^3 + y^3 + x*y*z"))
+    assert not joint._tables
 
 
 def test_dropped_tables_leave_the_counts():
-    # A search's parent drops its table once its workers have forked: the
-    # counter then reads its rows from the evaluators, by deltas from the
-    # accumulator the table filled, to the same counts.  The table stays a
-    # cache, built again on request.
+    # A search's parent drops its table once its workers have forked, and a
+    # worker the pool respawns forks without it: the next count of a degree
+    # builds its table again, equal to the first, and counts by deltas from
+    # the accumulator the first table filled, to the standalone counts.
     fields = [build_field(m) for m in (3, 4, 5)]
     joint = JointCounter(fields)
     seq = _delta_sequence(29)
-    built = {d: joint.monomial_table(d).copy() for d in {f.degree for f in seq}}
     own = {field.order: PointCounter(field) for field in fields}
     for i, f in enumerate(seq):
         if i == len(seq) // 2:
+            first = dict(joint._tables)
             joint.drop_tables()
             assert not joint._tables
         assert joint.count_all(f) == {q: c.count(f) for q, c in own.items()}, f
-    assert not joint._tables
-    assert (joint.monomial_table(4) == built[4]).all()
+    assert sorted(first) == [4, 5]
+    assert sorted(joint._tables) == [3, 4, 5, 6]
+    for d, table in first.items():
+        assert joint._tables[d] is not table
+        assert (joint._tables[d] == table).all()
 
 
 @pytest.mark.parametrize("chunk", [None, 1000], ids=["default-chunk", "chunk-1000"])

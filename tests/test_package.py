@@ -66,20 +66,14 @@ def _package() -> tuple[dict[str, set[str]], set[str]]:
     return defs, roots
 
 
-def test_package_holds_only_reachable_code():
-    # Roots: module-level code (`__all__`, the `__main__` guard), the console
-    # script `cli.main`, and every identifier the benchmark harness uses,
-    # read through its syntax tree so that a name in a comment or docstring
-    # keeps nothing alive.  Matching is by name alone: a name used anywhere
-    # keeps every definition of it, so the test errs towards missing dead
-    # code.  A method is reached only through an attribute (`x.name`) or a
-    # string, never through a bare name such as a local variable.
-    # Reference implementations that only the tests use belong in
-    # tests/oracles.py.
+def _reached(roots: set[str]) -> set[str]:
+    """The definitions reachable from module-level code, the console script
+    `cli.main` and the identifiers `roots`.  Matching is by name alone: a
+    name used anywhere keeps every definition of it.  A method is reached
+    only through an attribute (`x.name`) or a string, never through a bare
+    name such as a local variable."""
     defs, reached = _package()
-    reached.add("main")
-    for path in sorted(PERFBENCH.glob("*.py")):
-        reached |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    reached |= roots | {"main"}
 
     def used(key: str) -> bool:
         owner, _, name = key.rpartition(".")
@@ -93,5 +87,41 @@ def test_package_holds_only_reachable_code():
         for key in new:
             reached |= defs[key]
         done |= new
-    unreached = sorted(set(defs) - done)
+    return done
+
+
+def _perfbench_identifiers() -> set[str]:
+    """Every identifier the benchmark harness uses, read through its syntax
+    tree, so that a name in a comment or docstring keeps nothing alive."""
+    return set().union(*(_identifiers(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sorted(PERFBENCH.glob("*.py"))))
+
+
+def test_package_holds_only_reachable_code():
+    # Roots: module-level code (`__all__`, the `__main__` guard), the console
+    # script `cli.main`, and every identifier the benchmark harness uses.
+    # The test errs towards missing dead code.  Reference implementations
+    # that only the tests use belong in tests/oracles.py.
+    unreached = sorted(set(_package()[0]) - _reached(_perfbench_identifiers()))
     assert not unreached, f"no entry point reaches {unreached}"
+
+
+def test_only_these_definitions_live_for_the_benchmark():
+    # What only `perfbench/` keeps alive, as the list of what to move into
+    # tests/oracles.py or delete once the benchmark stops using it.  New
+    # code that only the benchmark reaches fails here.
+    only_perfbench = _reached(_perfbench_identifiers()) - _reached(set())
+    assert sorted(only_perfbench) == [
+        "corpus.CorpusResult.passed",
+        "gf2m.FieldTable.add",
+        "gf2m.FieldTable.elements",
+        "gf2m.FieldTable.mul_arr",
+        "irred.find_simple_point",
+        "orbit.SieveEngine.pack_state",
+        "search.finalize_catalog",
+        "search.read_catalog",
+        "search.write_catalog",
+        "singular._deflate_root",
+        "singular._peval",
+        "singular.factor_binary_form",
+    ]
