@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .polyrep import parse_poly, is_trivially_reducible
-from .search import CurveRecord, verify
+from .search import SUPPORTED_FIELDS, CurveRecord, verify
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,12 @@ def load_corpus(path: str | Path | None = None) -> list[CorpusEntry]:
             raise ValueError(f"unknown corpus key {key!r}")
     flush()
 
+    ids = [e.id for e in entries]
     for e in entries:
+        if ids.count(e.id) > 1:
+            raise ValueError(f"{e.id}: duplicate corpus id")
+        if e.q not in SUPPORTED_FIELDS and e.q not in (2, 4):
+            raise ValueError(f"{e.id}: unsupported field order {e.q}")
         f = parse_poly(e.poly)  # parse failures here are corpus bugs
         if f.degree > 6:
             raise ValueError(f"{e.id}: degree {f.degree} exceeds 6")

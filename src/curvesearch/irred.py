@@ -11,8 +11,8 @@ is exactly the multiples of g.  One table holds the normal form of every
 monomial modulo every g of every degree e (28 x 1,093 entries, 122 KB, at
 degree 6), built for all g at once, and f is a multiple of g iff the XOR of
 its monomials' entries is 0.  The columns are in the order in which trial
-division, the tests' oracle, meets the divisors, so the first zero column
-is the witness.
+division, the tests' oracle, meets the divisors, so the first zero column's
+form is the witness, kept as its mask.
 
 Absolute irreducibility is decided from smooth-point counts.  Let f be
 irreducible over F_2 of degree d <= 6.  Its absolutely irreducible
@@ -53,57 +53,20 @@ from .count import PointCount, count_points, projective_points
 from .gf2m import MAX_M, build_field
 from .polyrep import (
     PolyMask,
-    Triple,
     basis_size,
     bit_indices,
-    decode,
     evaluate,
     monomial_index,
     monomials,
     partials,
 )
 
-HomPoly = dict[Triple, int]
-
-
-@dataclass(frozen=True)
-class Factor:
-    """A witness divisor over F_{2^k}."""
-
-    k: int
-    degree: int
-    terms: tuple[tuple[Triple, int], ...]  # (monomial, coefficient encoding)
-
-    def __str__(self) -> str:
-        parts = []
-        for (i, j, kk), c in self.terms:
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip("xyz", (i, j, kk))
-                if e
-            )
-            parts.append(mono if c == 1 else f"[{c}]*{mono}")
-        return f"F_{{2^{self.k}}}: " + " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class IrreducibilityStatus:
     absolute: str  # "yes" | "reducible"
     certificate_field: int | None  # "yes": first m with a smooth F_{2^m}-point
-    witness: Factor | None  # the F_2 factor, when f has one
-
-
-def mask_to_dict(f: PolyMask) -> HomPoly:
-    return {t: 1 for t in decode(f)}
-
-
-def _leading(p: HomPoly) -> Triple:
-    return max(p)  # tuple comparison is graded-lex within a fixed degree
-
-
-def _witness(g: HomPoly, k: int) -> Factor:
-    terms = tuple(sorted(g.items(), reverse=True))
-    return Factor(k=k, degree=sum(_leading(g)), terms=terms)
+    witness: PolyMask | None  # the F_2 divisor, when f has one
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +106,7 @@ def _normal_forms(d: int) -> tuple[np.ndarray, tuple[PolyMask, ...]]:
     return table, tuple(forms)
 
 
-def _f2_factor(f: PolyMask) -> Factor | None:
+def _f2_factor(f: PolyMask) -> PolyMask | None:
     """The F_2 divisor of degree 1..d/2 that the sweep meets first, or None:
     of the forms g that leave f no remainder, the lowest degree, then the
     lowest set bit of g (its leading monomial), then g bit-reversed (the
@@ -152,7 +115,7 @@ def _f2_factor(f: PolyMask) -> Factor | None:
     hits = np.bitwise_xor.reduce(table[bit_indices(f.bits)], axis=0) == 0
     if not hits.any():
         return None
-    return _witness(mask_to_dict(forms[int(hits.argmax())]), 1)
+    return forms[int(hits.argmax())]
 
 
 def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:

@@ -34,7 +34,7 @@ import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import IO, Iterable, Iterator
 
@@ -310,38 +310,39 @@ class CurvePipeline:
                     return True
         return False
 
-    def analyze(self, f: PolyMask, orbit_size: int,
-                counts: dict[int, PointCount]) -> CurveRecord | None:
-        """Full record for one curve from its `count_all` counts; None when
-        the genus interval is inconsistent (the curve cannot be absolutely
-        irreducible)."""
-        distinct = distinct_singular_points(counts)
-        r = len(distinct)
-        try:
-            gi = genus_interval(
-                f.degree, r, {q: pc.smooth for q, pc in counts.items()}
-            )
-        except GenusInconsistency:
-            return None
+    def analyze(self, f: PolyMask, orbit_size: int, counts: dict[int, PointCount],
+                gi: GenusInterval) -> CurveRecord | None:
+        """Full record for one curve from its `count_all` counts and the
+        genus interval `quick_genus` made of them; None when some N range
+        crosses (the curve cannot be absolutely irreducible).
 
+        Frobenius, (x:y:z) -> (x^2:y^2:z^2), fixes f: it keeps a singular
+        point's multiplicity, cone type, ordinariness and F_q-rational
+        directions, and takes its cone to the coefficient-wise square at
+        the conjugate.  So each orbit is analysed once per field, at its
+        first listed point, and an F_2 point, with the same {0,1}
+        coordinates and cone in every field, once per curve."""
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
-        # A degree-1 point has the same {0,1} coordinates, cone and cone type
-        # in every field, so it is analysed once.
         analysed: dict[tuple, SingularPoint] = {}
+        first: dict[int, int] = {}  # degree -> the first field listing it
+        mults: list[int] = []  # theorem 1's, one per distinct point
         for q in self.orders:
             field = self.counters[q].field
             credit = 0
             for p, k in zip(counts[q].singular_points, counts[q].singular_degrees):
-                key = p if k == 1 else (q, p)
+                key = (q if k > 1 else None, p)
                 if key not in analysed:
-                    analysed[key] = analyze_singular_point(f, p, field, k)
-                a = analysed[key]
-                s = a if a.q == q else SingularPoint(
-                    point=a.point, q=q, k=a.k, multiplicity=a.multiplicity,
-                    cone=a.cone, cone_type=a.cone_type, ordinary=a.ordinary)
+                    s = analysed[key] = analyze_singular_point(f, p, field, k)
+                    for _ in range(k - 1):  # the orbit's other points
+                        s = replace(s, point=tuple(field.mul(c, c) for c in s.point),
+                                    cone=tuple(field.mul(c, c) for c in s.cone))
+                        analysed[q, s.point] = s
+                s = replace(analysed[key], q=q)
                 singular.append(s)
+                if first.setdefault(k, q) == q:
+                    mults.append(s.multiplicity)
                 lower, exact = blowup_points_estimate(s, field)
                 if exact:
                     credit += lower
@@ -350,6 +351,7 @@ class CurvePipeline:
                         f"nonordinary-singularity q={q} point=({p[0]}:{p[1]}:{p[2]})"
                     )
             credited[q] = credit
+        r = len(mults)
 
         n_range = {
             q: smooth_model_range(
@@ -378,11 +380,7 @@ class CurvePipeline:
         if gi.lo < gi.hi:
             flags.append("genus-ambiguous")
 
-        theorem1_ok: bool | None = None
-        by_point = {(s.q, s.point): s.multiplicity for s in singular}
-        mults = [by_point[key] for key in distinct]
-        if len(mults) >= 2:
-            theorem1_ok = check_theorem1(mults, f.degree)
+        theorem1_ok = check_theorem1(mults, f.degree) if r >= 2 else None
 
         return CurveRecord(
             degree=f.degree,
@@ -395,7 +393,8 @@ class CurvePipeline:
             n_range=n_range,
             absolute=status.absolute,
             certificate_field=status.certificate_field,
-            witness=str(status.witness) if status.witness else None,
+            witness=(None if status.witness is None
+                     else f"F_{{2^1}}: {format_poly(status.witness)}"),
             flags=tuple(flags),
             theorem1_ok=theorem1_ok,
         )
@@ -419,7 +418,7 @@ def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
         if not pipe.meets_threshold(counts, gi, margin):
             stats.dropped_threshold += 1
             continue
-        record = pipe.analyze(info.rep, info.orbit_size, counts)
+        record = pipe.analyze(info.rep, info.orbit_size, counts, gi)
         if record is None:
             stats.dropped_inconsistent += 1
             continue
@@ -775,7 +774,12 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
                 else CurvePipeline((q,), load_lauter(lauter_path)))
     counts = {q: pipeline.counters[q].count(f)}
     orbit_size = len(orbit_of(f))
-    record = pipeline.analyze(f, orbit_size, counts)
+    try:
+        gi = pipeline.quick_genus(f.degree, counts)
+    except GenusInconsistency:
+        record = None
+    else:
+        record = pipeline.analyze(f, orbit_size, counts, gi)
     if record is None:
         # Surface the inconsistency as a flagged record rather than an error:
         # corpus tooling reports it, nothing downstream trusts the bounds.

@@ -7,8 +7,10 @@ minima, each monomial row summed on its own against the stepped rows,
 all three partials against the two lifted ones, trial division
 against the normal-form table and the smooth-point certificate.  It also
 holds the few accessors (field division, the Frobenius map, a field's
-generator and subfields, a witness as a dict, an in-memory search's
-records) that only the tests call.
+generator and subfields, an in-memory search's records) that only the
+tests call, and trial division's polynomials over F_{2^k}: `HomPoly`, a
+{monomial: coefficient} dict, and `Factor`, a witness divisor, whose text
+over F_2 is the catalog's witness text.
 The package never imports this module.
 
 Trial division (`find_factor`, `is_irreducible`, `_sweep`) sweeps candidate
@@ -22,6 +24,7 @@ degree d/s of an F_2-irreducible f are swept.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
@@ -29,14 +32,7 @@ import numpy as np
 
 from curvesearch.count import PointCount, PointCounter, projective_points
 from curvesearch.gf2m import FieldTable, _polymod, build_field
-from curvesearch.irred import (
-    Factor,
-    HomPoly,
-    _f2_factor,
-    _leading,
-    _witness,
-    mask_to_dict,
-)
+from curvesearch.irred import _f2_factor
 from curvesearch.orbit import OrbitInfo, _scan
 from curvesearch.polyrep import (
     Mat3,
@@ -280,6 +276,43 @@ def multiplicity_at(f: PolyMask, point: PointT, field: FieldTable) -> int:
 # -- trial division ------------------------------------------------------------
 
 
+HomPoly = dict[Triple, int]
+
+
+@dataclass(frozen=True)
+class Factor:
+    """A witness divisor over F_{2^k}; over F_2 its text is the catalog's
+    witness text."""
+
+    k: int
+    degree: int
+    terms: tuple[tuple[Triple, int], ...]  # (monomial, coefficient encoding)
+
+    def __str__(self) -> str:
+        parts = []
+        for (i, j, kk), c in self.terms:
+            mono = "*".join(
+                v if e == 1 else f"{v}^{e}"
+                for v, e in zip("xyz", (i, j, kk))
+                if e
+            )
+            parts.append(mono if c == 1 else f"[{c}]*{mono}")
+        return f"F_{{2^{self.k}}}: " + " + ".join(parts)
+
+
+def mask_to_dict(f: PolyMask) -> HomPoly:
+    return {t: 1 for t in decode(f)}
+
+
+def _leading(p: HomPoly) -> Triple:
+    return max(p)  # tuple comparison is graded-lex within a fixed degree
+
+
+def _witness(g: HomPoly, k: int) -> Factor:
+    terms = tuple(sorted(g.items(), reverse=True))
+    return Factor(k=k, degree=sum(_leading(g)), terms=terms)
+
+
 def as_dict(self: Factor) -> HomPoly:
     return dict(self.terms)
 
@@ -422,10 +455,12 @@ def find_factor(f: PolyMask, k: int) -> Factor | None:
     """First divisor of f over F_{2^k} in sweep order (Galois descent), or None."""
     if not 1 <= k <= 3:
         raise ValueError("irreducibility is tested over F_2, F_4, F_8 only")
-    w = _f2_factor(f)
-    if w is None and k > 1 and f.degree % k == 0:
-        w = _sweep(f, [f.degree // k], k)  # conjugate factors (Galois descent)
-    return w
+    g = _f2_factor(f)
+    if g is not None:
+        return _witness(mask_to_dict(g), 1)
+    if k > 1 and f.degree % k == 0:
+        return _sweep(f, [f.degree // k], k)  # conjugate factors (Galois descent)
+    return None
 
 
 def is_irreducible(f: PolyMask, k: int) -> bool:

@@ -54,6 +54,22 @@ def test_bad_corpus_file_rejected(tmp_path):
         load_corpus(bad)
 
 
+def test_unrunnable_corpus_entries_rejected_at_load(tmp_path):
+    # An entry `check_entry` could not run, or one whose id is taken, fails
+    # the load with a message that names it, before any entry runs.
+    path = tmp_path / "corpus.txt"
+    entry = "q = {q}\ngenus = 6\npoly = x^5 + y^5 + z^5\nsmooth = 1\n"
+    path.write_text("[odd]\n" + entry.format(q=3))
+    with pytest.raises(ValueError, match="odd: unsupported field order 3"):
+        load_corpus(path)
+    path.write_text("[a]\n" + entry.format(q=8) + "[a]\n" + entry.format(q=16))
+    with pytest.raises(ValueError, match="a: duplicate corpus id"):
+        load_corpus(path)
+    for q in (2, 4, 8, 2048):
+        path.write_text("[a]\n" + entry.format(q=q))
+        assert [e.q for e in load_corpus(path)] == [q]
+
+
 def test_bounds_inconsistent_entry_fails(tmp_path):
     # `verify` stands in a record with no N range for a curve whose bounds
     # cross; an entry asserting a lower bound for it fails, and raises

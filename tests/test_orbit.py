@@ -11,6 +11,7 @@ from oracles import (
     IDENTITY,
     column_image_table,
     divides,
+    mask_to_dict,
     mat_det,
     mat_mul,
     sieve_all,
@@ -20,7 +21,6 @@ from oracles import (
 from curvesearch import orbit
 from curvesearch.corpus import load_corpus
 from curvesearch.gf2m import build_field
-from curvesearch.irred import mask_to_dict
 from curvesearch.orbit import (
     GL3_ORDER,
     OrbitInfo,

@@ -3,6 +3,7 @@
 import json
 import multiprocessing.pool
 import os
+import random
 import struct
 import threading
 import time
@@ -15,13 +16,19 @@ import pytest
 from oracles import conjugate_cubic_norm, mul_masks, search_records
 
 from curvesearch import cli, search, singular
-from curvesearch.bounds import load_lauter
+from curvesearch.bounds import GenusInconsistency, load_lauter
 from curvesearch.cli import main
 from curvesearch.corpus import load_corpus
 from curvesearch.count import JointCounter, PointCounter, count_points
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import SieveEngine
-from curvesearch.polyrep import PolyMask, parse_mask_id, parse_poly
+from curvesearch.polyrep import (
+    PolyMask,
+    full_mask,
+    is_trivially_reducible,
+    parse_mask_id,
+    parse_poly,
+)
 from curvesearch.search import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -177,8 +184,9 @@ def test_each_orbit_counted_once(monkeypatch):
 
 def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     # A singular point with {0,1} coordinates is the same F_2-point, with the
-    # same cone, in every field: each analysed curve analyses it once, and
-    # every other singular point once in the field it was found in.  The
+    # same cone, in every field: each analysed curve analyses it once.  Every
+    # other singular point is analysed once per Frobenius orbit in each field
+    # it was found in (its conjugates are its images under squaring).  The
     # degree the analysis receives is 1 exactly on the {0,1} points.
     calls = expected = per_field = 0
     real_point = search.analyze_singular_point
@@ -190,18 +198,51 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
         assert (k == 1) == (max(p) <= 1)
         return real_point(f, p, field, k)
 
-    def analyze(self, f, orbit_size, counts):
+    def analyze(self, f, orbit_size, counts, gi):
         nonlocal expected, per_field
         found = [p for pc in counts.values() for p in pc.singular_points]
         expected += len({p for p in found if max(p) <= 1})
-        expected += sum(max(p) > 1 for p in found)
+        for q, pc in counts.items():
+            field = self.counters[q].field
+            expected += len({frozenset(tuple(oracles.frobenius(field, c, j) for c in p)
+                                       for j in range(field.m))
+                             for p in pc.singular_points if max(p) > 1})
         per_field += len(found)
-        return real_analyze(self, f, orbit_size, counts)
+        return real_analyze(self, f, orbit_size, counts, gi)
 
     monkeypatch.setattr(search, "analyze_singular_point", point)
     monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
     assert run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
     assert calls == expected < per_field
+
+
+def test_conjugate_analyses_equal_direct_ones():
+    # Oracle for the one analysis per orbit: in seeded degree-5 and degree-6
+    # curves with singular points of degrees 2-4 over several fields, every
+    # point's record entry (multiplicity, cone, cone type, ordinariness) is
+    # what a direct analysis at that point gives.
+    fields = (8, 16, 64, 256)
+    pipe = CurvePipeline(fields, load_lauter())
+    rng = random.Random(5)
+    seen = set()
+    for d in (5, 6):
+        for _ in range(300):
+            f = PolyMask(d, rng.randint(1, full_mask(d)))
+            if is_trivially_reducible(f):
+                continue
+            counts = pipe.count_all(f)
+            if all(k == 1 for pc in counts.values() for k in pc.singular_degrees):
+                continue
+            try:
+                rec = pipe.analyze(f, 1, counts, pipe.quick_genus(d, counts))
+            except GenusInconsistency:
+                continue
+            for s in rec.singular if rec else ():
+                direct = singular.analyze_singular_point(
+                    f, s.point, pipe.counters[s.q].field, s.k)
+                assert s == direct, (f, s)
+                seen.add((s.q, s.k))
+    assert {(8, 3), (16, 2), (16, 4), (64, 2), (64, 3), (256, 2), (256, 4)} <= seen
 
 
 def test_singular_points_counted_exactly_across_fields():
@@ -299,7 +340,7 @@ def test_production_decides_without_scans(monkeypatch):
             status = real_certify(f, counts)
         finally:
             certifying = False
-        witnesses.append(status.witness and status.witness.k)
+        witnesses.append(status.witness)
         return status
 
     monkeypatch.setattr(oracles, "_sweep", sweep)
@@ -318,10 +359,11 @@ def test_production_decides_without_scans(monkeypatch):
     for entry in load_corpus():
         assert verify(entry.poly, entry.q).absolute == "yes", entry.id
     prod = mul_masks(PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5"))
-    assert verify(prod, 8).witness == "F_{2^1}: x + y"
+    want = str(real_sweep(prod, range(1, 4), 1))  # trial division's witness
+    assert verify(prod, 8).witness == want == "F_{2^1}: x + y"
     rec = verify(conjugate_cubic_norm(), 8)  # reducible over F_4 only
     assert (rec.absolute, rec.witness) == ("reducible", None)
-    assert witnesses.count(1) == 1
+    assert [w for w in witnesses if w is not None] == [parse_poly("x + y")]
     assert sweeps == [] and scans == 0
 
 
