@@ -26,9 +26,10 @@ Every value a count reads is an XOR of rows of degree-d basis monomials,
 one value per representative, and each counter has one source of such
 rows.  A standalone `PointCounter` evaluates the rows it is asked for by
 one log-domain evaluator, at one add and one gather per row within one
-exponent of x; this is how `count_points`, `verify` and the certificate
-count, and it builds no tables, which pay for themselves only
-over many counts (tens of MB for the largest fields).  Bulk counting goes
+exponent of x, from exp and log tables it builds once per degree; this is
+how `count_points`, `verify` and the certificate count, and it builds no
+monomial tables, which pay for themselves only over many counts (tens of
+MB for the largest fields).  Bulk counting goes
 through a `JointCounter`, over one field or several: its columns
 concatenate the representatives of all its fields, and the fields'
 counters hold column views of them.  Addition is XOR in every F_{2^m}, so
@@ -45,8 +46,13 @@ consecutive orbit minima share most monomials, so the accumulator keeps
 the last curve's values and is updated by the rows of the monomials in
 which the two curves differ; where those are more rows than the curve
 has, the curve is accumulated in full.  The zeros are found in one scan
-and tested once, all together; they are then split per field by column
-offset, and each field's counter tallies its own, as its `count` does.
+and tested once, all together, then tallied together by `_tally`, as a
+single-field count's are: one bincount over each zero's field (read off
+the column offsets) and weight gives every field's smooth count and
+smooth-point degrees, and only the singular representatives are expanded.
+The scan is two-level: the `== 0` mask goes into a bool buffer, which a
+joint counter holds, its uint64 words are tested first, and only the few
+words with a zero are read column by column.
 
 Singularity is decided one way on every path, from degree-d rows.  Every
 column is a normalized point P, whose leading coordinate x_v (the first
@@ -122,8 +128,8 @@ class PointCounter:
     `coords` holds the orbit minima of P^2(F_q) in canonical order (one
     column each) and `weights` their orbit sizes, which sum to `n_points`
     = q^2 + q + 1.  A counter evaluates each curve's own monomials and
-    keeps no tables; a member of a `JointCounter` reads its columns of the
-    joint tables through `monomial_table`.
+    keeps no monomial tables; a member of a `JointCounter` reads its
+    columns of the joint tables through `monomial_table`.
     """
 
     def __init__(self, field: FieldTable):
@@ -166,6 +172,8 @@ class PointCounter:
         # is its last, and its end: the edges `_singular` reads.
         self._edges = np.array([n_affine, n - 1, n])
         self._square = orbit[1].tolist()
+        # degree -> the evaluator's (exp, log) tables, built by its first use
+        self._evaluators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # The `JointCounter` that holds this counter's columns, and which of
         # its columns they are, if any.  The reference is weak, so that no
         # cycle keeps the joint tables alive after the joint counter goes.
@@ -187,13 +195,19 @@ class PointCounter:
         of x).  No reduction mod q - 1 and no patching of zeros: exp repeats
         up to s = d (q - 2) + 1, one more than any sum of d true logs, and is
         0 from s to d s; log 0 is s, so a sum that takes it (a zero
-        coordinate with a positive exponent) lands there."""
-        s = d * (self.q - 2) + 1
-        exp = np.zeros(d * s + 1, dtype=self.field.exp.dtype)
-        exp[:s] = np.resize(self.field.exp, s)
-        log = self.field.log.astype(np.int32)
-        log[0] = s
-        x, y, z = (log[self.coords[v][sel]] for v in range(3))
+        coordinate with a positive exponent) lands there.  Both tables are
+        built once per degree."""
+        if d not in self._evaluators:
+            s = d * (self.q - 2) + 1
+            exp = np.zeros(d * s + 1, dtype=self.field.exp.dtype)
+            exp[:s] = np.resize(self.field.exp, s)
+            log = self.field.log.astype(np.int32)
+            log[0] = s
+            self._evaluators[d] = exp, log
+        exp, log = self._evaluators[d]
+        # `take` gathers twice as fast as `log[...]` from uint16 indices;
+        # one row at a time bounds their intp copy to one row.
+        x, y, z = (log.take(self.coords[v][sel]) for v in range(3))
         x -= y
         z -= y
         basis = monomials(d)
@@ -226,28 +240,10 @@ class PointCounter:
         acc = next(rows)
         for row in rows:
             acc ^= row
-        zeros = np.flatnonzero(acc == 0)
-        return self._tally(zeros, _singular(self._monomial_rows, self._edges,
-                                            f, cols, zeros))
-
-    def _tally(self, zeros: np.ndarray, singular: np.ndarray) -> PointCount:
-        """The count from the representatives `zeros` on the curve, of which
-        those marked in `singular` are singular: each of those is expanded
-        back into its orbit, and the points are listed in canonical order."""
-        weights = self.weights[zeros]
-        total = int(weights.sum())
-        found = []
-        square = self._square
-        for i in zeros[singular].tolist():
-            x, y, z = self.coords[:, i].tolist()
-            k = int(self.weights[i])
-            for _ in range(k):
-                found.append(((x, y, z), k))
-                x, y, z = square[x], square[y], square[z]
-        found.sort(key=lambda pk: _point_index(pk[0], self.q))
-        points, degrees = zip(*found) if found else ((), ())
-        return PointCount(self.q, total, total - len(found), points, degrees,
-                          frozenset(weights[~singular].tolist()))
+        zeros = _zeros(acc, _scan_buffer(len(acc)))
+        singular = _singular(self._monomial_rows, self._edges, f, cols, zeros)
+        return _tally([self], (0, len(acc)), self.coords, self.weights,
+                      zeros, singular)[self.q]
 
 
 class JointCounter:
@@ -277,6 +273,7 @@ class JointCounter:
         # degree -> the last curve counted (0 before the first) and its values
         self._last: dict[int, int] = {}
         self._acc: dict[int, np.ndarray] = {}
+        self._hit = _scan_buffer(len(self.weights))
 
     def _build_table(self, d: int) -> np.ndarray:
         """The degree-d table, monomial-major (row t = values of basis
@@ -338,16 +335,64 @@ class JointCounter:
     def count_all(self, f: PolyMask) -> dict[int, PointCount]:
         """f's count over every field, by field order: one accumulation and
         zero scan over all the columns, one singularity test of all the
-        zeros, then each field's tally of its own zeros."""
+        zeros, then one tally of them all."""
         if f.bits == 0:
             raise ValueError("zero polynomial")
         cols = bit_indices(f.bits)
-        zeros = np.flatnonzero(self._values(f, cols) == 0)
+        zeros = _zeros(self._values(f, cols), self._hit)
         singular = _singular(self._rows, self._edges, f, cols, zeros)
-        cuts = zeros.searchsorted(self.offsets).tolist()
-        return {c.q: c._tally(zeros[a:b] - lo, singular[a:b])
-                for c, lo, a, b in zip(self.counters.values(), self.offsets,
-                                       cuts, cuts[1:])}
+        return _tally(self.counters.values(), self.offsets, self.coords,
+                      self.weights, zeros, singular)
+
+
+def _scan_buffer(n: int) -> np.ndarray:
+    """`_zeros`' buffer for n columns: False, in whole uint64 words."""
+    return np.zeros(n + -n % 8, dtype=bool)
+
+
+def _zeros(acc: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The columns where `acc` is 0, ascending, by a two-level scan: the
+    mask goes into `hit` (its padding stays False), its uint64 words are
+    tested, and only the words with a hit are read bit by bit.  Zeros are
+    sparse, about one column in a thousand in the largest fields."""
+    np.equal(acc, 0, out=hit[: len(acc)])
+    words = np.flatnonzero(hit.view(np.uint64) != 0)
+    at = np.flatnonzero(hit.reshape(-1, 8)[words])
+    return words[at >> 3] * 8 + (at & 7)
+
+
+def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
+           weights: np.ndarray, zeros: np.ndarray, singular: np.ndarray
+           ) -> dict[int, PointCount]:
+    """The counts, by field order, from the ascending columns `zeros` on
+    the curve, of which those marked in `singular` are singular; field i
+    owns the columns offsets[i]:offsets[i + 1] of `coords` and `weights`.
+    Each field's smooth count and smooth-point degrees come from one
+    bincount over the smooth zeros' field and weight.  Each singular
+    representative is expanded back into its orbit by squaring, and each
+    field's singular points are listed in canonical order."""
+    counters = list(counters)
+    width = 1 + max(c.field.m for c in counters)  # a weight divides m
+    field = np.searchsorted(offsets, zeros, "right") - 1
+    key = field * width + weights[zeros]
+    by_degree = np.bincount(key[~singular], minlength=len(counters) * width
+                            ).reshape(-1, width)
+    n_smooth = (by_degree @ np.arange(width)).tolist()
+    found: list[list] = [[] for _ in counters]
+    for i, c in zip(zeros[singular].tolist(), field[singular].tolist()):
+        x, y, z = coords[:, i].tolist()
+        k = int(weights[i])
+        square = counters[c]._square
+        for _ in range(k):
+            found[c].append(((x, y, z), k))
+            x, y, z = square[x], square[y], square[z]
+    counts = {}
+    for c, n, row, points in zip(counters, n_smooth, by_degree.tolist(), found):
+        points.sort(key=lambda pk: _point_index(pk[0], c.q))
+        points, degrees = zip(*points) if points else ((), ())
+        counts[c.q] = PointCount(c.q, n + len(points), n, points, degrees,
+                                 frozenset(k for k, m in enumerate(row) if m))
+    return counts
 
 
 def _singular(rows, edges: np.ndarray, f: PolyMask, cols: list[int],

@@ -34,7 +34,7 @@ import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable, Iterator
 
@@ -49,11 +49,14 @@ from .bounds import (
 from .count import JointCounter, PointCount
 from .gf2m import build_field
 from .irred import _normal_forms, certify_absolute
+# `orbit_of` is unused here; perfbench/layers.py wraps `search.orbit_of`.
 from .orbit import OrbitInfo, SieveEngine, orbit_of
 from .polyrep import (
+    GL3_ORDER,
     PolyMask,
     format_poly,
     full_mask,
+    gl3_images,
     is_trivially_reducible,
     parse_mask_id,
     parse_poly,
@@ -257,9 +260,12 @@ def _typed(value, kind: type, nullable: bool = False):
 
 
 def _ints(value, n: int) -> tuple[int, ...]:
-    """A JSON list of n integers, as a tuple."""
-    if type(value) is not list or list(map(type, value)) != [int] * n:
+    """A JSON list of n integers (no bools), as a tuple."""
+    if type(value) is not list or len(value) != n:
         raise TypeError(f"expected {n} integers, got {value!r}")
+    for v in value:
+        if type(v) is not int:
+            raise TypeError(f"expected {n} integers, got {value!r}")
     return tuple(value)
 
 
@@ -321,29 +327,42 @@ class CurvePipeline:
         directions, and takes its cone to the coefficient-wise square at
         the conjugate.  So each orbit is analysed once per field, at its
         first listed point, and an F_2 point, with the same {0,1}
-        coordinates and cone in every field, once per curve."""
+        coordinates and cone in every field, once per curve; the blowup
+        estimate, which counts F_q-rational directions, is taken once per
+        orbit per field."""
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
-        analysed: dict[tuple, SingularPoint] = {}
+        f2_points: dict[tuple, SingularPoint] = {}  # analysed once per curve
         first: dict[int, int] = {}  # degree -> the first field listing it
         mults: list[int] = []  # theorem 1's, one per distinct point
         for q in self.orders:
             field = self.counters[q].field
             credit = 0
+            # point -> (its SingularPoint over F_q, its orbit's estimate)
+            seen: dict[tuple, tuple[SingularPoint, tuple[int, bool]]] = {}
             for p, k in zip(counts[q].singular_points, counts[q].singular_degrees):
-                key = (q if k > 1 else None, p)
-                if key not in analysed:
-                    s = analysed[key] = analyze_singular_point(f, p, field, k)
+                if p not in seen:
+                    a = f2_points.get(p) if k == 1 else None
+                    if a is None:
+                        a = analyze_singular_point(f, p, field, k)
+                        if k == 1:
+                            f2_points[p] = a
+                    point, cone = p, a.cone
+                    s = SingularPoint(point, q, k, a.multiplicity, cone,
+                                      a.cone_type, a.ordinary)
+                    estimate = blowup_points_estimate(s, field)
+                    seen[p] = s, estimate
                     for _ in range(k - 1):  # the orbit's other points
-                        s = replace(s, point=tuple(field.mul(c, c) for c in s.point),
-                                    cone=tuple(field.mul(c, c) for c in s.cone))
-                        analysed[q, s.point] = s
-                s = replace(analysed[key], q=q)
+                        point = tuple(field.mul(c, c) for c in point)
+                        cone = tuple(field.mul(c, c) for c in cone)
+                        seen[point] = (SingularPoint(point, q, k, a.multiplicity, cone,
+                                                     a.cone_type, a.ordinary),
+                                       estimate)
+                s, (lower, exact) = seen[p]
                 singular.append(s)
                 if first.setdefault(k, q) == q:
                     mults.append(s.multiplicity)
-                lower, exact = blowup_points_estimate(s, field)
                 if exact:
                     credit += lower
                 else:
@@ -773,7 +792,8 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
     pipeline = (_verify_pipeline(q) if lauter_path is None
                 else CurvePipeline((q,), load_lauter(lauter_path)))
     counts = {q: pipeline.counters[q].count(f)}
-    orbit_size = len(orbit_of(f))
+    # Orbit-stabilizer, as the sieve reads it: |O| = 168 / #{M : f M = f}.
+    orbit_size = GL3_ORDER // int((gl3_images(f) == f.bits).sum())
     try:
         gi = pipeline.quick_genus(f.degree, counts)
     except GenusInconsistency:

@@ -243,8 +243,8 @@ def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
     """Oracle for fields too large to scan: a count on the Frobenius orbit
     minima whose singular points are the zeros where all three partials
     vanish, each evaluated at degree d - 1 (the gradient of a linear form is
-    a nonzero constant), rather than two of them read as degree-d lifts, and
-    every value from `monomial_rows`."""
+    a nonzero constant), rather than two of them read as degree-d lifts,
+    every value from `monomial_rows`, and a tally of its own."""
     counter = PointCounter(field)
 
     def values(g: PolyMask, sel) -> np.ndarray:
@@ -257,7 +257,32 @@ def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
         for p in partials(f):
             if p.bits:
                 singular &= values(p, zeros) == 0
-    return counter._tally(zeros, singular)
+    # Each singular representative's orbit by squaring, in the canonical
+    # order of `projective_points`, as `naive_count` lists it.
+    total = 0
+    found = []
+    smooth_degrees = set()
+    for i, sing in zip(zeros.tolist(), singular.tolist()):
+        k = int(counter.weights[i])
+        total += k
+        if not sing:
+            smooth_degrees.add(k)
+            continue
+        point = tuple(int(c) for c in counter.coords[:, i])
+        for _ in range(k):
+            found.append((point, k))
+            point = tuple(field.mul(c, c) for c in point)
+    found.sort(key=lambda pk: _canonical_key(pk[0]))
+    return PointCount(field.order, total, total - len(found),
+                      tuple(p for p, _ in found), tuple(k for _, k in found),
+                      frozenset(smooth_degrees))
+
+
+def _canonical_key(p: PointT) -> tuple[int, ...]:
+    """Sort key of `projective_points`' order: (1, y, z) by (y, z), then
+    (0, 1, z) by z, then (0, 0, 1)."""
+    x, y, z = p
+    return (0, y, z) if x else (1, z) if y else (2,)
 
 
 # -- multiplicity from the local expansion -------------------------------------

@@ -451,6 +451,27 @@ def test_table_build_memory():
     assert peak - table.nbytes < 4 << 20
 
 
+def test_joint_counter_holds_no_scratch_columns():
+    # Once built and warm, a nine-field joint counter holds its table and
+    # four per-column arrays: coords, weights, the accumulator and the scan
+    # buffer.  The rest (evaluator tables, squaring maps, edges) is per
+    # field element, under one byte per column in all; any further
+    # per-column array, even one bool per column, breaks the bound.
+    rng = random.Random(13)
+    tracemalloc.start()
+    try:
+        joint = JointCounter(NINE_FIELDS)
+        for _ in range(2):
+            joint.count_all(PolyMask(4, rng.randint(1, full_mask(4))))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(joint.weights)
+    arrays = (joint.monomial_table(4), joint.coords, joint.weights,
+              joint._acc[4], joint._hit)
+    assert held - sum(a.nbytes for a in arrays) < n
+
+
 def test_counts_invariant_on_orbits():
     # Totals, tallies and the singular points' degrees are GL_3(F_2)
     # invariants (the action permutes points and commutes with Frobenius).

@@ -10,6 +10,7 @@ import time
 import zlib
 from dataclasses import replace
 from functools import partial
+from itertools import product
 
 import oracles
 import pytest
@@ -21,7 +22,7 @@ from curvesearch.cli import main
 from curvesearch.corpus import load_corpus
 from curvesearch.count import JointCounter, PointCounter, count_points
 from curvesearch.gf2m import build_field
-from curvesearch.orbit import SieveEngine
+from curvesearch.orbit import SieveEngine, orbit_of
 from curvesearch.polyrep import (
     PolyMask,
     full_mask,
@@ -823,6 +824,33 @@ def test_verify_reference_examples():
         verify("x^0", 8)
 
 
+def _orbit_size_by_products(f: PolyMask) -> int:
+    """|O(f)| from every invertible 3x3 matrix over F_2, each substituted by
+    products of linear forms."""
+    return len({oracles.substitute_by_products(f, m).bits
+                for m in product(range(8), repeat=3) if oracles.mat_det(m)})
+
+
+def test_verify_orbit_size_against_brute_force():
+    # `verify` reads |O(f)| as 168 over f's stabilizer.  Every mask of
+    # degree <= 3 that it accepts, a seeded sample of degrees 4-6 (not only
+    # orbit minima), and curves that variable permutations fix: Fermat
+    # curves and the Klein quartic x^3 y + y^3 z + z^3 x and its sextic kin.
+    masks = [PolyMask(d, b) for d in (1, 2, 3) for b in range(1, full_mask(d) + 1)]
+    rng = random.Random(33)
+    masks += [PolyMask(d, rng.randint(1, full_mask(d)))
+              for d in (4, 5, 6) for _ in range(15)]
+    symmetric = [parse_poly(p) for p in ("x^3 + y^3 + z^3", "x^5 + y^5 + z^5",
+                                         "x^3*y + y^3*z + z^3*x",
+                                         "x^5*y + y^5*z + z^5*x")]
+    masks += symmetric
+    checked = [f for f in masks if not is_trivially_reducible(f)]
+    assert any(f.bits != min(g.bits for g in orbit_of(f)) for f in checked)
+    for f in checked:
+        assert verify(f, 2).orbit_size == _orbit_size_by_products(f), f.mask_id
+    assert [verify(f, 2).orbit_size for f in symmetric] == [28, 28, 56, 56]
+
+
 def test_verify_accepts_mask_ids():
     f = parse_poly("x^5 + y^5 + z^5")
     rec = verify(f.mask_id, 16)
@@ -933,12 +961,13 @@ def test_cli_error_codes(tmp_path):
 
 def _mistyped(line: str) -> list[str]:
     """The record with values of the wrong type or shape, or with a degree
-    that is not its mask's."""
+    that is not its mask's: a bool or a float in an integer list fails as a
+    string does."""
     obj = json.loads(line)
     q = next(iter(obj["n_range"]))
     return [json.dumps(dict(obj, **change)) for change in (
-        {"genus": ["a", "a"]}, {"genus": [None, None]},
-        {"n_range": {q: [5]}}, {"degree": 9})]
+        {"genus": ["a", "a"]}, {"genus": [None, None]}, {"genus": [0, True]},
+        {"n_range": {q: [5]}}, {"n_range": {q: [5.0, 6]}}, {"degree": 9})]
 
 
 def test_malformed_catalog_lines(tmp_path, capsys):
