@@ -50,8 +50,14 @@ class BoundTable:
     optional table of Lauter reference values that override them when smaller."""
 
     lauter: dict[tuple[int, int], int] = field(default_factory=dict)
+    # (q, g) -> `effective`'s answer; a table is not changed once built.
+    _memo: dict[tuple[int, int], tuple[int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def effective(self, q: int, g: int) -> tuple[int, str]:
+        hit = self._memo.get((q, g))
+        if hit is not None:
+            return hit
         bound, source = serre_bound(q, g), "serre"
         ih = ihara_bound(q, g)
         if ih < bound:
@@ -59,6 +65,7 @@ class BoundTable:
         lt = self.lauter.get((q, g))
         if lt is not None and lt < bound:
             bound, source = lt, "lauter"
+        self._memo[(q, g)] = bound, source
         return bound, source
 
 

@@ -69,9 +69,8 @@ the answer is read off f's coefficients.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,8 +86,7 @@ from .polyrep import (
 
 TABLE_CHUNK = 1 << 16  # columns per chunk of a field in a table build
 
-@dataclass(frozen=True)
-class PointCount:
+class PointCount(NamedTuple):
     """Per-field tally for one curve; total = smooth + len(singular_points).
     A point's degree is the least k with the point in P^2(F_{2^k}).
     `singular_degrees[i]` is the degree of `singular_points[i]`, and
@@ -370,7 +368,8 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
     Each field's smooth count and smooth-point degrees come from one
     bincount over the smooth zeros' field and weight.  Each singular
     representative is expanded back into its orbit by squaring, and each
-    field's singular points are listed in canonical order."""
+    field's singular points are listed in canonical order, which needs a
+    sort only where a conjugate was expanded."""
     counters = list(counters)
     width = 1 + max(c.field.m for c in counters)  # a weight divides m
     field = np.searchsorted(offsets, zeros, "right") - 1
@@ -379,19 +378,27 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
                             ).reshape(-1, width)
     n_smooth = (by_degree @ np.arange(width)).tolist()
     found: list[list] = [[] for _ in counters]
-    for i, c in zip(zeros[singular].tolist(), field[singular].tolist()):
-        x, y, z = coords[:, i].tolist()
-        k = int(weights[i])
-        square = counters[c]._square
-        for _ in range(k):
-            found[c].append(((x, y, z), k))
-            x, y, z = square[x], square[y], square[z]
+    expanded = [False] * len(counters)  # whether a field lists a conjugate
+    at = zeros[singular]
+    for (x, y, z), k, c in zip(coords[:, at].T.tolist(), weights[at].tolist(),
+                               field[singular].tolist()):
+        points = found[c]
+        points.append(((x, y, z), k))
+        if k > 1:
+            expanded[c] = True
+            square = counters[c]._square
+            for _ in range(k - 1):
+                x, y, z = square[x], square[y], square[z]
+                points.append(((x, y, z), k))
     counts = {}
-    for c, n, row, points in zip(counters, n_smooth, by_degree.tolist(), found):
-        points.sort(key=lambda pk: _point_index(pk[0], c.q))
+    for c, n, row, points, unsorted in zip(counters, n_smooth, by_degree.tolist(),
+                                           found, expanded):
+        # Representatives come in canonical order; only conjugates break it.
+        if unsorted:
+            points.sort(key=lambda pk: _point_index(pk[0], c.q))
         points, degrees = zip(*points) if points else ((), ())
         counts[c.q] = PointCount(c.q, n + len(points), n, points, degrees,
-                                 frozenset(k for k, m in enumerate(row) if m))
+                                 frozenset([k for k, m in enumerate(row) if m]))
     return counts
 
 

@@ -244,20 +244,23 @@ def is_trivially_reducible(f: PolyMask) -> bool:
 _VARS = ("x", "y", "z")
 
 
+@lru_cache(maxsize=None)
+def _monomial_texts(d: int) -> tuple[str, ...]:
+    """The catalog text of each degree-d basis monomial, such as "x^2*y"."""
+    texts = []
+    for mono in monomials(d):
+        factors = [var if e == 1 else f"{var}^{e}"
+                   for var, e in zip(_VARS, mono) if e]
+        texts.append("*".join(factors) or "1")
+    return tuple(texts)
+
+
 def format_poly(f: PolyMask) -> str:
     """Canonical catalog form, monomials in basis order joined by " + "."""
     if f.bits == 0:
         return "0"
-    parts = []
-    for i, j, k in decode(f):
-        factors = []
-        for var, e in zip(_VARS, (i, j, k)):
-            if e == 1:
-                factors.append(var)
-            elif e > 1:
-                factors.append(f"{var}^{e}")
-        parts.append("*".join(factors) or "1")
-    return " + ".join(parts)
+    texts = _monomial_texts(f.degree)
+    return " + ".join([texts[n] for n in bit_indices(f.bits)])
 
 
 def parse_poly(text: str) -> PolyMask:

@@ -66,6 +66,7 @@ from .singular import (
     analyze_singular_point,
     blowup_points_estimate,
     check_theorem1,
+    f2_direction_counts,
 )
 
 SUPPORTED_FIELDS = tuple(1 << m for m in range(3, 12))
@@ -166,42 +167,32 @@ class CurveRecord:
         return self.n_range[q][0]
 
     def to_json(self) -> str:
-        obj = {
-            "mask": self.poly.mask_id,
-            "poly": format_poly(self.poly),
-            "degree": self.degree,
-            "orbit_size": self.orbit_size,
-            "counts": {
-                str(q): {
-                    "total": pc.total,
-                    "smooth": pc.smooth,
-                    "singular": [list(p) for p in pc.singular_points],
-                }
-                for q, pc in sorted(self.counts.items())
-            },
-            "singular": [
-                {
-                    "q": s.q,
-                    "point": list(s.point),
-                    "k": s.k,
-                    "multiplicity": s.multiplicity,
-                    "cone_type": s.cone_type,
-                    "ordinary": s.ordinary,
-                }
-                for s in self.singular
-            ],
-            "r_distinct": self.r_distinct,
-            "genus": [self.genus.lo, self.genus.hi],
-            "n_range": {str(q): list(v) for q, v in sorted(self.n_range.items())},
-            "irreducibility": {
-                "absolute": self.absolute,
-                "k": self.certificate_field,
-                "witness": self.witness,
-            },
-            "flags": list(self.flags),
-            "theorem1_ok": self.theorem1_ok,
-        }
-        return json.dumps(obj, separators=(", ", ": "))
+        """The catalog line: one JSON object, keys in a fixed order, ", "
+        and ": " separators, formatted directly; every string but the mask
+        id goes through `json.dumps`."""
+        counts = ", ".join([
+            f'"{q}": {{"total": {total}, "smooth": {smooth}, "singular": '
+            f'[{", ".join([f"[{x}, {y}, {z}]" for x, y, z in points])}]}}'
+            for q, (_, total, smooth, points, *_) in sorted(self.counts.items())])
+        singular = ", ".join([
+            f'{{"q": {q}, "point": [{x}, {y}, {z}], "k": {k}, "multiplicity": {m}, '
+            f'"cone_type": {_json_str(name)}, "ordinary": {_JSON_BOOL[ordinary]}}}'
+            for (x, y, z), q, k, m, _, name, ordinary in self.singular])
+        n_range = ", ".join([f'"{q}": [{lo}, {hi}]'
+                             for q, (lo, hi) in sorted(self.n_range.items())])
+        k = "null" if self.certificate_field is None else self.certificate_field
+        witness = "null" if self.witness is None else json.dumps(self.witness)
+        return (
+            f'{{"mask": "{self.poly.mask_id}", "poly": {json.dumps(format_poly(self.poly))}, '
+            f'"degree": {self.degree}, "orbit_size": {self.orbit_size}, '
+            f'"counts": {{{counts}}}, "singular": [{singular}], '
+            f'"r_distinct": {self.r_distinct}, '
+            f'"genus": [{self.genus.lo}, {self.genus.hi}], "n_range": {{{n_range}}}, '
+            f'"irreducibility": {{"absolute": {_json_str(self.absolute)}, '
+            f'"k": {k}, "witness": {witness}}}, '
+            f'"flags": {json.dumps(self.flags)}, '
+            f'"theorem1_ok": {_JSON_BOOL[self.theorem1_ok]}}}'
+        )
 
     @staticmethod
     def from_json(line: str | bytes) -> "CurveRecord":
@@ -249,6 +240,15 @@ class CurveRecord:
             flags=tuple(_typed(f, str) for f in _typed(obj["flags"], list)),
             theorem1_ok=_typed(obj["theorem1_ok"], bool, nullable=True),
         )
+
+
+_JSON_BOOL = {True: "true", False: "false", None: "null"}
+
+
+@lru_cache(maxsize=None)
+def _json_str(text: str) -> str:
+    """`json.dumps` of the strings a record repeats (cone types, verdicts)."""
+    return json.dumps(text)
 
 
 def _typed(value, kind: type, nullable: bool = False):
@@ -326,40 +326,48 @@ class CurvePipeline:
         point's multiplicity, cone type, ordinariness and F_q-rational
         directions, and takes its cone to the coefficient-wise square at
         the conjugate.  So each orbit is analysed once per field, at its
-        first listed point, and an F_2 point, with the same {0,1}
-        coordinates and cone in every field, once per curve; the blowup
-        estimate, which counts F_q-rational directions, is taken once per
-        orbit per field."""
+        first listed point, and its blowup estimate, which counts F_q-rational
+        directions, is taken once per orbit per field.  An F_2 point, with
+        the same {0,1} coordinates and cone in every field, is analysed
+        once per curve, and each field's credit is read from its cone's
+        direction counts over F_2..F_2048."""
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
-        f2_points: dict[tuple, SingularPoint] = {}  # analysed once per curve
+        # F_2 point -> its analysis and its cone's rational directions over
+        # F_{2^m}, m = 1..11, taken once per curve
+        f2_points: dict[tuple, tuple[SingularPoint, tuple[int, ...]]] = {}
         first: dict[int, int] = {}  # degree -> the first field listing it
         mults: list[int] = []  # theorem 1's, one per distinct point
         for q in self.orders:
             field = self.counters[q].field
             credit = 0
-            # point -> (its SingularPoint over F_q, its orbit's estimate)
+            # point of degree >= 2 -> (its SingularPoint over F_q, its
+            # orbit's estimate)
             seen: dict[tuple, tuple[SingularPoint, tuple[int, bool]]] = {}
             for p, k in zip(counts[q].singular_points, counts[q].singular_degrees):
-                if p not in seen:
-                    a = f2_points.get(p) if k == 1 else None
-                    if a is None:
-                        a = analyze_singular_point(f, p, field, k)
-                        if k == 1:
-                            f2_points[p] = a
-                    point, cone = p, a.cone
-                    s = SingularPoint(point, q, k, a.multiplicity, cone,
+                if k == 1:
+                    hit = f2_points.get(p)
+                    if hit is None:
+                        a = analyze_singular_point(f, p, field, 1)
+                        hit = f2_points[p] = a, f2_direction_counts(a.cone)
+                    a, directions = hit
+                    s = SingularPoint(p, q, 1, a.multiplicity, a.cone,
                                       a.cone_type, a.ordinary)
-                    estimate = blowup_points_estimate(s, field)
-                    seen[p] = s, estimate
-                    for _ in range(k - 1):  # the orbit's other points
-                        point = tuple(field.mul(c, c) for c in point)
-                        cone = tuple(field.mul(c, c) for c in cone)
-                        seen[point] = (SingularPoint(point, q, k, a.multiplicity, cone,
-                                                     a.cone_type, a.ordinary),
-                                       estimate)
-                s, (lower, exact) = seen[p]
+                    lower, exact = directions[field.m - 1], a.ordinary
+                else:
+                    if p not in seen:
+                        a = analyze_singular_point(f, p, field, k)
+                        estimate = blowup_points_estimate(a, field)
+                        seen[p] = a, estimate
+                        point, cone = p, a.cone
+                        for _ in range(k - 1):  # the orbit's other points
+                            point = tuple(field.mul(c, c) for c in point)
+                            cone = tuple(field.mul(c, c) for c in cone)
+                            seen[point] = (SingularPoint(point, q, k, a.multiplicity,
+                                                         cone, a.cone_type, a.ordinary),
+                                           estimate)
+                    s, (lower, exact) = seen[p]
                 singular.append(s)
                 if first.setdefault(k, q) == q:
                     mults.append(s.multiplicity)

@@ -4,8 +4,22 @@ A singular point is moved to the origin of the affine chart of its first
 nonzero coordinate; the curve equation is expanded in the two local
 coordinates (u, v) and the lowest-degree homogeneous part is the tangent
 cone, a binary form whose roots in P^1 are the tangent directions.
-Expansion uses Lucas' theorem: over F_2 the binomial C(n, s) is odd exactly
-when s is a bit-submask of n.
+
+An F_2-rational point P (degree k = 1, coordinates in {0, 1}) needs no
+field arithmetic.  The substitution that fixes P's chart variable x_c and
+adds x_c to each other variable where P has a 1 is unipotent, so it lies
+in GL_3(F_2); it takes P to the chart's origin, and the image's two other
+variables are exactly (u, v).  The image mask, four byte-table lookups
+built once per (degree, point) from `polyrep.gl3_table`, is the local
+expansion: its monomials read by their exponents of u and v.  The
+multiplicity is the least u,v-degree present and the cone is the
+monomials of that degree.  The cone's squarefreeness and cone type depend
+only on those bits, so one cache per chart, keyed by them, holds them, and
+its F_q-rational directions, for every q, come from `f2_direction_counts`.
+A point of degree k >= 2 is expanded by `local_expansion` in its scan
+field, by Lucas' theorem: over F_2 the binomial C(n, s) is odd exactly
+when s is a bit-submask of n.  The tests check the substitution against
+the expansion.
 
 Binary forms of degree m are stored as coefficient tuples c, with c[j] the
 coefficient of u^(m-j) v^j.
@@ -13,7 +27,8 @@ coefficient of u^(m-j) v^j.
 The number of distinct F_{2^k}-rational directions of a cone is the degree
 of a gcd with t^(2^k) + t, without scanning the 2^k + 1 directions (the
 scan, `factor_binary_form`, is the tests' oracle).  A cone with F_2
-coefficients has one squaring chain t, t^2, t^4, ... mod p for every field.
+coefficients has one squaring chain t, t^2, t^4, ... mod p for every field,
+so `f2_direction_counts` reads its counts over F_2..F_2048 at once.
 The blowup estimate needs the count over F_q.  The cone type names the
 factorization shape over the point's field of definition F_{2^k}, k the
 point's degree, which the point counter records with each singular point.
@@ -24,12 +39,12 @@ to the generic "deg=m squarefree=b" form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .gf2m import MAX_M, FieldTable, build_field
-from .polyrep import PolyMask, decode
+from .polyrep import PolyMask, basis_size, decode, enumerate_gl3, gl3_table, monomials
 
 PointT = tuple[int, int, int]
 FormT = tuple[int, ...]
@@ -45,8 +60,7 @@ _CONE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """One singular point of a curve, as seen over the field it was found in."""
 
     point: PointT  # normalized coordinates, encoded in the scan field
@@ -229,16 +243,16 @@ def rational_direction_count(form: FormT, field: FieldTable) -> int:
 
 def _direction_count(form: FormT, field: FieldTable, k: int) -> int:
     """The count over the subfield F_{2^k}; a form with F_2 coefficients has
-    the same chain in every field, so `_f2_direction_counts` serves it."""
+    the same chain in every field, so `f2_direction_counts` serves it."""
     if all(c == 0 for c in form):
         raise ValueError("zero form")
     if max(form) == 1:
-        return _f2_direction_counts(form)[k - 1]
+        return f2_direction_counts(form)[k - 1]
     return _direction_counts(form, field, (k,))[0]
 
 
 @lru_cache(maxsize=None)
-def _f2_direction_counts(form: FormT) -> tuple[int, ...]:
+def f2_direction_counts(form: FormT) -> tuple[int, ...]:
     """Root counts of an F_2 form over F_{2^m}, m = 1..MAX_M, from one chain;
     fewer than 256 such forms have degree <= 6."""
     return _direction_counts(form, build_field(1), range(1, MAX_M + 1))
@@ -276,13 +290,88 @@ def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:
     return f"deg={m} squarefree={'true' if squarefree else 'false'}"
 
 
+# -- F_2-rational points by one substitution ---------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _f2_chart(d: int, chart: int) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+    """(layers, v_exps, cones) of the degree-d chart x_chart = 1: layers[m]
+    is the mask of the basis monomials of u,v-degree m, v_exps[n] basis
+    monomial n's exponent of v, and cones the chart's cache, from the bits
+    of a cone's layer to (multiplicity, cone, cone type, squarefree)."""
+    oa, ob = (v for v in range(3) if v != chart)
+    layers = [0] * (d + 1)
+    for n, mono in enumerate(monomials(d)):
+        layers[mono[oa] + mono[ob]] |= 1 << n
+    return tuple(layers), tuple(mono[ob] for mono in monomials(d)), {}
+
+
+@lru_cache(maxsize=None)
+def _f2_shift(d: int, point: PointT) -> tuple[tuple[array, ...], int]:
+    """(luts, chart) for the F_2 point at degree d: luts[b][v] is the image
+    mask of the basis monomials at bits 8b..8b+7 set in v, under the
+    substitution that takes the point to the origin of its chart."""
+    if not (any(point) and set(point) <= {0, 1}):
+        raise ValueError(f"{point} is not an F_2-rational point")
+    chart = point.index(1)
+    # Row `chart` of the matrix is the point itself, the others the identity's.
+    row = point[0] | point[1] << 1 | point[2] << 2
+    mat = tuple(row if r == chart else 1 << r for r in range(3))
+    cols = gl3_table(d)[enumerate_gl3().index(mat)].tolist()
+    luts = []
+    for lo in range(0, basis_size(d), 8):
+        lut = [0]
+        for c in cols[lo:lo + 8]:
+            lut += [v ^ c for v in lut]
+        luts.append(array("I", lut))  # 4 bytes an entry, not an int object
+    return tuple(luts), chart
+
+
+def _f2_cone(f: PolyMask, point: PointT) -> tuple[int, FormT, str, bool]:
+    """(multiplicity, cone, cone type, squarefree) at the F_2 point, read
+    off the image of f under `_f2_shift`'s substitution (see the module
+    docstring)."""
+    d = f.degree
+    luts, chart = _f2_shift(d, point)
+    bits, image = f.bits, 0
+    for lut in luts:
+        image ^= lut[bits & 0xFF]
+        bits >>= 8
+    if not image:
+        raise ValueError("zero polynomial")
+    layers, v_exps, cones = _f2_chart(d, chart)
+    m = 0
+    while not image & layers[m]:
+        m += 1
+    if m < 2:
+        raise ValueError(f"point {point} is "
+                         + ("not on the curve" if m == 0 else "smooth (multiplicity 1)"))
+    low = image & layers[m]
+    facts = cones.get(low)
+    if facts is None:
+        form = [0] * (m + 1)
+        for n, e in enumerate(v_exps):
+            if low >> n & 1:
+                form[e] = 1
+        cone = tuple(form)
+        f2 = build_field(1)
+        squarefree = form_is_squarefree(cone, f2)
+        facts = cones[low] = m, cone, cone_type(cone, f2, 1, squarefree), squarefree
+    return facts
+
+
 # -- assembly and estimates -------------------------------------------------------
 
 
 def analyze_singular_point(f: PolyMask, point: PointT, field: FieldTable, k: int
                            ) -> SingularPoint:
     """Full classification of one singular point found over `field`; k is
-    the point's degree, as its `PointCount` records it."""
+    the point's degree, as its `PointCount` records it.  An F_2 point
+    (k = 1) is read by one substitution over F_2, any other from its local
+    expansion in `field`."""
+    if k == 1:
+        m, cone, name, squarefree = _f2_cone(f, point)
+        return SingularPoint(point, field.order, 1, m, cone, name, squarefree)
     cone = tangent_cone_at(f, point, field)
     squarefree = form_is_squarefree(cone, field)
     return SingularPoint(

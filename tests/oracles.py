@@ -5,7 +5,8 @@ the tests compare the two: carry-less multiplication against the log
 tables, a scan of every point against the counts on Frobenius orbit
 minima, each monomial row summed on its own against the stepped rows,
 all three partials against the two lifted ones, trial division
-against the normal-form table and the smooth-point certificate.  It also
+against the normal-form table and the smooth-point certificate, a dict of
+dicts written by `json.dumps` against the catalog line's formatter.  It also
 holds the few accessors (field division, the Frobenius map, a field's
 generator and subfields, an in-memory search's records) that only the
 tests call, and trial division's polynomials over F_{2^k}: `HomPoly`, a
@@ -24,6 +25,7 @@ degree d/s of an F_2-irreducible f are swept.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
@@ -42,6 +44,7 @@ from curvesearch.polyrep import (
     decode,
     encode,
     evaluate,
+    format_poly,
     monomial_index,
     monomials,
     partials,
@@ -182,6 +185,47 @@ def sieve_all(degree: int) -> list[OrbitInfo]:
 def search_records(cfg: SearchConfig, **kwargs) -> list[CurveRecord]:
     """The records of an in-memory run, read from the bytes it returns."""
     return [CurveRecord.from_json(ln) for ln in run_search(cfg, **kwargs).splitlines()]
+
+
+def record_to_json(rec: CurveRecord) -> str:
+    """Oracle for `CurveRecord.to_json`: the catalog line as a dict of
+    dicts, written by `json.dumps`."""
+    obj = {
+        "mask": rec.poly.mask_id,
+        "poly": format_poly(rec.poly),
+        "degree": rec.degree,
+        "orbit_size": rec.orbit_size,
+        "counts": {
+            str(q): {
+                "total": pc.total,
+                "smooth": pc.smooth,
+                "singular": [list(p) for p in pc.singular_points],
+            }
+            for q, pc in sorted(rec.counts.items())
+        },
+        "singular": [
+            {
+                "q": s.q,
+                "point": list(s.point),
+                "k": s.k,
+                "multiplicity": s.multiplicity,
+                "cone_type": s.cone_type,
+                "ordinary": s.ordinary,
+            }
+            for s in rec.singular
+        ],
+        "r_distinct": rec.r_distinct,
+        "genus": [rec.genus.lo, rec.genus.hi],
+        "n_range": {str(q): list(v) for q, v in sorted(rec.n_range.items())},
+        "irreducibility": {
+            "absolute": rec.absolute,
+            "k": rec.certificate_field,
+            "witness": rec.witness,
+        },
+        "flags": list(rec.flags),
+        "theorem1_ok": rec.theorem1_ok,
+    }
+    return json.dumps(obj, separators=(", ", ": "))
 
 
 # -- point counting by a scan of every point -----------------------------------

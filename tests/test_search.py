@@ -188,9 +188,12 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     # same cone, in every field: each analysed curve analyses it once.  Every
     # other singular point is analysed once per Frobenius orbit in each field
     # it was found in (its conjugates are its images under squaring).  The
-    # degree the analysis receives is 1 exactly on the {0,1} points.
-    calls = expected = per_field = 0
+    # degree the analysis receives is 1 exactly on the {0,1} points.  The
+    # blowup estimate runs once per such orbit per field, and never at an
+    # F_2 point, whose credit is read from its cone's direction counts.
+    calls = expected = per_field = blowups = orbits = 0
     real_point = search.analyze_singular_point
+    real_blowup = search.blowup_points_estimate
     real_analyze = search.CurvePipeline.analyze
 
     def point(f, p, field, k):
@@ -199,22 +202,32 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
         assert (k == 1) == (max(p) <= 1)
         return real_point(f, p, field, k)
 
+    def blowup(s, field):
+        nonlocal blowups
+        blowups += 1
+        assert s.k >= 2 and max(s.point) > 1
+        return real_blowup(s, field)
+
     def analyze(self, f, orbit_size, counts, gi):
-        nonlocal expected, per_field
+        nonlocal expected, per_field, orbits
         found = [p for pc in counts.values() for p in pc.singular_points]
         expected += len({p for p in found if max(p) <= 1})
         for q, pc in counts.items():
             field = self.counters[q].field
-            expected += len({frozenset(tuple(oracles.frobenius(field, c, j) for c in p)
-                                       for j in range(field.m))
-                             for p in pc.singular_points if max(p) > 1})
+            n = len({frozenset(tuple(oracles.frobenius(field, c, j) for c in p)
+                               for j in range(field.m))
+                     for p in pc.singular_points if max(p) > 1})
+            expected += n
+            orbits += n
         per_field += len(found)
         return real_analyze(self, f, orbit_size, counts, gi)
 
     monkeypatch.setattr(search, "analyze_singular_point", point)
+    monkeypatch.setattr(search, "blowup_points_estimate", blowup)
     monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
     assert run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
     assert calls == expected < per_field
+    assert blowups == orbits > 0
 
 
 def test_conjugate_analyses_equal_direct_ones():
@@ -866,6 +879,47 @@ def test_record_json_round_trip():
     assert obj["counts"]["1024"]["smooth"] == 1343
     assert obj["n_range"]["1024"] == [1345, 1345]
     assert obj["singular"][0]["cone_type"] == "u v"
+
+
+def test_record_lines_match_the_json_dumps_oracle(monkeypatch):
+    # `to_json` formats its line directly; the oracle builds a dict of dicts
+    # and writes it with `json.dumps`.  They agree byte for byte on every
+    # record of a degree <= 4 nine-field search and on hand-built records
+    # with null, true and false, a witness, both flag kinds and empty
+    # singular lists, and each line read back writes itself again.
+    records = []
+    real = search._process_orbits
+
+    def keep(batch, pipe, margin):
+        out = real(batch, pipe, margin)
+        records.extend(out[0])
+        return out
+
+    monkeypatch.setattr(search, "_process_orbits", keep)
+    fields = tuple(1 << m for m in range(3, 12))
+    text = b"".join(run_search(SearchConfig(degree=d, fields=fields, keep_margin=80))
+                    for d in (1, 2, 3, 4))
+    assert text == "".join(oracles.record_to_json(r) + "\n" for r in records).encode()
+    assert len(records) > 100
+
+    base = next(r for r in records if r.singular and r.witness is None)
+    empty = {q: pc._replace(singular_points=(), singular_degrees=())
+             for q, pc in base.counts.items()}
+    flags = ("nonordinary-singularity q=8 point=(1:0:0)", "genus-ambiguous")
+    variants = [
+        replace(base, singular=(), counts=empty, theorem1_ok=None),
+        replace(base, theorem1_ok=True, flags=flags),
+        replace(base, theorem1_ok=False, flags=flags[1:]),
+        replace(base, absolute="reducible", certificate_field=None,
+                witness="F_{2^1}: x + y", flags=("bounds-inconsistent",),
+                n_range={}),
+        replace(base, absolute="unknown", certificate_field=None, witness=None,
+                flags=('a "quoted" \\ flag \u00e9',)),
+    ]
+    for rec in records + variants:
+        line = rec.to_json()
+        assert line == oracles.record_to_json(rec)
+        assert CurveRecord.from_json(line).to_json() == line
 
 
 def test_report_contents():

@@ -6,16 +6,19 @@ import random
 import pytest
 from oracles import div, multiplicity_at, subfield_elements
 
+from curvesearch.corpus import load_corpus
 from curvesearch.count import PointCounter
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
 from curvesearch.polyrep import PolyMask, full_mask, parse_poly, substitute
 from curvesearch.singular import (
     SingularPoint,
+    _direction_counts,
     analyze_singular_point,
     blowup_points_estimate,
     check_theorem1,
     cone_type,
+    f2_direction_counts,
     factor_binary_form,
     form_is_squarefree,
     rational_direction_count,
@@ -315,3 +318,64 @@ def test_blowup_estimate_requires_matching_field():
     )
     with pytest.raises(ValueError):
         blowup_points_estimate(s, F16)
+
+
+def _f2_singular_points(f: PolyMask) -> tuple:
+    """f's singular points over F_2, by a count over F_2."""
+    return PointCounter(F2).count(f).singular_points
+
+
+def test_f2_substitution_equals_local_expansion():
+    # An F_2 point (k = 1) is analysed by one GL_3(F_2) substitution of the
+    # mask; the oracle is the local expansion in the scan field.  Every
+    # F_2-rational singular point of a seeded sample of degrees 2-6 and of
+    # the corpus curves agrees on multiplicity, cone, cone type and
+    # ordinariness.  Each field's credit, read from the cone's direction
+    # counts over F_2..F_2048, is `rational_direction_count` over that field,
+    # the squaring chain run in that field's own arithmetic, and up to F_64
+    # the number of directions a scan finds.
+    rng = random.Random(34)
+    curves = [PolyMask(d, rng.randint(1, full_mask(d)))
+              for d in range(2, 7) for _ in range(250)]
+    curves += [parse_poly(entry.poly) for entry in load_corpus()]
+    # A quintuple point at (1:0:0), moved to the other F_2 points.
+    quintic = parse_poly("x*y^5 + x*y^2*z^3 + x*z^5 + y^6 + y^3*z^3 + z^6")
+    curves += [substitute(quintic, m) for m in enumerate_gl3()[::7]]
+    fields = [build_field(m) for m in range(3, 12)]
+    seen_types, seen_mults, n = set(), set(), 0
+    for i, f in enumerate(curves):
+        field = fields[i % len(fields)]
+        for p in _f2_singular_points(f):
+            s = analyze_singular_point(f, p, field, 1)
+            cone = tangent_cone_at(f, p, field)
+            squarefree = form_is_squarefree(cone, field)
+            assert s == SingularPoint(p, field.order, 1, len(cone) - 1, cone,
+                                      cone_type(cone, field, 1, squarefree),
+                                      squarefree), (f, p)
+            directions = f2_direction_counts(s.cone)
+            for other in fields:
+                want = rational_direction_count(cone, other)
+                assert directions[other.m - 1] == want, (f, p, other.order)
+                assert _direction_counts(cone, other, (other.m,)) == (want,)
+                if other.order <= 64:
+                    assert len(factor_binary_form(cone, other)) == want
+            seen_types.add(s.cone_type)
+            seen_mults.add(s.multiplicity)
+            n += 1
+    assert n > 1000
+    assert {2, 3, 4, 5} <= seen_mults
+    assert {"u v", "u^2+u v+v^2", "u v^2", "(u+v)(u^2+u v+v^2)",
+            "u v(u+v)"} <= seen_types
+
+
+def test_f2_substitution_rejects_what_the_expansion_rejects():
+    h = parse_poly("x^5 + y^5 + z^5")
+    for point in ((0, 1, 1), (1, 0, 0)):  # smooth, then off the curve
+        with pytest.raises(ValueError):
+            tangent_cone_at(h, point, F16)
+        with pytest.raises(ValueError):
+            analyze_singular_point(h, point, F16, 1)
+    with pytest.raises(ValueError):  # not an F_2 point
+        analyze_singular_point(parse_poly("x^2*y + y^2*z"), (1, 2, 0), F4, 1)
+    with pytest.raises(ValueError):
+        analyze_singular_point(PolyMask(4, 0), (1, 0, 0), F4, 1)
