@@ -19,8 +19,8 @@ alone.  Each singular representative is expanded back into its orbit
 by squaring its coordinates, and the singular points are reported in
 canonical order, exactly as a pass over every point would list them.  A
 weight is the point's degree: each singular point carries the degree of
-the representative it was expanded from, and a count keeps the smooth
-points' degrees.
+the representative it was expanded from, and a count keeps the number of
+smooth points of each degree.
 
 Every value a count reads is an XOR of rows of degree-d basis monomials,
 one value per representative, and each counter has one source of such
@@ -48,8 +48,8 @@ which the two curves differ; where those are more rows than the curve
 has, the curve is accumulated in full.  The zeros are found in one scan
 and tested once, all together, then tallied together by `_tally`, as a
 single-field count's are: one bincount over each zero's field (read off
-the column offsets) and weight gives every field's smooth count and
-smooth-point degrees, and only the singular representatives are expanded.
+the column offsets) and weight gives every field's smooth points by
+degree, and only the singular representatives are expanded.
 The scan is two-level: the `== 0` mask goes into a bool buffer, which a
 joint counter holds, its uint64 words are tested first, and only the few
 words with a zero are read column by column.
@@ -90,15 +90,15 @@ class PointCount(NamedTuple):
     """Per-field tally for one curve; total = smooth + len(singular_points).
     A point's degree is the least k with the point in P^2(F_{2^k}).
     `singular_degrees[i]` is the degree of `singular_points[i]`, and
-    `smooth_degrees` holds the smooth points' degrees; both are None when
-    read back from a catalog."""
+    `smooth_by_degree[e]` the number of smooth points of degree e, e = 0..m
+    over F_{2^m}; both are None when read back from a catalog."""
 
     q: int
     total: int
     smooth: int
     singular_points: tuple[tuple[int, int, int], ...]
     singular_degrees: tuple[int, ...] | None = None
-    smooth_degrees: frozenset[int] | None = None
+    smooth_by_degree: tuple[int, ...] | None = None
 
 
 def projective_points(field: FieldTable) -> Iterator[tuple[int, int, int]]:
@@ -365,8 +365,8 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
     """The counts, by field order, from the ascending columns `zeros` on
     the curve, of which those marked in `singular` are singular; field i
     owns the columns offsets[i]:offsets[i + 1] of `coords` and `weights`.
-    Each field's smooth count and smooth-point degrees come from one
-    bincount over the smooth zeros' field and weight.  Each singular
+    Each field's smooth points by degree, and so its smooth count, come
+    from one bincount over the smooth zeros' field and weight.  Each singular
     representative is expanded back into its orbit by squaring, and each
     field's singular points are listed in canonical order, which needs a
     sort only where a conjugate was expanded."""
@@ -374,9 +374,8 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
     width = 1 + max(c.field.m for c in counters)  # a weight divides m
     field = np.searchsorted(offsets, zeros, "right") - 1
     key = field * width + weights[zeros]
-    by_degree = np.bincount(key[~singular], minlength=len(counters) * width
-                            ).reshape(-1, width)
-    n_smooth = (by_degree @ np.arange(width)).tolist()
+    orbits = np.bincount(key[~singular], minlength=len(counters) * width)
+    by_degree = (orbits.reshape(-1, width) * np.arange(width)).tolist()
     found: list[list] = [[] for _ in counters]
     expanded = [False] * len(counters)  # whether a field lists a conjugate
     at = zeros[singular]
@@ -391,14 +390,14 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
                 x, y, z = square[x], square[y], square[z]
                 points.append(((x, y, z), k))
     counts = {}
-    for c, n, row, points, unsorted in zip(counters, n_smooth, by_degree.tolist(),
-                                           found, expanded):
+    for c, row, points, unsorted in zip(counters, by_degree, found, expanded):
         # Representatives come in canonical order; only conjugates break it.
         if unsorted:
             points.sort(key=lambda pk: _point_index(pk[0], c.q))
         points, degrees = zip(*points) if points else ((), ())
+        n = sum(row)
         counts[c.q] = PointCount(c.q, n + len(points), n, points, degrees,
-                                 frozenset([k for k, m in enumerate(row) if m]))
+                                 tuple(row[:c.field.m + 1]))
     return counts
 
 

@@ -32,10 +32,10 @@ So scanning m = 1..11 and stopping at g = 1 is exact: "yes" with k the
 first m with a smooth point, or "reducible" when g never reaches 1.
 
 The scan reads its smooth points from counts already made.  A count over
-F_{2^M} records the degrees of its smooth points, and a point of degree e
-lies in P^2(F_{2^m}) iff e | m; whether it is smooth does not depend on the
-field.  So for m | M, f has a smooth F_{2^m}-point iff the count over
-F_{2^M} has a smooth point of degree dividing m.  The nine search fields,
+F_{2^M} records its number of smooth points of each degree, and a point
+of degree e lies in P^2(F_{2^m}) iff e | m; whether it is smooth does not
+depend on the field.  So for m | M, f has a smooth F_{2^m}-point iff the
+count over F_{2^M} has a smooth point of degree dividing m.  The nine search fields,
 M = 3..11, cover every m <= 11 (1 | 3, 2 | 4), so in the search the
 certificate counts nothing; with fewer fields (`verify`), each uncovered m
 is counted once, without tables.
@@ -133,10 +133,11 @@ def find_simple_point(f: PolyMask) -> tuple[int, tuple[int, int, int]] | None:
 
 def _has_smooth_point(f: PolyMask, m: int, counts: dict[int, PointCount]) -> bool:
     """Whether f has a smooth F_{2^m}-point, read from the first count over
-    some F_{2^M}, m | M, with smooth-point degrees, else counted."""
+    some F_{2^M}, m | M, with smooth points by degree, else counted."""
     for pc in counts.values():
-        if pc.smooth_degrees is not None and (pc.q.bit_length() - 1) % m == 0:
-            return any(m % e == 0 for e in pc.smooth_degrees)
+        by_degree = pc.smooth_by_degree
+        if by_degree is not None and (pc.q.bit_length() - 1) % m == 0:
+            return any(by_degree[e] for e in range(1, m + 1) if m % e == 0)
     return count_points(f, build_field(m)).smooth > 0
 
 

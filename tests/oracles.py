@@ -249,7 +249,7 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
     total = 0
     singular = []
     singular_degrees = []
-    smooth_degrees = set()
+    smooth_by_degree = [0] * (field.m + 1)
     for p in projective_points(field):
         if ev(monos, p) != 0:
             continue
@@ -261,9 +261,9 @@ def naive_count(f: PolyMask, field: FieldTable) -> PointCount:
             singular.append(p)
             singular_degrees.append(k)
         else:
-            smooth_degrees.add(k)
+            smooth_by_degree[k] += 1
     return PointCount(field.order, total, total - len(singular), tuple(singular),
-                      tuple(singular_degrees), frozenset(smooth_degrees))
+                      tuple(singular_degrees), tuple(smooth_by_degree))
 
 
 def monomial_rows(counter: PointCounter, d: int, cols: Iterable[int],
@@ -305,12 +305,12 @@ def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
     # order of `projective_points`, as `naive_count` lists it.
     total = 0
     found = []
-    smooth_degrees = set()
+    smooth_by_degree = [0] * (field.m + 1)
     for i, sing in zip(zeros.tolist(), singular.tolist()):
         k = int(counter.weights[i])
         total += k
         if not sing:
-            smooth_degrees.add(k)
+            smooth_by_degree[k] += k
             continue
         point = tuple(int(c) for c in counter.coords[:, i])
         for _ in range(k):
@@ -319,7 +319,7 @@ def partials_count(f: PolyMask, field: FieldTable) -> PointCount:
     found.sort(key=lambda pk: _canonical_key(pk[0]))
     return PointCount(field.order, total, total - len(found),
                       tuple(p for p, _ in found), tuple(k for _, k in found),
-                      frozenset(smooth_degrees))
+                      tuple(smooth_by_degree))
 
 
 def _canonical_key(p: PointT) -> tuple[int, ...]:

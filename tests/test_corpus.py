@@ -2,8 +2,10 @@
 
 import pytest
 
+from curvesearch.bounds import load_lauter
 from curvesearch.corpus import check_entry, load_corpus, run_corpus
 from curvesearch.polyrep import parse_poly
+from curvesearch.search import SUPPORTED_FIELDS, CurvePipeline
 
 
 def test_load_corpus_shape():
@@ -82,3 +84,29 @@ def test_bounds_inconsistent_entry_fails(tmp_path):
     assert result.record.flags == ("bounds-inconsistent",)
     assert "no N range over F_8: bounds-inconsistent" in result.failures
     assert not result.passed
+
+
+def test_degree6_entries_through_the_nine_field_analysis():
+    # The paper's degree-6 record curves, each counted and analysed as the
+    # search does it over the nine fields (`count_all`, `quick_genus`,
+    # `analyze`), not through `verify`'s one field: each record has the
+    # entry's smooth count at its q, a genus interval holding the stated
+    # genus, N_lo(q) at least the stated lower bound, the asserted cone
+    # types, and a certified absolute irreducibility.
+    pipe = CurvePipeline(SUPPORTED_FIELDS, load_lauter())
+    entries = [e for e in load_corpus() if parse_poly(e.poly).degree == 6]
+    assert len(entries) == 60
+    for e in entries:
+        f = parse_poly(e.poly)
+        counts = pipe.count_all(f)
+        gi = pipe.quick_genus(6, counts)
+        rec = pipe.analyze(f, 1, counts, gi)
+        assert rec is not None, e.id
+        assert rec.counts[e.q].smooth == e.smooth, e.id
+        assert gi.lo <= e.genus <= gi.hi, (e.id, gi)
+        if e.n_lower is not None:
+            assert rec.n_lo(e.q) >= e.n_lower, e.id
+        found = {s.point: s.cone_type for s in rec.singular if s.q == e.q}
+        for want in e.singular:
+            assert found[want.point] == want.cone_type, (e.id, want)
+        assert rec.absolute == "yes", e.id

@@ -311,7 +311,7 @@ def test_certificate_matches_simple_point_oracle():
     # random F_2-irreducible degree-5/6 masks, each certified three ways:
     # counting every field itself, reading the nine search fields' counts,
     # and from those counts read back from a catalog line, which carry no
-    # smooth-point degrees and so must be counted again.
+    # smooth points by degree and so must be counted again.
     template = verify("x^5 + y^5 + z^5", 8)
     masks = []
     for d in range(1, 5):
@@ -336,7 +336,7 @@ def test_certificate_matches_simple_point_oracle():
             counts = pipe.count_all(f)
             line = replace(template, counts=counts).to_json()
             read_back = CurveRecord.from_json(line).counts
-            assert all(pc.smooth_degrees is None for pc in read_back.values())
+            assert all(pc.smooth_by_degree is None for pc in read_back.values())
             absolute, k, w = oracle_certificate(f)
             for given in ({}, counts, read_back):
                 st = certify_absolute(f, given)

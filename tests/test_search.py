@@ -1,5 +1,6 @@
 """Pipeline, checkpointing, parallel invariance, CLI surfaces."""
 
+import hashlib
 import json
 import multiprocessing.pool
 import os
@@ -184,50 +185,87 @@ def test_each_orbit_counted_once(monkeypatch):
 
 
 def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
-    # A singular point with {0,1} coordinates is the same F_2-point, with the
-    # same cone, in every field: each analysed curve analyses it once.  Every
-    # other singular point is analysed once per Frobenius orbit in each field
-    # it was found in (its conjugates are its images under squaring).  The
-    # degree the analysis receives is 1 exactly on the {0,1} points.  The
-    # blowup estimate runs once per such orbit per field, and never at an
-    # F_2 point, whose credit is read from its cone's direction counts.
-    calls = expected = per_field = blowups = orbits = 0
+    # Every listed singular point is analysed by one path.  A point with
+    # {0,1} coordinates is the same F_2-point, with the same cone, in every
+    # field, and the degree the analysis receives is 1 exactly there: its
+    # analysis in each field reads its chart's cone cache, so the squaring
+    # chain over F_2 runs once per distinct cone of each chart and degree,
+    # and its cone is never expanded in a scan field.  Every other singular
+    # point is analysed once per Frobenius orbit in each field it was found
+    # in, by one expansion and one chain, over F_{2^k} and F_q, and its
+    # conjugates copy that entry.  The blowup estimate, a lookup, is read
+    # at every listed point.
+    point_calls = expected = per_field = blowups = orbits = 0
+    expansions, chains, f2_chains, f2_points = 0, 0, [], []
+    analysing = None  # the point under analysis: (f, p, field, k)
     real_point = search.analyze_singular_point
     real_blowup = search.blowup_points_estimate
     real_analyze = search.CurvePipeline.analyze
+    real_expansion = singular.local_expansion
+    real_chain = singular._direction_counts
+    real_cone = singular.tangent_cone_at
 
     def point(f, p, field, k):
-        nonlocal calls
-        calls += 1
+        nonlocal point_calls, analysing
+        point_calls += 1
         assert (k == 1) == (max(p) <= 1)
-        return real_point(f, p, field, k)
+        if k == 1:
+            f2_points.append((f, p))
+        analysing = f, p, field, k
+        try:
+            return real_point(f, p, field, k)
+        finally:
+            analysing = None
+
+    def expansion(f, p, field):
+        nonlocal expansions
+        assert analysing[:3] == (f, p, field) and analysing[3] >= 2
+        expansions += 1
+        return real_expansion(f, p, field)
+
+    def chain(form, field, ms):
+        nonlocal chains
+        f, p, scan, k = analysing
+        if k == 1:
+            assert field.m == 1 and tuple(ms) == tuple(range(1, 12))
+            f2_chains.append((f.degree, p.index(1), form))
+        else:
+            assert field is scan and ms == (k, scan.m)
+            chains += 1
+        return real_chain(form, field, ms)
 
     def blowup(s, field):
         nonlocal blowups
         blowups += 1
-        assert s.k >= 2 and max(s.point) > 1
         return real_blowup(s, field)
 
     def analyze(self, f, orbit_size, counts, gi):
         nonlocal expected, per_field, orbits
-        found = [p for pc in counts.values() for p in pc.singular_points]
-        expected += len({p for p in found if max(p) <= 1})
         for q, pc in counts.items():
             field = self.counters[q].field
             n = len({frozenset(tuple(oracles.frobenius(field, c, j) for c in p)
                                for j in range(field.m))
                      for p in pc.singular_points if max(p) > 1})
-            expected += n
+            expected += n + sum(max(p) <= 1 for p in pc.singular_points)
             orbits += n
-        per_field += len(found)
+            per_field += len(pc.singular_points)
         return real_analyze(self, f, orbit_size, counts, gi)
 
+    singular._f2_chart.cache_clear()  # every chart's cone cache starts empty
     monkeypatch.setattr(search, "analyze_singular_point", point)
     monkeypatch.setattr(search, "blowup_points_estimate", blowup)
     monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
+    monkeypatch.setattr(singular, "local_expansion", expansion)
+    monkeypatch.setattr(singular, "_direction_counts", chain)
     assert run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
-    assert calls == expected < per_field
-    assert blowups == orbits > 0
+    monkeypatch.undo()
+    assert point_calls == expected < per_field
+    assert expansions == chains == orbits > 0
+    assert blowups == per_field
+    f2 = build_field(1)
+    cones = {(f.degree, p.index(1), real_cone(f, p, f2)) for f, p in f2_points}
+    assert len(f2_points) > len(cones) > 1
+    assert sorted(f2_chains) == sorted(cones)
 
 
 def test_conjugate_analyses_equal_direct_ones():
@@ -494,6 +532,38 @@ def test_parent_writes_each_batch_as_it_arrives(tmp_path, monkeypatch):
 def test_parallel_catalog_identity(tmp_path):
     base = run_search(SearchConfig(degree=4, fields=(8, 64), jobs=1))
     assert base and run_search(SearchConfig(degree=4, fields=(8, 64), jobs=4)) == base
+
+
+# sha256 of catalog bytes that every change must keep, unless it says in
+# CHANGES.md which catalogs it changes and why, and pins them again.
+PINNED_OUTPUTS = {
+    # the degree-4 search over the nine fields at the default margin
+    "d4-nine": (186,
+                "34000f14afe33da4c726a82d8589cb2a8dd4345cc3f0bb557a2764208b6b38b5"),
+    # degree 5 over the nine fields at margin 80, the first 19 ranges of 2^11
+    "d5-nine": (651,
+                "cef403f4189823d8face2a0bf147dbcc9179c63d49c73771fe0324c0eea64d1f"),
+    # `verify` of every corpus curve over its own field, one line each
+    "corpus-verify": (83,
+                      "1993bacd34a71decd2d31618461638c6e38ac13f05148f7b2d3737541fd5f18e"),
+}
+
+
+def test_outputs_match_their_pins(tmp_path):
+    nine = search.SUPPORTED_FIELDS
+    out = tmp_path / "d5.jsonl"
+    with pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=5, fields=nine, keep_margin=80, range_bits=11,
+                                stop_after_ranges=19, out_path=str(out)))
+    outputs = {
+        "d4-nine": run_search(SearchConfig(degree=4, fields=nine)),
+        "d5-nine": out.read_bytes(),
+        "corpus-verify": "".join(verify(e.poly, e.q).to_json() + "\n"
+                                 for e in load_corpus()).encode(),
+    }
+    got = {name: (text.count(b"\n"), hashlib.sha256(text).hexdigest())
+           for name, text in outputs.items()}
+    assert got == PINNED_OUTPUTS
 
 
 def test_run_search_is_reentrant():

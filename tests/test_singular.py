@@ -14,14 +14,13 @@ from curvesearch.polyrep import PolyMask, full_mask, parse_poly, substitute
 from curvesearch.singular import (
     SingularPoint,
     _direction_counts,
+    _f2_cone,
     analyze_singular_point,
     blowup_points_estimate,
     check_theorem1,
     cone_type,
-    f2_direction_counts,
     factor_binary_form,
     form_is_squarefree,
-    rational_direction_count,
     tangent_cone_at,
 )
 
@@ -142,17 +141,19 @@ def test_factor_binary_form_against_product_oracle():
 
 
 def test_rational_direction_count_against_factor_oracle():
-    # The gcd count agrees with the q + 1 direction scan: exhaustively on
-    # nonzero F_2 forms of degree 1..6 over F_2..F_2048 (counts read off one
-    # squaring chain per form), and on seeded random forms over F_4, F_8 and
-    # F_16 inside fields that contain them.
+    # The gcd counts of one squaring chain agree with the q + 1 direction
+    # scan: exhaustively on nonzero F_2 forms of degree 1..6 over
+    # F_2..F_2048, from one chain per form over F_2 as an F_2 point reads
+    # them, and on seeded random forms over F_4, F_8 and F_16 inside fields
+    # that contain them, over the subfield and the field from one chain as a
+    # point of degree k >= 2 reads them.
     fields = {m: build_field(m) for m in range(1, 12)}
     for deg in range(1, 7):
         for bits in range(1, 1 << (deg + 1)):
             form = tuple((bits >> j) & 1 for j in range(deg + 1))
-            for m, field in fields.items():
-                assert rational_direction_count(form, field) == len(
-                    factor_binary_form(form, field)), (form, m)
+            assert _direction_counts(form, F2, range(1, 12)) == tuple(
+                len(factor_binary_form(form, field)) for field in fields.values()
+            ), form
     rng = random.Random(7)
     checked = 0
     for k in (2, 3, 4):
@@ -163,12 +164,13 @@ def test_rational_direction_count_against_factor_oracle():
                 form = tuple(rng.choice(sub) for _ in range(rng.randint(2, 6)))
                 if not any(form):
                     continue
-                assert rational_direction_count(form, field) == len(
-                    factor_binary_form(form, field)), (form, m)
+                assert _direction_counts(form, field, (k, m)) == (
+                    len(factor_binary_form(form, field, sub)),
+                    len(factor_binary_form(form, field))), (form, m)
                 checked += 1
     assert checked > 350
     with pytest.raises(ValueError):
-        rational_direction_count((0, 0, 0), F8)
+        _direction_counts((0, 0, 0), F8, (3,))
 
 
 def test_factor_multiplicity_sum_bounded_by_degree():
@@ -183,11 +185,18 @@ def test_factor_multiplicity_sum_bounded_by_degree():
         assert total <= deg
 
 
+def form_cone_type(form, field, k, squarefree):
+    """The cone type of `form`, whose coefficients lie in F_{2^k}, as the
+    analysis names it: from its degree and its count over F_{2^k}."""
+    count = _direction_counts(form, field, (k,))[0]
+    return cone_type(len(form) - 1, count, squarefree)
+
+
 def test_cone_type_fallbacks():
     # Square of a linear form: outside the catalog alphabet.
-    assert cone_type((1, 0, 0), F2, 1, False) == "deg=2 squarefree=false"
+    assert form_cone_type((1, 0, 0), F2, 1, False) == "deg=2 squarefree=false"
     # Irreducible cubic over F_2 (no rational roots): generic fallback.
-    assert cone_type((1, 0, 1, 1), F2, 1, True) == "deg=3 squarefree=true"
+    assert form_cone_type((1, 0, 1, 1), F2, 1, True) == "deg=3 squarefree=true"
 
 
 # The catalog alphabet by factorization shape over the field of definition:
@@ -233,7 +242,7 @@ def test_cone_type_against_factor_oracle():
                     if not any(form):
                         continue
                     sf = form_is_squarefree(form, field)
-                    assert cone_type(form, field, k, sf) == shape_name(
+                    assert form_cone_type(form, field, k, sf) == shape_name(
                         form, field, k, sf), (form, m, k)
                     checked += 1
     assert checked == 14_588
@@ -259,7 +268,7 @@ def test_cone_type_against_factor_oracle():
                     continue
                 sf = form_is_squarefree(form, field)
                 want = shape_name(form, field, k, sf)
-                assert cone_type(form, field, k, sf) == want, (form, m, k)
+                assert form_cone_type(form, field, k, sf) == want, (form, m, k)
                 names.add(want)
     assert set(SHAPE_NAMES.values()) <= names
 
@@ -313,7 +322,7 @@ def test_check_theorem1():
 
 def test_blowup_estimate_requires_matching_field():
     s = SingularPoint(
-        point=(1, 0, 0), q=8, k=1, multiplicity=2, cone=(0, 1, 0),
+        point=(1, 0, 0), q=8, k=1, multiplicity=2, directions=2,
         cone_type="u v", ordinary=True,
     )
     with pytest.raises(ValueError):
@@ -329,11 +338,11 @@ def test_f2_substitution_equals_local_expansion():
     # An F_2 point (k = 1) is analysed by one GL_3(F_2) substitution of the
     # mask; the oracle is the local expansion in the scan field.  Every
     # F_2-rational singular point of a seeded sample of degrees 2-6 and of
-    # the corpus curves agrees on multiplicity, cone, cone type and
-    # ordinariness.  Each field's credit, read from the cone's direction
-    # counts over F_2..F_2048, is `rational_direction_count` over that field,
-    # the squaring chain run in that field's own arithmetic, and up to F_64
-    # the number of directions a scan finds.
+    # the corpus curves agrees on the cone itself, and so on multiplicity,
+    # cone type and ordinariness.  Each field's credit, read from the
+    # cone's counts over F_2..F_2048 in its cache, is the squaring chain
+    # run in that field's own arithmetic, and up to F_64 the number of
+    # directions a scan finds.
     rng = random.Random(34)
     curves = [PolyMask(d, rng.randint(1, full_mask(d)))
               for d in range(2, 7) for _ in range(250)]
@@ -348,15 +357,16 @@ def test_f2_substitution_equals_local_expansion():
         for p in _f2_singular_points(f):
             s = analyze_singular_point(f, p, field, 1)
             cone = tangent_cone_at(f, p, field)
+            f2_cone, _, _, directions = _f2_cone(f, p)
+            assert f2_cone == cone, (f, p)
             squarefree = form_is_squarefree(cone, field)
-            assert s == SingularPoint(p, field.order, 1, len(cone) - 1, cone,
-                                      cone_type(cone, field, 1, squarefree),
+            assert s == SingularPoint(p, field.order, 1, len(cone) - 1,
+                                      directions[field.m - 1],
+                                      form_cone_type(cone, field, 1, squarefree),
                                       squarefree), (f, p)
-            directions = f2_direction_counts(s.cone)
             for other in fields:
-                want = rational_direction_count(cone, other)
+                want = _direction_counts(cone, other, (other.m,))[0]
                 assert directions[other.m - 1] == want, (f, p, other.order)
-                assert _direction_counts(cone, other, (other.m,)) == (want,)
                 if other.order <= 64:
                     assert len(factor_binary_form(cone, other)) == want
             seen_types.add(s.cone_type)
