@@ -18,6 +18,9 @@ minimum, and an x-region minimum claims only its images below x_end, other
 minima all 168: 2.1M claims on the first 2^21 degree-6 masks, not 14.3M.
 The line test XORs byte tables whose lane i holds the image's bits at or
 past x_end under a matrix taking line i to x: line i divides iff it is 0.
+So x-region orbits, trivially reducible, claim nothing past x_end: a scan
+of degree >= 2 may start there and take their number from a verified table
+(`skip_line_divisible`); at degree 1 the x-region is the line orbit.
 
 The kernel applies all 168 substitutions to blocks of candidate masks via
 per-byte lookup tables: a degree-d substitution is F_2-linear on masks, so
@@ -76,6 +79,9 @@ from .polyrep import (  # enumerate_gl3 is re-exported for callers of this modul
 # (see the module docstring for both sizes).
 BLOCK = 1 << 9
 UNPACK = 1 << 16
+
+# Orbits whose minimum lies in the x-region [1, x_end), by degree >= 2.
+LINE_DIVISIBLE_ORBITS = {2: 2, 3: 9, 4: 64, 5: 1446, 6: 85_000}
 
 
 def orbit_of(f: PolyMask) -> set[PolyMask]:
@@ -164,6 +170,14 @@ class SieveEngine:
     def done(self) -> bool:
         return self.position > self.space
 
+    def skip_line_divisible(self) -> int:
+        """Move a fresh degree >= 2 scan to x_end, returning the number of
+        orbits it passes over, all trivially reducible (module docstring)."""
+        if self.degree < 2 or self.position != 1:
+            raise ValueError("only a fresh scan of degree >= 2 skips its x-region")
+        self.position = self.x_end
+        return LINE_DIVISIBLE_ORBITS[self.degree]
+
     def run_range(self, span: int) -> list[OrbitInfo]:
         """Process masks [position, position + span) and advance position."""
         if span < 1:
@@ -236,18 +250,17 @@ class SieveEngine:
 
     def pack_state(self) -> tuple[int, bytes]:
         """(position, live table packed one bit per mask, LSB first); a live
-        bit at or past x_end may be a line-divisible mask the scan dropped."""
+        bit at or past x_end may be a line-divisible mask the scan dropped,
+        and after `skip_line_divisible` every bit below x_end is live."""
         return self.position, (~self.table).tobytes()
-
-
-def _scan(degree: int) -> Iterator[OrbitInfo]:
-    eng = SieveEngine(degree)
-    while not eng.done:
-        yield from eng.run_range(1 << 20)
 
 
 def sieve(degree: int) -> Iterator[tuple[PolyMask, int]]:
     """Stream (representative, orbit size) for every orbit of nonzero masks,
     except orbits in which some member fires the cheap reducibility filter."""
-    return ((info.rep, info.orbit_size) for info in _scan(degree)
-            if not info.trivially_reducible)
+    eng = SieveEngine(degree)
+    if degree > 1:
+        eng.skip_line_divisible()
+    while not eng.done:
+        yield from ((info.rep, info.orbit_size) for info in eng.run_range(1 << 20)
+                    if not info.trivially_reducible)

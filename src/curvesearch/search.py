@@ -131,6 +131,9 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Tallies of the orbits whose minimum lies at or past a run's start
+    position; a run from mask 1 counts the x-region's without scanning."""
+
     orbits_seen: int = 0
     orbits_trivial: int = 0
     counted: int = 0
@@ -568,6 +571,12 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     is split, and the replay's clearing keeps the rest of the scan from
     imaging every mask whose orbit minimum lies below the position.
 
+    At degree >= 2 a fresh run and a resume at or past x_end scan from
+    x_end (`SieveEngine.skip_line_divisible`); a fresh run tallies the
+    x-region's orbits in the range that reaches x_end, and a resume inside
+    it scans from mask 1.  Ranges keep their bounds 1 + k * 2^range_bits: one
+    below x_end scans nothing but counts towards `stop_after_ranges`.
+
     The lookahead never sieves past `stop_after_ranges`, and on an error the
     pool is terminated without waiting for the range in flight.
     """
@@ -605,26 +614,33 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
             pool = multiprocessing.get_context("fork").Pool(
                 cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
             pipeline.joint.drop_tables()  # the workers keep their pages
-        while engine.position < position:
-            engine.run_range(min(span, position - engine.position))
+        skipped = (engine.skip_line_divisible() if cfg.degree > 1 and (
+            position == 1 or position >= engine.x_end) else 0)
+        while engine.position < position:  # in the ranges' bounds, 1 + k * span
+            engine.run_range(min(span - (engine.position - 1) % span,
+                                 position - engine.position))
 
-        def sieve_range():
-            """Sieve the next range and dispatch its countable orbits:
-            (trivial orbits, batches, pending results, end position)."""
-            infos = engine.run_range(span)
+        def sieve_range(lo: int):
+            """Sieve the range from `lo` and dispatch its countable orbits:
+            (trivial orbits, batches, pending results, end position).  A
+            range below the engine's position scans nothing."""
+            hi = min(lo + span, engine.space + 1)
+            infos = (engine.run_range(hi - engine.position)
+                     if hi > engine.position else [])
             countable = [info for info in infos if not info.trivially_reducible]
             batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
             pending = (pool.imap(_process_in_worker, batches, chunksize=1)
                        if pool is not None and batches else None)
-            return len(infos) - len(countable), batches, pending, engine.position
+            return (len(infos) - len(countable) + (
+                skipped if lo < engine.x_end <= hi else 0), batches, pending, hi)
 
         ranges_done = 0
-        ahead = None if engine.done else sieve_range()
+        ahead = None if engine.done else sieve_range(position)
         while ahead is not None:
             trivial, batches, pending, end = ahead
             ranges_done += 1
             stopping = ranges_done == cfg.stop_after_ranges
-            ahead = None if engine.done or stopping else sieve_range()
+            ahead = None if engine.done or stopping else sieve_range(end)
             results = (pending if pending is not None
                        else (_encode_orbits(b, pipeline, cfg.keep_margin)
                              for b in batches))

@@ -35,7 +35,7 @@ import numpy as np
 from curvesearch.count import PointCount, PointCounter, projective_points
 from curvesearch.gf2m import FieldTable, _polymod, build_field
 from curvesearch.irred import _f2_factor
-from curvesearch.orbit import OrbitInfo, _scan
+from curvesearch.orbit import OrbitInfo, SieveEngine
 from curvesearch.polyrep import (
     Mat3,
     PolyMask,
@@ -178,8 +178,13 @@ def substitute_by_products(f: PolyMask, m: Mat3) -> PolyMask:
 
 
 def sieve_all(degree: int) -> list[OrbitInfo]:
-    """Run the whole sieve, returning every orbit (trivial ones included)."""
-    return list(_scan(degree))
+    """Run the whole sieve from mask 1, returning every orbit, the trivial
+    ones and those of the x-region included."""
+    eng = SieveEngine(degree)
+    out: list[OrbitInfo] = []
+    while not eng.done:
+        out += eng.run_range(1 << 20)
+    return out
 
 
 def search_records(cfg: SearchConfig, **kwargs) -> list[CurveRecord]:

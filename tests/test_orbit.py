@@ -3,6 +3,7 @@
 import pickle
 import random
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from curvesearch.corpus import load_corpus
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import (
     GL3_ORDER,
+    LINE_DIVISIBLE_ORBITS,
     OrbitInfo,
     SieveEngine,
     enumerate_gl3,
@@ -395,6 +397,40 @@ def test_line_filter_matches_oracles(case):
         trial = bits == 0 or d == 1 or any(divides(line, mask_to_dict(f), F2)
                                            for line in LINES)
         assert lanes == trial == (min(orbit_of(f)).bits < x_end), f
+
+
+@pytest.mark.parametrize("d, forms", [
+    (2, 28), (3, 329), (4, 6_048), (5, 209_867), (6, 14_025_690),
+])
+def test_line_divisible_skip_is_sound(d, forms):
+    # A scan of degree d >= 2 may start at x_end with the x-region's orbits
+    # counted from LINE_DIVISIBLE_ORBITS.  A scan of [1, x_end) emits exactly
+    # that many orbits, all flagged trivially reducible, whose sizes add up
+    # to the line-divisible nonzero forms counted by inclusion-exclusion over
+    # the products of t distinct lines (coprime, so a form divisible by each
+    # is divisible by their product), and it claims nothing at or past x_end.
+    eng = SieveEngine(d)
+    infos = []
+    while eng.position < eng.x_end:
+        infos += eng.run_range(min(1 << 20, eng.x_end - eng.position))
+    assert len(infos) == LINE_DIVISIBLE_ORBITS[d]
+    assert all(i.trivially_reducible for i in infos)
+    assert sum(i.orbit_size for i in infos) == forms == sum(
+        (-1) ** (t + 1) * comb(7, t) * ((1 << basis_size(d - t)) - 1)
+        for t in range(1, min(d, 7) + 1))
+    assert not np.unpackbits(eng.table, bitorder="little")[eng.x_end:].any()
+    skipped = SieveEngine(d)
+    assert skipped.skip_line_divisible() == len(infos)
+    assert skipped.position == eng.position == skipped.x_end
+    with pytest.raises(ValueError):
+        skipped.skip_line_divisible()
+
+
+def test_degree1_keeps_its_x_region():
+    # The degree-1 x-region is the line orbit, which the sieve emits.
+    with pytest.raises(ValueError):
+        SieveEngine(1).skip_line_divisible()
+    assert 1 not in LINE_DIVISIBLE_ORBITS
 
 
 def test_degree6_sieve_prefix():

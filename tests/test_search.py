@@ -546,24 +546,37 @@ PINNED_OUTPUTS = {
     # `verify` of every corpus curve over its own field, one line each
     "corpus-verify": (83,
                       "1993bacd34a71decd2d31618461638c6e38ac13f05148f7b2d3737541fd5f18e"),
+    # degree 6 over the nine fields at margin 15, the first 2,049 ranges of
+    # 2^10: the x-region, counted and not scanned, and one range past it
+    "d6-nine": (216,
+                "51d28b093293b1c9d05087f3ec4bc61a4c0f54b5a925bd160ab859586a00cd60"),
 }
 
 
 def test_outputs_match_their_pins(tmp_path):
     nine = search.SUPPORTED_FIELDS
-    out = tmp_path / "d5.jsonl"
+    out, out6 = tmp_path / "d5.jsonl", tmp_path / "d6.jsonl"
     with pytest.raises(InterruptedError):
         run_search(SearchConfig(degree=5, fields=nine, keep_margin=80, range_bits=11,
                                 stop_after_ranges=19, out_path=str(out)))
+    stats6 = SearchStats()
+    with pytest.warns(UserWarning, match="long run"), pytest.raises(InterruptedError):
+        run_search(SearchConfig(degree=6, fields=nine, range_bits=10,
+                                stop_after_ranges=2049, out_path=str(out6)),
+                   stats=stats6)
     outputs = {
         "d4-nine": run_search(SearchConfig(degree=4, fields=nine)),
         "d5-nine": out.read_bytes(),
         "corpus-verify": "".join(verify(e.poly, e.q).to_json() + "\n"
                                  for e in load_corpus()).encode(),
+        "d6-nine": out6.read_bytes(),
     }
     got = {name: (text.count(b"\n"), hashlib.sha256(text).hexdigest())
            for name, text in outputs.items()}
     assert got == PINNED_OUTPUTS
+    assert stats6 == SearchStats(orbits_seen=85_253, orbits_trivial=85_002,
+                                 counted=251, kept=216, dropped_threshold=17,
+                                 dropped_reducible=0, dropped_inconsistent=18)
 
 
 def test_run_search_is_reentrant():
@@ -619,19 +632,20 @@ def test_parent_drops_its_table_once_forked(monkeypatch, jobs):
     # With workers the parent only sieves: once its pool has forked, its
     # joint counter holds no monomial table, while the workers count with
     # the pages they forked with.  With jobs=1 the parent counts, and keeps
-    # its table.
+    # its table.  The first range's scan starts at x_end, 2^10.
     cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=12)
     serial = run_search(cfg)
     events = _watch_parent(monkeypatch)
     assert run_search(replace(cfg, jobs=jobs)) == serial
-    ranges = [(1 + k * (1 << 12), jobs == 1) for k in range(8)]
+    ranges = [(max(1 + k * (1 << 12), 1 << 10), jobs == 1) for k in range(8)]
     assert events == (["fork"] if jobs > 1 else []) + ranges
 
 
 def test_resume_forks_before_the_replay(tmp_path, monkeypatch):
     # A resume builds the table and forks its pool before it sieves again up
     # to the checkpoint, so the workers never map the claimed-bit pages the
-    # replay writes, and the parent replays without the table.
+    # replay writes, and the parent replays without the table.  The replay
+    # past x_end starts there, at 2^10.
     full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
     cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=2,
                        out_path=str(out), checkpoint_path=str(ck))
@@ -641,7 +655,7 @@ def test_resume_forks_before_the_replay(tmp_path, monkeypatch):
     events = _watch_parent(monkeypatch)
     assert run_search(replace(cfg, range_bits=11)) == b""
     position = 1 + 3 * (1 << 10)
-    replay = [(1, False), (1 + (1 << 11), False)]
+    replay = [(1 << 10, False), (1 + (1 << 11), False)]
     rest = [(p, False) for p in range(position, 1 << 15, 1 << 11)]
     assert events == ["fork"] + replay + rest
     assert out.read_bytes() == full.read_bytes()
@@ -704,7 +718,7 @@ def test_checkpoint_resume_identity(tmp_path):
 def test_resume_under_another_range_size(tmp_path, monkeypatch, bits_before, stop,
                                          bits_after):
     # The checkpoint holds no range size: a run interrupted at one and
-    # resumed at another replays the sieve from mask 1 to the position and
+    # resumed at another replays the sieve from x_end to the position and
     # writes the same catalog, and the resumed run's stats count only orbits
     # from the position on.
     full, out, ck = (tmp_path / n for n in ("full.jsonl", "out.jsonl", "ck.bin"))
@@ -724,10 +738,45 @@ def test_resume_under_another_range_size(tmp_path, monkeypatch, bits_before, sto
     monkeypatch.setattr(SieveEngine, "run_range", run_range)
     stats = SearchStats()
     assert run_search(replace(cfg, range_bits=bits_after), stats=stats) == b""
-    assert starts[0] == 1 and position in starts
+    assert starts[0] == 1 << 10 and position in starts
     assert out.read_bytes() == full.read_bytes()
     later = [i for i in oracles.sieve_all(4) if i.rep_bits >= position]
     assert 0 < stats.orbits_seen == len(later)
+
+
+@pytest.mark.parametrize("degree, fields, range_bits, stop", [
+    (3, (8, 16), 4, None),  # a fresh run, from mask 1
+    (3, (8, 16), 4, 1),  # a resume at 17, inside the x-region [1, 64)
+    (4, (64,), 10, 3),  # a resume at 3073, past x_end 2^10
+])
+def test_each_start_matches_the_exhaustive_scan(tmp_path, degree, fields, range_bits,
+                                                stop):
+    # A fresh run and a resume past x_end count the x-region's orbits and
+    # scan from x_end; a resume inside it replays and scans from mask 1.  In
+    # each case the catalog is that of every orbit the sieve emits from mask
+    # 1 on, byte for byte, and the run's stats count exactly the orbits from
+    # its start position on.
+    out, ck = tmp_path / "out.jsonl", tmp_path / "ck.bin"
+    cfg = SearchConfig(degree=degree, fields=fields, range_bits=range_bits,
+                       out_path=str(out), checkpoint_path=str(ck))
+    position = 1
+    if stop is not None:
+        with pytest.raises(InterruptedError):
+            run_search(replace(cfg, stop_after_ranges=stop))
+        position = 1 + stop * (1 << range_bits)
+    stats = SearchStats()
+    assert run_search(cfg, stats=stats) == b""
+    infos = oracles.sieve_all(degree)
+    countable = [i for i in infos if not i.trivially_reducible]
+    pipe = CurvePipeline(fields, load_lauter())
+    text, kept, _ = search._encode_orbits(countable, pipe, cfg.keep_margin)
+    assert out.read_bytes() == text and kept > 0
+    later = [i for i in infos if i.rep_bits >= position]
+    assert later and stats.orbits_seen == len(later)
+    assert stats.orbits_trivial == sum(i.trivially_reducible for i in later)
+    assert stats.counted == len(later) - stats.orbits_trivial
+    assert stats.kept == sum(CurveRecord.from_json(ln).mask >= position
+                             for ln in text.splitlines())
 
 
 @pytest.mark.parametrize("range_bits, stop, stale", [
