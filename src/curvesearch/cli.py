@@ -1,6 +1,7 @@
 """Command line entry points: search, verify, report.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 checkpoint error.
+Exit codes: 0 success, 2 configuration/usage error, 3 checkpoint error,
+4 a search worker died (the same command resumes from its checkpoint).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .search import (
     ConfigError,
     SearchConfig,
     SearchStats,
+    WorkerLost,
     iter_catalog,
     report,
     run_search,
@@ -23,6 +25,7 @@ from .search import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
+EXIT_WORKER = 4
 
 
 def _parse_fields(text: str) -> tuple[int, ...]:
@@ -118,13 +121,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (ValueError, OSError) as exc:
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

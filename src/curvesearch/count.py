@@ -169,7 +169,6 @@ class PointCounter:
         # Its first column on the line x = 0, its column of (0:0:1), which
         # is its last, and its end: the edges `_singular` reads.
         self._edges = np.array([n_affine, n - 1, n])
-        self._square = orbit[1].tolist()
         # degree -> the evaluator's (exp, log) tables, built by its first use
         self._evaluators: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # The `JointCounter` that holds this counter's columns, and which of
@@ -197,9 +196,9 @@ class PointCounter:
         built once per degree."""
         if d not in self._evaluators:
             s = d * (self.q - 2) + 1
-            exp = np.zeros(d * s + 1, dtype=self.field.exp.dtype)
+            exp = np.zeros(d * s + 1, dtype=np.uint16)
             exp[:s] = np.resize(self.field.exp, s)
-            log = self.field.log.astype(np.int32)
+            log = np.array(self.field.log, dtype=np.int32)
             log[0] = s
             self._evaluators[d] = exp, log
         exp, log = self._evaluators[d]
@@ -385,9 +384,9 @@ def _tally(counters: Iterable[PointCounter], offsets, coords: np.ndarray,
         points.append(((x, y, z), k))
         if k > 1:
             expanded[c] = True
-            square = counters[c]._square
+            mul = counters[c].field.mul
             for _ in range(k - 1):
-                x, y, z = square[x], square[y], square[z]
+                x, y, z = mul(x, x), mul(y, y), mul(z, z)
                 points.append(((x, y, z), k))
     counts = {}
     for c, row, points, unsorted in zip(counters, by_degree, found, expanded):

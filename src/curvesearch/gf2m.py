@@ -3,8 +3,8 @@
 Elements are m-bit coefficient vectors packed into Python ints, low bit =
 constant term, so addition is a single XOR and serialization is bit-exact.
 Multiplication goes through exponent/discrete-log tables built from a fixed
-primitive defining polynomial, which makes bulk evaluation (done elsewhere
-with numpy gathers over the same tables) cheap.
+primitive defining polynomial: tuples of ints, which the scalar operations
+index directly and bulk evaluation copies into numpy arrays.
 
 The defining polynomial for each degree is the lexicographically smallest
 primitive one, coefficient bits compared high-to-low, i.e. the smallest
@@ -36,8 +36,6 @@ def _is_irreducible(poly: int) -> bool:
     """Trial division by every lower-degree binary polynomial of degree >= 1."""
     deg = poly.bit_length() - 1
     for g in range(2, 1 << (deg // 2 + 1)):
-        if g.bit_length() - 1 < 1:
-            continue
         if _polymod(poly, g) == 0:
             return False
     return True
@@ -76,17 +74,13 @@ def primitive_polys(m: int, count: int = 1) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldTable:
-    """Immutable lookup tables for one field F_{2^m}; safe to share across threads."""
+    """Read-only lookup tables for one field F_{2^m}; safe to share across threads."""
 
     m: int
     order: int
     defining_poly: int
-    exp: np.ndarray  # length order-1, exp[i] = g^i for the generator g = x
-    log: np.ndarray  # length order, log[a] = discrete log of a; log[0] is a sentinel
-
-    def __post_init__(self) -> None:
-        self.exp.setflags(write=False)
-        self.log.setflags(write=False)
+    exp: tuple[int, ...]  # length order-1, exp[i] = g^i for the generator g = x
+    log: tuple[int, ...]  # length order, log[a] = discrete log of a; log[0] is a sentinel
 
     # -- scalar operations ------------------------------------------------
 
@@ -96,7 +90,7 @@ class FieldTable:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.order - 1)])
+        return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -105,26 +99,28 @@ class FieldTable:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
+        return self.exp[(self.log[a] * e) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_{2^m}")
-        return int(self.exp[(-int(self.log[a])) % (self.order - 1)])
+        return self.exp[-self.log[a] % (self.order - 1)]
 
     # -- vectorized operations (uint16 element arrays) ---------------------
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of two arrays of element encodings."""
-        out = self.exp[(self.log[a].astype(np.int64) + self.log[b]) % (self.order - 1)]
-        return np.where((a == 0) | (b == 0), 0, out).astype(self.exp.dtype)
+        exp, log = np.array(self.exp, np.uint16), np.array(self.log, np.int64)
+        out = exp[(log[a] + log[b]) % (self.order - 1)]
+        return np.where((a == 0) | (b == 0), 0, out).astype(np.uint16)
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a**e, with 0**0 = 1."""
         if e == 0:
             return np.ones_like(a)
-        out = self.exp[(self.log[a].astype(np.int64) * e) % (self.order - 1)]
-        return np.where(a == 0, 0, out).astype(self.exp.dtype)
+        exp, log = np.array(self.exp, np.uint16), np.array(self.log, np.int64)
+        return np.where(a == 0, 0, exp[(log[a] * e) % (self.order - 1)]
+                        ).astype(np.uint16)
 
     # -- structure ----------------------------------------------------------
 
@@ -143,16 +139,15 @@ def build_field(m: int, poly_index: int = 0) -> FieldTable:
         raise ValueError(f"extension degree must be in 1..{MAX_M}, got {m}")
     poly = primitive_polys(m, poly_index + 1)[poly_index]
     order = 1 << m
-    dtype = np.uint16
-    exp = np.zeros(max(order - 1, 1), dtype=dtype)
-    log = np.zeros(order, dtype=dtype)
+    exp, log = [], [0] * order
     t = 1
     for i in range(order - 1):
-        exp[i] = t
+        exp.append(t)
         log[t] = i
         t <<= 1
         if t & order:
             t ^= poly
     if t != 1:
         raise ArithmeticError(f"polynomial {poly:#x} is not primitive for m={m}")
-    return FieldTable(m=m, order=order, defining_poly=poly, exp=exp, log=log)
+    return FieldTable(m=m, order=order, defining_poly=poly, exp=tuple(exp),
+                      log=tuple(log))

@@ -205,10 +205,10 @@ def gl3_images(f: PolyMask) -> np.ndarray:
 
 def substitute(f: PolyMask, m: Mat3) -> PolyMask:
     """f((x, y, z) M) reduced over F_2; M must be invertible."""
-    mats = enumerate_gl3()
-    if m not in mats:
+    if m not in enumerate_gl3():
         raise ValueError(f"singular matrix {m}")
-    return PolyMask(f.degree, int(gl3_images(f)[mats.index(m)]))
+    row = gl3_table(f.degree)[enumerate_gl3().index(m)]
+    return PolyMask(f.degree, int(np.bitwise_xor.reduce(row[bit_indices(f.bits)])))
 
 
 # -- cheap reducibility filters ----------------------------------------------

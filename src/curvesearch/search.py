@@ -81,6 +81,10 @@ class CheckpointError(RuntimeError):
     """Unusable or incompatible checkpoint file (CLI exit code 3)."""
 
 
+class WorkerLost(RuntimeError):
+    """A pool worker died while counting (CLI exit code 4)."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     degree: int
@@ -457,9 +461,25 @@ def _encode_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
 _worker_args: tuple[CurvePipeline, int] | None = None
 
 
-def _init_worker(pipe: CurvePipeline, margin: int) -> None:
+def _init_worker(pipe: CurvePipeline, margin: int, started) -> None:
     global _worker_args
     _worker_args = (pipe, margin)
+    with started.get_lock():
+        started.value += 1
+
+
+def _pooled_results(pending, started, jobs: int) -> Iterator:
+    """`pool.imap`'s results, in order.  A pool replaces a worker that dies
+    but never returns its batch, so the wait polls for a respawn."""
+    while True:
+        try:
+            yield pending.next(timeout=0.5)
+        except StopIteration:
+            return
+        except multiprocessing.TimeoutError:
+            if started.value > jobs:
+                raise WorkerLost("a search worker died; run again to resume "
+                                 "from the last checkpoint") from None
 
 
 def _process_in_worker(batch: list[OrbitInfo]) -> tuple[bytes, int, SearchStats]:
@@ -577,8 +597,9 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     it scans from mask 1.  Ranges keep their bounds 1 + k * 2^range_bits: one
     below x_end scans nothing but counts towards `stop_after_ranges`.
 
-    The lookahead never sieves past `stop_after_ranges`, and on an error the
-    pool is terminated without waiting for the range in flight.
+    The lookahead never sieves past `stop_after_ranges`, and on an error,
+    WorkerLost for a dead worker included, the pool is terminated without
+    waiting for the range in flight.
     """
     if cfg.long_run:
         warnings.warn(
@@ -611,8 +632,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
         pipeline.joint.monomial_table(cfg.degree)
         _normal_forms(cfg.degree)  # the certificate's F_2 factor table, shared too
         if cfg.jobs > 1:
-            pool = multiprocessing.get_context("fork").Pool(
-                cfg.jobs, _init_worker, (pipeline, cfg.keep_margin))
+            ctx = multiprocessing.get_context("fork")
+            started = ctx.Value("i", 0)  # workers started, respawns included
+            pool = ctx.Pool(cfg.jobs, _init_worker,
+                            (pipeline, cfg.keep_margin, started))
             pipeline.joint.drop_tables()  # the workers keep their pages
         skipped = (engine.skip_line_divisible() if cfg.degree > 1 and (
             position == 1 or position >= engine.x_end) else 0)
@@ -629,7 +652,8 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
                      if hi > engine.position else [])
             countable = [info for info in infos if not info.trivially_reducible]
             batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
-            pending = (pool.imap(_process_in_worker, batches, chunksize=1)
+            pending = (_pooled_results(pool.imap(_process_in_worker, batches,
+                                                 chunksize=1), started, cfg.jobs)
                        if pool is not None and batches else None)
             return (len(infos) - len(countable) + (
                 skipped if lo < engine.x_end <= hi else 0), batches, pending, hi)

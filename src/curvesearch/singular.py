@@ -9,17 +9,17 @@ An F_2-rational point P (degree k = 1, coordinates in {0, 1}) needs no
 field arithmetic.  The substitution that fixes P's chart variable x_c and
 adds x_c to each other variable where P has a 1 is unipotent, so it lies
 in GL_3(F_2); it takes P to the chart's origin, and the image's two other
-variables are exactly (u, v).  The image mask, four byte-table lookups
-built once per (degree, point) from `polyrep.gl3_table`, is the local
-expansion: its monomials read by their exponents of u and v.  The
-multiplicity is the least u,v-degree present and the cone is the
-monomials of that degree.  Everything the analysis keeps of the cone
-depends only on those bits, so one cache per chart, keyed by them, holds
-the cone, its squarefreeness, its cone type and its rational directions
-over F_2..F_2048.  A point of degree k >= 2 is expanded by
-`local_expansion` in its scan field, by Lucas' theorem: over F_2 the
-binomial C(n, s) is odd exactly when s is a bit-submask of n.  The tests
-check the substitution against the expansion.
+variables are exactly (u, v).  The image mask, `polyrep.substitute`, is
+the local expansion: its monomials read by their exponents of u and v.
+The multiplicity is the least u,v-degree present and the cone is the
+monomials of that degree.  Everything kept of the cone depends only on
+those bits, so one cache per chart, keyed by them, holds the cone, its
+squarefreeness, its cone type and its rational directions over
+F_2..F_2048; every field lists the same F_2 points of a curve, so a
+second cache holds the last seven (curve, point) readings.  A point of
+degree k >= 2 is expanded by `local_expansion` in its scan field, by
+Lucas' theorem: over F_2 the binomial C(n, s) is odd exactly when s is a
+bit-submask of n.  The tests check the substitution against the expansion.
 
 Binary forms of degree m are stored as coefficient tuples c, with c[j] the
 coefficient of u^(m-j) v^j.
@@ -40,12 +40,11 @@ catalog alphabet fall back to the generic "deg=m squarefree=b" form.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .gf2m import MAX_M, FieldTable, build_field
-from .polyrep import PolyMask, basis_size, decode, enumerate_gl3, gl3_table, monomials
+from .polyrep import PolyMask, decode, monomials, substitute
 
 PointT = tuple[int, int, int]
 FormT = tuple[int, ...]
@@ -151,28 +150,25 @@ def _pderiv(p: list[int]) -> list[int]:
     return _ptrim([p[i] if i % 2 == 1 else 0 for i in range(1, len(p))])
 
 
-def _pdivmod(a: list[int], b: list[int], field: FieldTable
-             ) -> tuple[list[int], list[int]]:
+def _pmod(a: list[int], b: list[int], field: FieldTable) -> list[int]:
     a = _ptrim(list(a))
     b = _ptrim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = field.inv(b[-1])
     while len(a) >= len(b):
         shift = len(a) - len(b)
         coef = field.mul(a[-1], inv_lead)
-        q[shift] = coef
         for i, bc in enumerate(b):
             a[shift + i] ^= field.mul(coef, bc)
         _ptrim(a)
-    return _ptrim(q), a
+    return a
 
 
 def _pgcd(a: list[int], b: list[int], field: FieldTable) -> list[int]:
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _pdivmod(a, b, field)[1]
+        a, b = b, _pmod(a, b, field)
     return a
 
 
@@ -246,14 +242,14 @@ def _direction_counts(form: FormT, field: FieldTable, ms: Iterable[int]
         raise ValueError("zero form")
     deg = len(form) - 1
     p = _ptrim([form[deg - i] for i in range(deg + 1)])
-    r = _pdivmod([0, 1], p, field)[1]  # t^(2^done) mod p
+    r = _pmod([0, 1], p, field)  # t^(2^done) mod p
     done = 0
     counts = []
     for m in ms:
         for _ in range(m - done):
             sq = [0] * (2 * len(r))
             sq[::2] = (field.mul(c, c) for c in r)
-            r = _pdivmod(sq, p, field)[1]
+            r = _pmod(sq, p, field)
         done = m
         g = r + [0] * (2 - len(r))
         g[1] ^= 1
@@ -287,41 +283,22 @@ def _f2_chart(d: int, chart: int) -> tuple[tuple[int, ...], tuple[int, ...], dic
     return tuple(layers), tuple(mono[ob] for mono in monomials(d)), {}
 
 
-@lru_cache(maxsize=None)
-def _f2_shift(d: int, point: PointT) -> tuple[tuple[array, ...], int]:
-    """(luts, chart) for the F_2 point at degree d: luts[b][v] is the image
-    mask of the basis monomials at bits 8b..8b+7 set in v, under the
-    substitution that takes the point to the origin of its chart."""
+@lru_cache(maxsize=7)  # P^2(F_2) has 7 points, which the fields ask in turn
+def _f2_cone(f: PolyMask, point: PointT
+             ) -> tuple[FormT, str, bool, tuple[int, ...]]:
+    """(cone, cone type, squarefree, rational directions over F_{2^m} for
+    m = 1..MAX_M) at the F_2 point, read off the image of f under the
+    substitution that takes the point to the origin of its chart (see the
+    module docstring)."""
     if not (any(point) and set(point) <= {0, 1}):
         raise ValueError(f"{point} is not an F_2-rational point")
     chart = point.index(1)
     # Row `chart` of the matrix is the point itself, the others the identity's.
     row = point[0] | point[1] << 1 | point[2] << 2
-    mat = tuple(row if r == chart else 1 << r for r in range(3))
-    cols = gl3_table(d)[enumerate_gl3().index(mat)].tolist()
-    luts = []
-    for lo in range(0, basis_size(d), 8):
-        lut = [0]
-        for c in cols[lo:lo + 8]:
-            lut += [v ^ c for v in lut]
-        luts.append(array("I", lut))  # 4 bytes an entry, not an int object
-    return tuple(luts), chart
-
-
-def _f2_cone(f: PolyMask, point: PointT
-             ) -> tuple[FormT, str, bool, tuple[int, ...]]:
-    """(cone, cone type, squarefree, rational directions over F_{2^m} for
-    m = 1..MAX_M) at the F_2 point, read off the image of f under
-    `_f2_shift`'s substitution (see the module docstring)."""
-    d = f.degree
-    luts, chart = _f2_shift(d, point)
-    bits, image = f.bits, 0
-    for lut in luts:
-        image ^= lut[bits & 0xFF]
-        bits >>= 8
+    image = substitute(f, tuple(row if r == chart else 1 << r for r in range(3))).bits
     if not image:
         raise ValueError("zero polynomial")
-    layers, v_exps, cones = _f2_chart(d, chart)
+    layers, v_exps, cones = _f2_chart(f.degree, chart)
     m = 0
     while not image & layers[m]:
         m += 1

@@ -278,9 +278,9 @@ def monomial_rows(counter: PointCounter, d: int, cols: Iterable[int],
     the exp table repeated up to s = d (q - 2) + 1 and 0 from s to d s,
     and log 0 = s, so a zero coordinate with a positive exponent gives 0."""
     s = d * (counter.q - 2) + 1
-    exp = np.zeros(d * s + 1, dtype=counter.field.exp.dtype)
+    exp = np.zeros(d * s + 1, dtype=np.uint16)
     exp[:s] = np.resize(counter.field.exp, s)
-    log = counter.field.log.astype(np.int32)
+    log = np.array(counter.field.log, dtype=np.int32)
     log[0] = s
     logs = [log[counter.coords[v][sel]] for v in range(3)]
     basis = monomials(d)

@@ -5,6 +5,7 @@ import json
 import multiprocessing.pool
 import os
 import random
+import signal
 import struct
 import threading
 import time
@@ -39,6 +40,7 @@ from curvesearch.search import (
     CurveRecord,
     SearchConfig,
     SearchStats,
+    WorkerLost,
     read_catalog,
     report,
     run_search,
@@ -194,9 +196,10 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     # point is analysed once per Frobenius orbit in each field it was found
     # in, by one expansion and one chain, over F_{2^k} and F_q, and its
     # conjugates copy that entry.  The blowup estimate, a lookup, is read
-    # at every listed point.
+    # at every listed point.  An F_2 point's substitution runs once per
+    # curve, however many fields list the point.
     point_calls = expected = per_field = blowups = orbits = 0
-    expansions, chains, f2_chains, f2_points = 0, 0, [], []
+    expansions, chains, f2_chains, f2_points, substituted = 0, 0, [], [], []
     analysing = None  # the point under analysis: (f, p, field, k)
     real_point = search.analyze_singular_point
     real_blowup = search.blowup_points_estimate
@@ -204,6 +207,7 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     real_expansion = singular.local_expansion
     real_chain = singular._direction_counts
     real_cone = singular.tangent_cone_at
+    real_substitute = singular.substitute
 
     def point(f, p, field, k):
         nonlocal point_calls, analysing
@@ -234,6 +238,10 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
             chains += 1
         return real_chain(form, field, ms)
 
+    def substitute(f, m):
+        substituted.append((f, analysing[1]))
+        return real_substitute(f, m)
+
     def blowup(s, field):
         nonlocal blowups
         blowups += 1
@@ -252,11 +260,13 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
         return real_analyze(self, f, orbit_size, counts, gi)
 
     singular._f2_chart.cache_clear()  # every chart's cone cache starts empty
+    singular._f2_cone.cache_clear()
     monkeypatch.setattr(search, "analyze_singular_point", point)
     monkeypatch.setattr(search, "blowup_points_estimate", blowup)
     monkeypatch.setattr(search.CurvePipeline, "analyze", analyze)
     monkeypatch.setattr(singular, "local_expansion", expansion)
     monkeypatch.setattr(singular, "_direction_counts", chain)
+    monkeypatch.setattr(singular, "substitute", substitute)
     assert run_search(SearchConfig(degree=4, fields=(8, 16, 64), jobs=1))
     monkeypatch.undo()
     assert point_calls == expected < per_field
@@ -266,6 +276,8 @@ def test_f2_singular_points_analysed_once_per_curve(monkeypatch):
     cones = {(f.degree, p.index(1), real_cone(f, p, f2)) for f, p in f2_points}
     assert len(f2_points) > len(cones) > 1
     assert sorted(f2_chains) == sorted(cones)
+    assert len(f2_points) > len(substituted) == len(set(substituted)) > 0
+    assert set(substituted) == set(f2_points)
 
 
 def test_conjugate_analyses_equal_direct_ones():
@@ -527,6 +539,87 @@ def test_parent_writes_each_batch_as_it_arrives(tmp_path, monkeypatch):
     with pytest.raises(InterruptedError):
         run_search(replace(cfg, jobs=2, out_path=str(pooled)))
     assert marker.exists() and pooled.read_bytes() == serial.read_bytes()
+
+
+class _Deadline:
+    """Raise TimeoutError in the main thread after `seconds`, so that a wait
+    that never ends fails the test instead of hanging the suite."""
+
+    def __init__(self, seconds: int):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"still waiting after {self.seconds} s")
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_dead_worker_fails_the_search_and_the_same_command_resumes(
+        tmp_path, monkeypatch, capsys, jobs):
+    # A pool replaces a worker that dies but never returns the batch it
+    # held.  A worker that exits on its second batch makes the search raise
+    # WorkerLost within seconds, with no child process left, and the same
+    # configuration resumes from its checkpoint to the bytes of an
+    # uninterrupted run.  The CLI prints one error line and exits with 4.
+    # With more workers than cores, a start lost from the shared count
+    # would hide the respawn, and the search would wait forever.
+    full, out, ck, died, pids = (tmp_path / n for n in (
+        "full.jsonl", "out.jsonl", "ck.bin", "died", "pids"))
+    cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=jobs,
+                       out_path=str(out), checkpoint_path=str(ck))
+    assert run_search(replace(cfg, out_path=str(full), checkpoint_path=None)) == b""
+    real_encode = search._encode_orbits
+    calls, die_at = 0, 2  # calls per process: each worker forks with its own
+
+    def encode(batch, pipe, margin):
+        nonlocal calls
+        calls += 1
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if calls == die_at:
+            try:  # only the first worker to get here dies
+                os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return real_encode(batch, pipe, margin)
+
+    monkeypatch.setattr(search, "_encode_orbits", encode)
+    start = time.monotonic()
+    with _Deadline(60), pytest.raises(WorkerLost):
+        run_search(cfg)
+    assert time.monotonic() - start < 15
+    assert died.exists() and ck.exists()
+    assert multiprocessing.active_children() == []
+    for pid in set(pids.read_text().split()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+    monkeypatch.undo()
+    assert run_search(cfg) == b""
+    assert out.read_bytes() == full.read_bytes()
+
+    for path in (out, ck, died):
+        path.unlink()
+    argv = ["search", "--degree", "4", "--fields", "8,64", "--jobs", str(jobs),
+            "--checkpoint", str(ck), "--out", str(out)]
+    capsys.readouterr()
+    monkeypatch.setattr(search, "_encode_orbits", encode)
+    die_at = 1  # one range of four batches: a worker may get only one
+    with _Deadline(60):
+        assert main(argv) == cli.EXIT_WORKER == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_bytes() == full.read_bytes()
 
 
 def test_parallel_catalog_identity(tmp_path):

@@ -11,6 +11,7 @@ from curvesearch.count import PointCounter
 from curvesearch.gf2m import build_field
 from curvesearch.orbit import enumerate_gl3
 from curvesearch.polyrep import PolyMask, full_mask, parse_poly, substitute
+from curvesearch import singular
 from curvesearch.singular import (
     SingularPoint,
     _direction_counts,
@@ -389,3 +390,25 @@ def test_f2_substitution_rejects_what_the_expansion_rejects():
         analyze_singular_point(parse_poly("x^2*y + y^2*z"), (1, 2, 0), F4, 1)
     with pytest.raises(ValueError):
         analyze_singular_point(PolyMask(4, 0), (1, 0, 0), F4, 1)
+
+
+def test_f2_cone_cache_keeps_curves_apart():
+    # An F_2 point's reading is cached per (curve, point).  Two cubics with
+    # a singular point at (1:0:0), a node and a cusp, alternate through the
+    # analysis in two fields, and every result is what a cleared cache
+    # gives.
+    node = parse_poly("x*y*z + y^3 + z^3")
+    cusp = parse_poly("x*y^2 + z^3")
+    p = (1, 0, 0)
+    fresh = {}
+    for f in (node, cusp):
+        for field in (F8, F16):
+            singular._f2_cone.cache_clear()
+            singular._f2_chart.cache_clear()
+            fresh[f, field.order] = analyze_singular_point(f, p, field, 1)
+    assert fresh[node, 8].cone_type == "u v" and fresh[node, 8].ordinary
+    assert not fresh[cusp, 8].ordinary and fresh[cusp, 8].directions == 1
+    for _ in range(2):
+        for field in (F8, F16):
+            for f in (node, cusp):
+                assert analyze_singular_point(f, p, field, 1) == fresh[f, field.order]
