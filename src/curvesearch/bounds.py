@@ -40,8 +40,8 @@ class GenusInterval(NamedTuple):
 
 
 class GenusInconsistency(ValueError):
-    """Observed counts force genus_lo > genus_hi: the curve cannot be
-    absolutely irreducible (or the singularity count was overstated)."""
+    """Observed counts force genus_lo > genus_hi: the curve is not
+    absolutely irreducible, and no bound is computed for it."""
 
 
 @dataclass

@@ -131,6 +131,9 @@ def check_entry(entry: CorpusEntry) -> CorpusResult:
             f"smooth count: expected {entry.smooth}, "
             f"got {record.counts[entry.q].smooth}"
         )
+    if record.absolute != "yes":  # then the record has no analysis to check
+        failures.append(f"absolute irreducibility not certified: {record.absolute}")
+        return CorpusResult(entry=entry, record=record, failures=failures)
 
     found = {s.point: s.cone_type for s in record.singular}
     for want in entry.singular:
@@ -148,17 +151,11 @@ def check_entry(entry: CorpusEntry) -> CorpusResult:
             f"[{record.genus.lo}, {record.genus.hi}]"
         )
 
-    if entry.n_lower is not None:
-        if entry.q not in record.n_range:  # `verify`'s bounds-inconsistent record
-            failures.append(f"no N range over F_{entry.q}: {', '.join(record.flags)}")
-        elif record.n_lo(entry.q) < entry.n_lower:
-            failures.append(
-                f"N_lo {record.n_lo(entry.q)} below asserted bound {entry.n_lower}"
-            )
-
-    if record.absolute != "yes":
-        failures.append(f"absolute irreducibility not certified: {record.absolute}")
-    elif record.certificate_field is not None and record.certificate_field > 3:
+    if entry.n_lower is not None and record.n_lo(entry.q) < entry.n_lower:
+        failures.append(
+            f"N_lo {record.n_lo(entry.q)} below asserted bound {entry.n_lower}"
+        )
+    if record.certificate_field > 3:
         failures.append(f"certificate field k={record.certificate_field} exceeds 3")
 
     return CorpusResult(entry=entry, record=record, failures=failures)

@@ -72,9 +72,11 @@ def primitive_polys(m: int, count: int = 1) -> list[int]:
     return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldTable:
-    """Read-only lookup tables for one field F_{2^m}; safe to share across threads."""
+    """Read-only lookup tables for one field F_{2^m}; safe to share across
+    threads.  Fields compare and hash by identity: `build_field` makes one
+    object per field, and comparing the tables would walk them."""
 
     m: int
     order: int
@@ -83,9 +85,6 @@ class FieldTable:
     log: tuple[int, ...]  # length order, log[a] = discrete log of a; log[0] is a sentinel
 
     # -- scalar operations ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -1,11 +1,11 @@
-"""Pipeline orchestration: sieve -> count -> bound -> analyze -> certify.
+"""Pipeline orchestration: sieve -> count -> bound -> certify -> analyze.
 
 Orbits stream out of the sieve in ascending-mask order; each is counted
 over every configured field in one joint pass on its orbit-minimum mask
 (updated from the previous orbit's values, since consecutive minima share
-most monomials), filtered against the keep rule, and survivors get the full
-analysis from those same counts, so the record's singular coordinates
-match its printed polynomial.
+most monomials), filtered against the keep rule; survivors are certified,
+and the absolutely irreducible ones analysed from those same counts, so
+the record's singular coordinates match its printed polynomial.
 Each counted singular point carries its degree: the analysis reads it as
 the point's field of definition, and the singular points r seen over the
 counted fields are counted exactly, each degree from one field that holds
@@ -27,6 +27,7 @@ counted.
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 import multiprocessing
@@ -48,7 +49,7 @@ from .bounds import (
 )
 from .count import JointCounter, PointCount
 from .gf2m import build_field
-from .irred import _normal_forms, certify_absolute
+from .irred import IrreducibilityStatus, _normal_forms, certify_absolute
 # `orbit_of` is unused here; perfbench/layers.py wraps `search.orbit_of`.
 from .orbit import OrbitInfo, SieveEngine, orbit_of
 from .polyrep import (
@@ -323,10 +324,13 @@ class CurvePipeline:
         return False
 
     def analyze(self, f: PolyMask, orbit_size: int, counts: dict[int, PointCount],
-                gi: GenusInterval) -> CurveRecord | None:
+                gi: GenusInterval) -> CurveRecord:
         """Full record for one curve from its `count_all` counts and the
-        genus interval `quick_genus` made of them; None when some N range
-        crosses (the curve cannot be absolutely irreducible).
+        genus interval `quick_genus` made of them.  Bounds hold only for
+        absolutely irreducible curves, so the certificate comes first and
+        any other curve gets `_reducible_record`.  A certified curve whose N
+        range crosses or that violates theorem 1 raises: ValueError when a
+        Lauter entry is below its points, else RuntimeError (a pipeline bug).
 
         Frobenius, (x:y:z) -> (x^2:y^2:z^2), fixes f: it keeps a singular
         point's multiplicity, cone type, ordinariness and F_q-rational
@@ -334,6 +338,9 @@ class CurvePipeline:
         its coordinates.  So each Frobenius orbit is analysed once per
         field, at its first listed point, and its conjugates copy that
         entry; an F_2 point's analysis is a lookup in its cone's cache."""
+        status = certify_absolute(f, counts)
+        if status.absolute != "yes":
+            return _reducible_record(f, orbit_size, counts, status)
         flags: list[str] = []
         singular: list[SingularPoint] = []
         credited: dict[int, int] = {}
@@ -371,27 +378,19 @@ class CurvePipeline:
             )
             for q in self.orders
         }
-
-        status = certify_absolute(f, counts)
-        if any(lo > hi for lo, hi in n_range.values()):
-            # Both ends are sound for absolutely irreducible curves, so a
-            # crossed range proves reducibility, like a crossed genus interval.
-            if status.absolute == "yes":
-                for q, (lo, _) in n_range.items():
-                    bound, source = self.bound_table.effective(q, gi.hi)
-                    if source == "lauter" and lo > bound:
-                        raise ValueError(
-                            f"Lauter entry N_{q}({gi.hi}) <= {bound} is below "
-                            f"the {lo} points of certified curve {f.mask_id}"
-                        )
-                raise RuntimeError(
-                    f"certified curve {f.mask_id} has N_lo > N_hi; pipeline bug"
-                )
-            return None
+        for q, (lo, hi) in n_range.items():
+            if lo > hi:  # both ends are sound for a certified curve
+                bound, source = self.bound_table.effective(q, gi.hi)
+                if source == "lauter" and lo > bound:
+                    raise ValueError(f"Lauter entry N_{q}({gi.hi}) <= {bound} is below "
+                                     f"the {lo} points of certified curve {f.mask_id}")
+                raise RuntimeError(f"certified curve {f.mask_id} has N_lo > N_hi; "
+                                   "pipeline bug")
+        if r >= 2 and not check_theorem1(mults, f.degree):
+            raise RuntimeError(f"certified curve {f.mask_id} violates the "
+                               "multiplicity-sum bound; pipeline bug")
         if gi.lo < gi.hi:
             flags.append("genus-ambiguous")
-
-        theorem1_ok = check_theorem1(mults, f.degree) if r >= 2 else None
 
         return CurveRecord(
             degree=f.degree,
@@ -404,11 +403,27 @@ class CurvePipeline:
             n_range=n_range,
             absolute=status.absolute,
             certificate_field=status.certificate_field,
-            witness=(None if status.witness is None
-                     else f"F_{{2^1}}: {format_poly(status.witness)}"),
+            witness=None,
             flags=tuple(flags),
-            theorem1_ok=theorem1_ok,
+            theorem1_ok=True if r >= 2 else None,
         )
+
+
+def _reducible_record(f: PolyMask, orbit_size: int, counts: dict[int, PointCount],
+                      status: IrreducibilityStatus) -> CurveRecord:
+    """The record of a curve that is not absolutely irreducible: its counts,
+    the certificate's verdict and F_2 witness, and no analysis, since no
+    genus or point bound holds for it (genus [0, p_a], no N range)."""
+    return CurveRecord(
+        degree=f.degree, mask=f.bits, orbit_size=orbit_size, counts=counts,
+        singular=(), r_distinct=len(distinct_singular_points(counts)),
+        genus=GenusInterval(0, (f.degree - 1) * (f.degree - 2) // 2),
+        n_range={}, absolute=status.absolute,
+        certificate_field=status.certificate_field,
+        witness=(None if status.witness is None
+                 else f"F_{{2^1}}: {format_poly(status.witness)}"),
+        flags=(), theorem1_ok=None,
+    )
 
 
 # -- worker pool plumbing ----------------------------------------------------------
@@ -416,7 +431,8 @@ class CurvePipeline:
 
 def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
                     ) -> tuple[list[CurveRecord], SearchStats]:
-    """Count and keep-or-drop a batch of orbits, none trivially reducible."""
+    """Count and keep-or-drop a batch of orbits, none trivially reducible; an
+    orbit that `analyze` finds not absolutely irreducible is dropped."""
     stats = SearchStats(orbits_seen=len(batch), counted=len(batch))
     records: list[CurveRecord] = []
     for info in batch:
@@ -430,17 +446,9 @@ def _process_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
             stats.dropped_threshold += 1
             continue
         record = pipe.analyze(info.rep, info.orbit_size, counts, gi)
-        if record is None:
-            stats.dropped_inconsistent += 1
-            continue
-        if record.absolute == "reducible":
+        if record.absolute != "yes":
             stats.dropped_reducible += 1
             continue
-        if record.theorem1_ok is False:
-            raise RuntimeError(
-                f"certified curve {record.poly.mask_id} violates the "
-                "multiplicity-sum bound; pipeline bug"
-            )
         stats.kept += 1
         records.append(record)
     return records, stats
@@ -799,7 +807,8 @@ def _verify_pipeline(q: int) -> CurvePipeline:
 
 def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
            ) -> CurveRecord:
-    """Full analysis of one curve over one field (regression entry point);
+    """Full analysis of one curve over one field (regression entry point),
+    or `_reducible_record` for a curve that is not absolutely irreducible;
     an explicit `lauter_path` is parsed on each call."""
     if isinstance(poly, str):
         poly = poly.strip()
@@ -822,22 +831,9 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
     orbit_size = GL3_ORDER // int((gl3_images(f) == f.bits).sum())
     try:
         gi = pipeline.quick_genus(f.degree, counts)
-    except GenusInconsistency:
-        record = None
-    else:
-        record = pipeline.analyze(f, orbit_size, counts, gi)
-    if record is None:
-        # Surface the inconsistency as a flagged record rather than an error:
-        # corpus tooling reports it, nothing downstream trusts the bounds.
-        r = len(distinct_singular_points(counts))
-        return CurveRecord(
-            degree=f.degree, mask=f.bits, orbit_size=orbit_size,
-            counts=counts, singular=(), r_distinct=r,
-            genus=GenusInterval(0, (f.degree - 1) * (f.degree - 2) // 2),
-            n_range={}, absolute="reducible", certificate_field=None,
-            witness=None, flags=("bounds-inconsistent",), theorem1_ok=None,
-        )
-    return record
+    except GenusInconsistency:  # the curve cannot be absolutely irreducible
+        return _reducible_record(f, orbit_size, counts, certify_absolute(f, counts))
+    return pipeline.analyze(f, orbit_size, counts, gi)
 
 
 # -- reporting ------------------------------------------------------------------------------
@@ -846,16 +842,18 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
 def report(records: Iterable[CurveRecord], bound_table: BoundTable | None = None
            ) -> str:
     """Best-vs-bound tally over (q, g), g = 1..10, plus the ambiguous-genus
-    appendix.  The records are folded one at a time, keeping only the best
-    value of each (q, g) and the appendix line of each ambiguous record, so
-    `records` may be a generator over a catalog file (`iter_catalog`)."""
+    appendix: the number of genus-ambiguous records and the first 20 in
+    (degree, mask) order.  The records are folded one at a time, keeping
+    only the best value of each (q, g) and those 20 lines, so `records`
+    may be a generator over a catalog file (`iter_catalog`)."""
     bound_table = bound_table or _bundled_bounds()
     genera = range(1, 11)
 
     seen = False
     orders: set[int] = set()
     pinned: dict[tuple[int, int], int] = {}
-    ambiguous: list[tuple[tuple[int, int], str]] = []
+    ambiguous: list[tuple[int, int, str]] = []  # a max-heap, keys negated
+    n_ambiguous = 0
     for rec in records:
         seen = True
         orders.update(rec.n_range)
@@ -869,11 +867,11 @@ def report(records: Iterable[CurveRecord], bound_table: BoundTable | None = None
             n_parts = ", ".join(
                 f"q={q}: N>={rec.n_lo(q)}" for q in sorted(rec.n_range)
             )
-            ambiguous.append((
-                (rec.degree, rec.mask),
-                f"  {rec.poly.mask_id} genus [{rec.genus.lo}, {rec.genus.hi}] "
-                f"{n_parts}",
-            ))
+            n_ambiguous += 1
+            line = f"  {rec.poly.mask_id} genus [{rec.genus.lo}, {rec.genus.hi}] {n_parts}"
+            heapq.heappush(ambiguous, (-rec.degree, -rec.mask, line))
+            if len(ambiguous) > 20:
+                heapq.heappop(ambiguous)  # the last in (degree, mask) order
     if not seen:
         raise ValueError("empty catalog")
 
@@ -899,8 +897,9 @@ def report(records: Iterable[CurveRecord], bound_table: BoundTable | None = None
 
     if ambiguous:
         lines.append("")
-        lines.append("ambiguous genus (interval not pinned; best values not tallied):")
-        lines.extend(line for _, line in sorted(ambiguous, key=lambda item: item[0]))
+        lines.append(f"ambiguous genus (interval not pinned; best values not tallied): "
+                     f"{n_ambiguous} records, the first {len(ambiguous)} by (degree, mask):")
+        lines.extend(line for *_, line in sorted(ambiguous, reverse=True))
 
     best_cells = sorted(k for k in pinned)
     if best_cells:

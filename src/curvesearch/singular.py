@@ -363,8 +363,8 @@ def check_theorem1(multiplicities: list[int], d: int) -> bool:
     By Bezout a line through two singular points forces m_i + m_j <= d, so at
     most one multiplicity can exceed d/2; the sum is bounded by
     floor(d/2) * r + 1 for odd d and floor(d/2) * r for even d.  Every
-    absolutely irreducible curve must satisfy this; a violation flags a
-    reducible curve or a pipeline bug.
+    absolutely irreducible curve satisfies this, and `analyze` asks only
+    about certified curves, so there a violation is a pipeline bug.
     """
     r = len(multiplicities)
     if r < 2:

@@ -73,16 +73,16 @@ def test_unrunnable_corpus_entries_rejected_at_load(tmp_path):
 
 
 def test_bounds_inconsistent_entry_fails(tmp_path):
-    # `verify` stands in a record with no N range for a curve whose bounds
-    # cross; an entry asserting a lower bound for it fails, and raises
-    # nothing.
+    # A curve whose genus interval crosses is not absolutely irreducible, and
+    # `verify` gives it no analysis; an entry asserting a singular point and
+    # a lower bound for it fails on the certificate alone, and raises nothing.
     path = tmp_path / "corpus.txt"
     path.write_text("[crossed]\nq = 8\ngenus = 1\n"
                     "poly = x^2*z + x*y^2 + x*y*z + y^2*z + y*z^2 + z^3\n"
-                    "smooth = 14\nn_lower = 1\n")
+                    "smooth = 14\nsingular = (1:1:1) u v\nn_lower = 1\n")
     (result,) = run_corpus(load_corpus(path))
-    assert result.record.flags == ("bounds-inconsistent",)
-    assert "no N range over F_8: bounds-inconsistent" in result.failures
+    assert (result.record.n_range, result.record.flags) == ({}, ())
+    assert result.failures == ["absolute irreducibility not certified: reducible"]
     assert not result.passed
 
 
@@ -101,7 +101,6 @@ def test_degree6_entries_through_the_nine_field_analysis():
         counts = pipe.count_all(f)
         gi = pipe.quick_genus(6, counts)
         rec = pipe.analyze(f, 1, counts, gi)
-        assert rec is not None, e.id
         assert rec.counts[e.q].smooth == e.smooth, e.id
         assert gi.lo <= e.genus <= gi.hi, (e.id, gi)
         if e.n_lower is not None:

@@ -195,13 +195,9 @@ def test_substitution_evaluation_compatibility():
             p = (0, 1, 2)
         # row vector times matrix, entries of M are 0/1 field scalars
         pm = tuple(
-            f8.add(
-                f8.add(
-                    p[0] if (m[0] >> c) & 1 else 0,
-                    p[1] if (m[1] >> c) & 1 else 0,
-                ),
-                p[2] if (m[2] >> c) & 1 else 0,
-            )
+            (p[0] if (m[0] >> c) & 1 else 0)
+            ^ (p[1] if (m[1] >> c) & 1 else 0)
+            ^ (p[2] if (m[2] >> c) & 1 else 0)
             for c in range(3)
         )
         assert evaluate(substitute(f, m), p, f8) == evaluate(f, pm, f8)

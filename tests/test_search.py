@@ -301,7 +301,7 @@ def test_conjugate_analyses_equal_direct_ones():
                 rec = pipe.analyze(f, 1, counts, pipe.quick_genus(d, counts))
             except GenusInconsistency:
                 continue
-            for s in rec.singular if rec else ():
+            for s in rec.singular:
                 direct = singular.analyze_singular_point(
                     f, s.point, pipe.counters[s.q].field, s.k)
                 assert s == direct, (f, s)
@@ -429,6 +429,75 @@ def test_production_decides_without_scans(monkeypatch):
     assert (rec.absolute, rec.witness) == ("reducible", None)
     assert [w for w in witnesses if w is not None] == [parse_poly("x + y")]
     assert sweeps == [] and scans == 0
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_only_certified_curves_are_analysed(monkeypatch, q):
+    # Over one field at margin 80 `analyze` meets curves that are not
+    # absolutely irreducible.  It certifies each orbit it is given once, and
+    # a record is analysed exactly when the certificate says "yes": no other
+    # record carries a singular entry, a bound or a flag.
+    verdicts, records = [], []
+    real_certify, real_analyze = search.certify_absolute, CurvePipeline.analyze
+
+    def certify(f, counts):
+        verdicts.append((f, real_certify(f, counts)))
+        return verdicts[-1][1]
+
+    def analyze(self, *args):
+        records.append(real_analyze(self, *args))
+        return records[-1]
+
+    monkeypatch.setattr(search, "certify_absolute", certify)
+    monkeypatch.setattr(CurvePipeline, "analyze", analyze)
+    stats = SearchStats()
+    catalog = run_search(SearchConfig(degree=4, fields=(q,), keep_margin=80),
+                         stats=stats)
+    assert len(verdicts) == len(records) == stats.kept + stats.dropped_reducible
+    assert stats.dropped_reducible > 0
+    assert catalog.decode() == "".join(
+        r.to_json() + "\n" for r in records if r.absolute == "yes")
+    for rec, (f, status) in zip(records, verdicts):
+        assert (rec.mask, rec.absolute) == (f.bits, status.absolute)
+        if status.absolute == "yes":
+            assert set(rec.n_range) == {q} and rec.theorem1_ok in (None, True)
+            continue
+        assert (rec.singular, rec.n_range, rec.flags, rec.theorem1_ok,
+                rec.genus) == ((), {}, (), None, (0, 3))
+
+
+def test_verify_gives_one_record_to_curves_not_absolutely_irreducible(monkeypatch):
+    # A product with an F_2 factor and the norm of a conjugate pair of
+    # cubics reach `analyze`; the cubic of the [crossed] corpus entry in
+    # test_corpus.py, divisible by x + z, crosses its genus interval first.  Each gets the one record of
+    # a curve that is not absolutely irreducible: counts, orbit size, the
+    # singular points seen and the certificate, genus [0, p_a], and no N
+    # range, singular entry or flag.  Each `verify` certifies once.
+    calls = 0
+    real_certify = search.certify_absolute
+
+    def certify(f, counts):
+        nonlocal calls
+        calls += 1
+        return real_certify(f, counts)
+
+    monkeypatch.setattr(search, "certify_absolute", certify)
+    prod = mul_masks(PolyMask(1, 0b011), parse_poly("x^5 + x*y^3*z + y^4*z + z^5"))
+    crossed = parse_poly("x^2*z + x*y^2 + x*y*z + y^2*z + y*z^2 + z^3")
+    cases = [(prod, "F_{2^1}: x + y"), (conjugate_cubic_norm(), None),
+             (crossed, "F_{2^1}: x + z")]
+    for n, (f, witness) in enumerate(cases, 1):
+        rec = verify(f, 8)
+        assert calls == n
+        pc = count_points(f, build_field(3))
+        assert rec.counts[8][:4] == pc[:4]
+        assert rec == CurveRecord(
+            degree=f.degree, mask=f.bits, orbit_size=len(orbit_of(f)),
+            counts=rec.counts, singular=(), r_distinct=len(pc.singular_points),
+            genus=(0, (f.degree - 1) * (f.degree - 2) // 2), n_range={},
+            absolute="reducible", certificate_field=None, witness=witness,
+            flags=(), theorem1_ok=None)
+    assert verify("x^5 + y^5 + z^5", 16).absolute == "yes" and calls == 4
 
 
 def test_degree2_default_catalog_is_empty():
@@ -1123,8 +1192,7 @@ def test_record_lines_match_the_json_dumps_oracle(monkeypatch):
         replace(base, theorem1_ok=True, flags=flags),
         replace(base, theorem1_ok=False, flags=flags[1:]),
         replace(base, absolute="reducible", certificate_field=None,
-                witness="F_{2^1}: x + y", flags=("bounds-inconsistent",),
-                n_range={}),
+                witness="F_{2^1}: x + y", flags=(), n_range={}),
         replace(base, absolute="unknown", certificate_field=None, witness=None,
                 flags=('a "quoted" \\ flag \u00e9',)),
     ]
@@ -1148,6 +1216,21 @@ def test_report_contents():
         report([], table)
     with pytest.raises(ValueError, match="empty catalog"):
         report(iter(()), table)
+
+
+def test_report_lists_the_first_ambiguous_records():
+    # `report` holds 20 appendix lines however many genus-ambiguous records
+    # it folds, and prints them in (degree, mask) order after their number.
+    base = verify("x^5 + y^5 + z^5", 16)
+    base = replace(base, genus=search.GenusInterval(2, 6))
+    masks = list(range(1, 10_001))
+    random.Random(3).shuffle(masks)
+    text = report(replace(base, mask=m) for m in masks)
+    head = ("ambiguous genus (interval not pinned; best values not tallied): "
+            "10000 records, the first 20 by (degree, mask):")
+    lines = text.splitlines()
+    assert lines[lines.index(head) + 1:] == [  # no record pins a genus
+        f"  {PolyMask(5, m).mask_id} genus [2, 6] q=16: N>=65" for m in range(1, 21)]
 
 
 def test_report_streams_a_catalog(tmp_path, capsys):
@@ -1223,6 +1306,28 @@ def test_cli_error_codes(tmp_path):
             "--checkpoint", str(ck), "--out", str(tmp_path / "cat.jsonl"),
         ])
         assert rc == 3
+
+
+def test_cli_verify_reports_a_refuted_lauter_entry(tmp_path, capsys):
+    # The Fermat quintic has 65 smooth points over F_16, Serre's bound at
+    # genus 6; an entry N_16(6) <= 60 crosses its certified N range, and
+    # `verify` exits 2 with one line naming the entry.  A curve that is not
+    # absolutely irreducible gets no bound to cross: one record, exit 0.
+    low = tmp_path / "low.txt"
+    low.write_text("16 6 60\n")
+    argv = ["verify", "--poly", "x^5 + y^5 + z^5", "--field", "16"]
+    assert main(argv + ["--lauter", str(low)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: Lauter entry N_16(6) <= 60 is below the 65 points of "
+        "certified curve d5:0x00108001"]
+    crossed = "x^2*z + x*y^2 + x*y*z + y^2*z + y*z^2 + z^3"
+    assert main(["verify", "--poly", crossed, "--field", "8",
+                 "--lauter", str(low)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    rec = CurveRecord.from_json(line)
+    assert (rec.absolute, rec.n_range, rec.poly) == ("reducible", {}, parse_poly(crossed))
 
 
 def _mistyped(line: str) -> list[str]:
