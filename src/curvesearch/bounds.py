@@ -14,6 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from .gf2m import MAX_M
+
 
 def serre_bound(q: int, g: int) -> int:
     """q + 1 + g * floor(2 sqrt(q))."""
@@ -70,8 +72,9 @@ class BoundTable:
 
 
 def load_lauter(path: str | Path | None = None) -> BoundTable:
-    """Parse a "q g bound" file ('#' comments); rejects duplicates and any
-    entry that is not an improvement on the Serre bound."""
+    """Parse a "q g bound" file ('#' comments); rejects a q other than
+    2, 4, ..., 2048, a negative bound, duplicates and any entry that is not
+    an improvement on the Serre bound."""
     if path is None:
         text = resources.files("curvesearch.data").joinpath("lauter.txt").read_text()
     else:
@@ -84,6 +87,10 @@ def load_lauter(path: str | Path | None = None) -> BoundTable:
         try:
             q, g, bound = (int(p) for p in line.split())
             serre = serre_bound(q, g)
+            if q not in {2 << m for m in range(MAX_M)}:
+                raise ValueError(f"q = {q} is not 2^m for m = 1..{MAX_M}")
+            if bound < 0:
+                raise ValueError(f"negative bound {bound}")
         except ValueError as exc:
             raise ValueError(
                 f"line {lineno}: expected 'q g bound', got {raw!r} ({exc})"

@@ -8,10 +8,14 @@ index directly and bulk evaluation copies into numpy arrays.
 
 The defining polynomial for each degree is the lexicographically smallest
 primitive one, coefficient bits compared high-to-low, i.e. the smallest
-integer encoding.  Point counts downstream are representation independent
-(tested), so nothing but determinism rides on this choice; `build_field`
-accepts a `poly_index` to construct alternative representations for the
-isomorphism-invariance tests.
+integer encoding.  One walk decides primitivity: x^0, x^1, ... modulo an
+odd candidate of degree m returns to 1 (x is a unit), and the candidate is
+primitive iff the walk has 2^m - 1 terms.  Then every nonzero residue is a
+power of x, hence a unit, so the candidate is irreducible too, and the
+walk is the field's exp table.  Point counts downstream are representation
+independent (tested), so nothing but determinism rides on this choice;
+`build_field` accepts a `poly_index` to construct alternative
+representations for the isomorphism-invariance tests.
 """
 
 from __future__ import annotations
@@ -24,52 +28,28 @@ import numpy as np
 MAX_M = 11
 
 
-def _polymod(a: int, mod: int) -> int:
-    """Remainder of binary polynomial a modulo mod."""
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _is_irreducible(poly: int) -> bool:
-    """Trial division by every lower-degree binary polynomial of degree >= 1."""
-    deg = poly.bit_length() - 1
-    for g in range(2, 1 << (deg // 2 + 1)):
-        if _polymod(poly, g) == 0:
-            return False
-    return True
-
-
-def _x_order(poly: int, m: int) -> int:
-    """Multiplicative order of x modulo poly (poly irreducible of degree m)."""
-    limit = (1 << m) - 1
-    t = _polymod(2, poly)
-    k = 1
-    while t != 1:
-        t = _polymod(t << 1, poly)
-        k += 1
-        if k > limit:
-            raise ArithmeticError(f"order of x exceeds group order for poly {poly:#x}")
-    return k
+def _x_powers(poly: int, m: int) -> list[int]:
+    """x^0, x^1, ... modulo poly, an odd polynomial of degree m, up to the
+    first return to 1: x is a unit, so it returns within 2^m - 1 steps."""
+    powers, t = [], 1
+    while True:
+        powers.append(t)
+        t <<= 1
+        if t >> m:
+            t ^= poly
+        if t == 1:
+            return powers
 
 
 def primitive_polys(m: int, count: int = 1) -> list[int]:
     """The `count` smallest primitive polynomials of degree m, as ints."""
-    if m == 1:
-        # x + 1: the only degree-1 polynomial with nonzero constant term.
-        return [0b11][:count]
     found = []
     for cand in range((1 << m) + 1, 1 << (m + 1), 2):
-        if not _is_irreducible(cand):
-            continue
-        if _x_order(cand, m) == (1 << m) - 1:
+        if len(_x_powers(cand, m)) == (1 << m) - 1:
             found.append(cand)
             if len(found) == count:
-                break
-    if len(found) < count:
-        raise ValueError(f"fewer than {count} primitive polynomials of degree {m}")
-    return found
+                return found
+    raise ValueError(f"fewer than {count} primitive polynomials of degree {m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +101,6 @@ class FieldTable:
         return np.where(a == 0, 0, exp[(log[a] * e) % (self.order - 1)]
                         ).astype(np.uint16)
 
-    # -- structure ----------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
-
 
 @lru_cache(maxsize=None)
 def build_field(m: int, poly_index: int = 0) -> FieldTable:
@@ -137,16 +112,9 @@ def build_field(m: int, poly_index: int = 0) -> FieldTable:
     if not 1 <= m <= MAX_M:
         raise ValueError(f"extension degree must be in 1..{MAX_M}, got {m}")
     poly = primitive_polys(m, poly_index + 1)[poly_index]
-    order = 1 << m
-    exp, log = [], [0] * order
-    t = 1
-    for i in range(order - 1):
-        exp.append(t)
+    exp = _x_powers(poly, m)
+    log = [0] * (1 << m)
+    for i, t in enumerate(exp):
         log[t] = i
-        t <<= 1
-        if t & order:
-            t ^= poly
-    if t != 1:
-        raise ArithmeticError(f"polynomial {poly:#x} is not primitive for m={m}")
-    return FieldTable(m=m, order=order, defining_poly=poly, exp=tuple(exp),
+    return FieldTable(m=m, order=1 << m, defining_poly=poly, exp=tuple(exp),
                       log=tuple(log))

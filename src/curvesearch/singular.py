@@ -199,14 +199,12 @@ def form_is_squarefree(form: FormT, field: FieldTable) -> bool:
     return len(_pgcd(p, dp, field)) == 1
 
 
-def factor_binary_form(form: FormT, field: FieldTable,
-                       elements: list[int] | None = None
+def factor_binary_form(form: FormT, field: FieldTable
                        ) -> list[tuple[tuple[int, int], int]]:
     """All projective roots of the form over the field, with multiplicities.
 
     Roots are normalized directions (1, w) or (0, 1); found by evaluating at
-    all q + 1 directions, multiplicities by repeated deflation.  Restricting
-    `elements` to a subfield finds the subfield-rational roots only.
+    all q + 1 directions, multiplicities by repeated deflation.
     """
     if all(c == 0 for c in form):
         raise ValueError("zero form")
@@ -216,9 +214,7 @@ def factor_binary_form(form: FormT, field: FieldTable,
     inf_mult = m - (len(p) - 1)
     if inf_mult > 0:
         roots.append(((1, 0), inf_mult))
-    if elements is None:
-        elements = list(field.elements())
-    for t0 in elements:
+    for t0 in range(field.order):
         mult = 0
         while len(p) > 1 and _peval(p, t0, field) == 0:
             p = _deflate_root(p, t0, field)

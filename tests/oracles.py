@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from curvesearch.count import PointCount, PointCounter, projective_points
-from curvesearch.gf2m import FieldTable, _polymod, build_field
+from curvesearch.gf2m import FieldTable, build_field
 from curvesearch.irred import _f2_factor
 from curvesearch.orbit import OrbitInfo, SieveEngine
 from curvesearch.polyrep import (
@@ -65,6 +65,14 @@ def _clmul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return acc
+
+
+def _polymod(a: int, mod: int) -> int:
+    """Remainder of binary polynomial a modulo mod."""
+    dm = mod.bit_length() - 1
+    while a.bit_length() - 1 >= dm:
+        a ^= mod << (a.bit_length() - 1 - dm)
+    return a
 
 
 def clmul_reduce(a: int, b: int, field: FieldTable) -> int:
@@ -505,7 +513,7 @@ def _sweep(f: PolyMask, degrees: Iterable[int], k: int) -> Factor | None:
 @lru_cache(maxsize=None)
 def _mul_table(k: int) -> list[list[int]]:
     field = build_field(k)
-    return [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+    return [[field.mul(a, b) for b in range(field.order)] for a in range(field.order)]
 
 
 @lru_cache(maxsize=None)

@@ -99,7 +99,10 @@ def test_lauter_loader_validation(tmp_path):
         load_lauter(toobig)
 
     malformed = tmp_path / "bad.txt"
-    for text in ("8 4\n", "8 4 28 1\n", "# ok\n8 x 20\n", "8 4 28\n\n8 -1 5\n"):
+    # A field order other than 2, 4, ..., 2048 (the typo "6 4 13" for 64)
+    # and a negative bound are malformed too.
+    for text in ("8 4\n", "8 4 28 1\n", "# ok\n8 x 20\n", "8 4 28\n\n8 -1 5\n",
+                 "6 4 13\n", "8 4 28\n1 0 2\n", "4096 1 4200\n", "# ok\n64 0 -3\n"):
         malformed.write_text(text)
         lineno = text.count("\n")
         with pytest.raises(ValueError, match=f"^line {lineno}: expected"):

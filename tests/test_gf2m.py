@@ -50,18 +50,20 @@ def test_exp_log_tables_are_inverse_bijections():
             assert int(f.exp[int(f.log[a])]) == a
 
 
-def test_m11_tables_against_clmul_oracle():
-    f = build_field(11)
-    # Every table entry equals the iterated carry-less product.
-    t = 1
-    for i in range(f.order - 1):
-        assert int(f.exp[i]) == t
-        t = clmul_reduce(t, 2, f)
-    # Product of all nonzero elements is 1 (pairing with inverses).
-    prod = 1
-    for a in range(1, f.order):
-        prod = f.mul(prod, a)
-    assert prod == 1
+def test_tables_against_clmul_oracle():
+    for m in range(1, 12):
+        f = build_field(m)
+        # Every table entry equals the iterated carry-less product.
+        t = 1
+        for i in range(f.order - 1):
+            assert int(f.exp[i]) == t
+            t = clmul_reduce(t, 2, f)
+        assert t == 1
+        # Product of all nonzero elements is 1 (pairing with inverses).
+        prod = 1
+        for a in range(1, f.order):
+            prod = f.mul(prod, a)
+        assert prod == 1
 
 
 def test_mul_matches_clmul_on_random_pairs():
@@ -77,9 +79,9 @@ def test_mul_matches_clmul_on_random_pairs():
 def test_field_axioms_exhaustive_pairs(m):
     f = build_field(m)
     c = min(3, f.order - 1)
-    for a in f.elements():
+    for a in range(f.order):
         assert a ^ a == 0  # characteristic 2
-        for b in f.elements():
+        for b in range(f.order):
             assert f.mul(a, b) == f.mul(b, a)
             assert a ^ b == b ^ a
             assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
@@ -137,15 +139,17 @@ def _x_order_mod(poly: int, m: int) -> int:
 
 
 def test_defining_poly_is_lexicographically_smallest_primitive():
-    # Independent check: no smaller-integer polynomial of the same degree has
-    # x of full multiplicative order.
-    for m in (2, 3, 4, 8):
-        f = build_field(m)
+    # Independent check: x has full multiplicative order modulo the defining
+    # polynomial of index i, and modulo exactly i smaller-integer polynomials
+    # of the same degree.  F_2 has no second representation.
+    for m, index in [(m, 0) for m in range(1, 12)] + [(3, 1), (4, 1), (5, 1)]:
+        f = build_field(m, index)
         assert _x_order_mod(f.defining_poly, m) == f.order - 1
-        for cand in range((1 << m) + 1, f.defining_poly, 2):
-            assert _x_order_mod(cand, m) != f.order - 1, (
-                f"smaller primitive candidate {cand:#x} for m={m}"
-            )
+        smaller = [cand for cand in range((1 << m) + 1, f.defining_poly, 2)
+                   if _x_order_mod(cand, m) == f.order - 1]
+        assert len(smaller) == index, (m, index, smaller)
+    with pytest.raises(ValueError):
+        build_field(1, 1)
 
 
 def test_representation_invariance_of_counts():

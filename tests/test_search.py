@@ -1297,6 +1297,9 @@ def test_cli_error_codes(tmp_path):
     low.write_text("8 1 13\n")  # N_8(1) = 14: refuted by a certified cubic
     assert main(["search", "--degree", "3", "--fields", "8",
                  "--lauter", str(low)]) == 2
+    low.write_text("6 4 13\n")  # no field has 6 elements
+    assert main(["verify", "--poly", "x^3 + y^3 + z^3", "--field", "8",
+                 "--lauter", str(low)]) == 2
 
     ck = tmp_path / "ck.bin"
     for blob in (b"garbage", CHECKPOINT_MAGIC + struct.pack("<BBi", 4, 1, 15)):
