@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .gf2m import MAX_M
+from .gf2m import FIELD_ORDERS, MAX_M
 
 
 def serre_bound(q: int, g: int) -> int:
@@ -87,7 +87,7 @@ def load_lauter(path: str | Path | None = None) -> BoundTable:
         try:
             q, g, bound = (int(p) for p in line.split())
             serre = serre_bound(q, g)
-            if q not in {2 << m for m in range(MAX_M)}:
+            if q not in FIELD_ORDERS:
                 raise ValueError(f"q = {q} is not 2^m for m = 1..{MAX_M}")
             if bound < 0:
                 raise ValueError(f"negative bound {bound}")

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .gf2m import FIELD_ORDERS
 from .polyrep import parse_poly, is_trivially_reducible
-from .search import SUPPORTED_FIELDS, CurveRecord, verify
+from .search import CurveRecord, verify
 
 
 @dataclass(frozen=True)
@@ -95,24 +96,24 @@ def load_corpus(path: str | Path | None = None) -> list[CorpusEntry]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("q", "genus", "smooth", "n_lower"):
-            current[key] = int(value)
-        elif key == "poly":
-            current["poly"] = value
-        elif key == "singular":
+        if key == "singular":
             point_text, _, cone = value.partition(")")
             current.setdefault("singular", []).append(
                 SingularAssertion(_parse_point(point_text + ")"), cone.strip())
             )
-        else:
+        elif key not in ("q", "genus", "poly", "smooth", "n_lower"):
             raise ValueError(f"unknown corpus key {key!r}")
+        elif key in current:
+            raise ValueError(f"corpus entry {current['id']}: repeated {key}")
+        else:
+            current[key] = value if key == "poly" else int(value)
     flush()
 
     ids = [e.id for e in entries]
     for e in entries:
         if ids.count(e.id) > 1:
             raise ValueError(f"{e.id}: duplicate corpus id")
-        if e.q not in SUPPORTED_FIELDS and e.q not in (2, 4):
+        if e.q not in FIELD_ORDERS:
             raise ValueError(f"{e.id}: unsupported field order {e.q}")
         f = parse_poly(e.poly)  # parse failures here are corpus bugs
         if f.degree > 6:

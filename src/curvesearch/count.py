@@ -139,7 +139,7 @@ class PointCounter:
         orbit = np.empty((field.m + 1, q), dtype=np.int64)
         orbit[0] = elems
         for k in range(field.m):
-            orbit[k + 1] = field.pow_arr(orbit[k], 2)
+            orbit[k + 1] = field.mul_arr(orbit[k], orbit[k])
         deg = (1 + np.argmax(orbit[1:] == elems, axis=0)).astype(np.uint8)
 
         def minimal(e: int) -> np.ndarray:

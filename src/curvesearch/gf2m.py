@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_M = 11
+FIELD_ORDERS = frozenset(1 << m for m in range(1, MAX_M + 1))  # 2, 4, ..., 2048
 
 
 def _x_powers(poly: int, m: int) -> list[int]:
@@ -92,14 +93,6 @@ class FieldTable:
         exp, log = np.array(self.exp, np.uint16), np.array(self.log, np.int64)
         out = exp[(log[a] + log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, out).astype(np.uint16)
-
-    def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise a**e, with 0**0 = 1."""
-        if e == 0:
-            return np.ones_like(a)
-        exp, log = np.array(self.exp, np.uint16), np.array(self.log, np.int64)
-        return np.where(a == 0, 0, exp[(log[a] * e) % (self.order - 1)]
-                        ).astype(np.uint16)
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ from .bounds import (
     smooth_model_range,
 )
 from .count import JointCounter, PointCount
-from .gf2m import build_field
+from .gf2m import FIELD_ORDERS, build_field
 from .irred import IrreducibilityStatus, _normal_forms, certify_absolute
 # `orbit_of` is unused here; perfbench/layers.py wraps `search.orbit_of`.
 from .orbit import OrbitInfo, SieveEngine, orbit_of
@@ -83,7 +83,8 @@ class CheckpointError(RuntimeError):
 
 
 class WorkerLost(RuntimeError):
-    """A pool worker died while counting (CLI exit code 4)."""
+    """A search worker died, busy or idle, and broke the pool (CLI exit
+    code 4)."""
 
 
 @dataclass(frozen=True)
@@ -469,25 +470,9 @@ def _encode_orbits(batch: list[OrbitInfo], pipe: CurvePipeline, margin: int
 _worker_args: tuple[CurvePipeline, int] | None = None
 
 
-def _init_worker(pipe: CurvePipeline, margin: int, started) -> None:
+def _init_worker(pipe: CurvePipeline, margin: int) -> None:
     global _worker_args
     _worker_args = (pipe, margin)
-    with started.get_lock():
-        started.value += 1
-
-
-def _pooled_results(pending, started, jobs: int) -> Iterator:
-    """`pool.imap`'s results, in order.  A pool replaces a worker that dies
-    but never returns its batch, so the wait polls for a respawn."""
-    while True:
-        try:
-            yield pending.next(timeout=0.5)
-        except StopIteration:
-            return
-        except multiprocessing.TimeoutError:
-            if started.value > jobs:
-                raise WorkerLost("a search worker died; run again to resume "
-                                 "from the last checkpoint") from None
 
 
 def _process_in_worker(batch: list[OrbitInfo]) -> tuple[bytes, int, SearchStats]:
@@ -579,11 +564,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     not dispatched.  Each worker counts an orbit over every field in one
     joint pass, updated from the last orbit it counted (see
     `CurvePipeline`).  The parent builds the joint degree-d monomial table
-    and the certificate's normal-form table, then forks the pool, whose
-    workers share those pages read-only, and then drops the monomial table,
-    which it never reads: it keeps only the sieve's claimed-bit table.  A
-    worker the pool respawns forks without the monomial table and builds its
-    own on its first count.  With jobs=1 the parent keeps the table and
+    and the certificate's normal-form table, then forks the pool's workers
+    at its first submit, so they share those pages read-only, and then
+    drops the monomial table, which it never reads: it keeps only the
+    sieve's claimed-bit table.  With jobs=1 the parent keeps the table and
     counts, encodes and writes one batch at a time.  A
     worker returns a batch's kept records as catalog lines, with their
     number and the batch's stats (`_encode_orbits`), so the parent neither
@@ -605,9 +589,10 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
     it scans from mask 1.  Ranges keep their bounds 1 + k * 2^range_bits: one
     below x_end scans nothing but counts towards `stop_after_ranges`.
 
-    The lookahead never sieves past `stop_after_ranges`, and on an error,
-    WorkerLost for a dead worker included, the pool is terminated without
-    waiting for the range in flight.
+    The lookahead never sieves past `stop_after_ranges`.  A worker that
+    dies, while counting or while idle, breaks the pool: the other workers
+    are stopped and the search raises WorkerLost.  On any other error the
+    batches not yet started are cancelled and those running finish.
     """
     if cfg.long_run:
         warnings.warn(
@@ -628,7 +613,7 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
 
     total_stats = stats if stats is not None else SearchStats()
     span = 1 << cfg.range_bits
-    pool = None
+    pool, broken = None, ()  # broken: the pool's BrokenProcessPool
     engine = SieveEngine(cfg.degree)
     sink = (_open_catalog(cfg.out_path, position, kept, crc) if cfg.out_path
             else io.BytesIO())
@@ -640,10 +625,16 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
         pipeline.joint.monomial_table(cfg.degree)
         _normal_forms(cfg.degree)  # the certificate's F_2 factor table, shared too
         if cfg.jobs > 1:
-            ctx = multiprocessing.get_context("fork")
-            started = ctx.Value("i", 0)  # workers started, respawns included
-            pool = ctx.Pool(cfg.jobs, _init_worker,
-                            (pipeline, cfg.keep_margin, started))
+            # 8 ms and 0.6 MB of imports, which only pooled runs need
+            from concurrent.futures.process import (BrokenProcessPool,
+                                                    ProcessPoolExecutor)
+
+            broken = BrokenProcessPool
+            pool = ProcessPoolExecutor(cfg.jobs, multiprocessing.get_context("fork"),
+                                       _init_worker, (pipeline, cfg.keep_margin))
+            # Under fork the executor starts every worker at its first
+            # submit: submit now, while the parent still holds the table.
+            pool.submit(int)
             pipeline.joint.drop_tables()  # the workers keep their pages
         skipped = (engine.skip_line_divisible() if cfg.degree > 1 and (
             position == 1 or position >= engine.x_end) else 0)
@@ -653,29 +644,26 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
 
         def sieve_range(lo: int):
             """Sieve the range from `lo` and dispatch its countable orbits:
-            (trivial orbits, batches, pending results, end position).  A
-            range below the engine's position scans nothing."""
+            (trivial orbits, the batches' results in order, end position).
+            A range below the engine's position scans nothing."""
             hi = min(lo + span, engine.space + 1)
             infos = (engine.run_range(hi - engine.position)
                      if hi > engine.position else [])
             countable = [info for info in infos if not info.trivially_reducible]
             batches = [countable[i: i + 64] for i in range(0, len(countable), 64)]
-            pending = (_pooled_results(pool.imap(_process_in_worker, batches,
-                                                 chunksize=1), started, cfg.jobs)
-                       if pool is not None and batches else None)
+            results = (pool.map(_process_in_worker, batches) if pool is not None
+                       else (_encode_orbits(b, pipeline, cfg.keep_margin)
+                             for b in batches))
             return (len(infos) - len(countable) + (
-                skipped if lo < engine.x_end <= hi else 0), batches, pending, hi)
+                skipped if lo < engine.x_end <= hi else 0), results, hi)
 
         ranges_done = 0
         ahead = None if engine.done else sieve_range(position)
         while ahead is not None:
-            trivial, batches, pending, end = ahead
+            trivial, results, end = ahead
             ranges_done += 1
             stopping = ranges_done == cfg.stop_after_ranges
             ahead = None if engine.done or stopping else sieve_range(end)
-            results = (pending if pending is not None
-                       else (_encode_orbits(b, pipeline, cfg.keep_margin)
-                             for b in batches))
             total_stats.orbits_seen += trivial
             total_stats.orbits_trivial += trivial
             for text, n, st in results:
@@ -692,14 +680,12 @@ def run_search(cfg: SearchConfig, *, stats: SearchStats | None = None) -> bytes:
                     f"stopped after {ranges_done} ranges (testing hook)"
                 )
         return b"" if cfg.out_path else sink.getvalue()
-    except BaseException:
-        if pool is not None:
-            pool.terminate()  # do not wait for the range in flight
-        raise
+    except broken:
+        raise WorkerLost("a search worker died; run again to resume "
+                         "from the last checkpoint") from None
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.shutdown(cancel_futures=True)
         sink.close()
 
 
@@ -822,7 +808,7 @@ def verify(poly: str | PolyMask, q: int, *, lauter_path: str | None = None
         raise ConfigError("zero polynomial")
     if is_trivially_reducible(f):
         raise ConfigError(f"{format_poly(f)} is trivially reducible")
-    if q not in SUPPORTED_FIELDS and q not in (2, 4):
+    if q not in FIELD_ORDERS:
         raise ConfigError(f"unsupported field order {q}")
     pipeline = (_verify_pipeline(q) if lauter_path is None
                 else CurvePipeline((q,), load_lauter(lauter_path)))

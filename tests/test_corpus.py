@@ -72,6 +72,21 @@ def test_unrunnable_corpus_entries_rejected_at_load(tmp_path):
         assert [e.q for e in load_corpus(path)] == [q]
 
 
+def test_repeated_corpus_key_rejected(tmp_path):
+    # Within one entry each key but `singular` is given once: a repeat fails
+    # the load with the entry's id and the key, instead of the last winning.
+    path = tmp_path / "corpus.txt"
+    entry = ("q = 8\ngenus = 6\npoly = x^5 + y^5 + z^5\nsmooth = 1\n"
+             "singular = (0:0:1) a\nsingular = (0:1:0) b\nn_lower = 1\n")
+    path.write_text("[a]\n" + entry)
+    assert len(load_corpus(path)[0].singular) == 2
+    for key, value in (("q", "16"), ("genus", "3"), ("poly", "x^5 + y^5 + z^5"),
+                       ("smooth", "3"), ("n_lower", "2")):
+        path.write_text(f"[ok]\n{entry}[a]\n{entry}{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"corpus entry a: repeated {key}$"):
+            load_corpus(path)
+
+
 def test_bounds_inconsistent_entry_fails(tmp_path):
     # A curve whose genus interval crosses is not absolutely irreducible, and
     # `verify` gives it no analysis; an entry asserting a singular point and

@@ -121,10 +121,6 @@ def test_vectorized_ops_match_scalar():
     prod = f.mul_arr(a, b)
     for i in range(len(a)):
         assert int(prod[i]) == f.mul(int(a[i]), int(b[i]))
-    for e in (0, 1, 2, 7):
-        pw = f.pow_arr(a, e)
-        for i in range(len(a)):
-            assert int(pw[i]) == f.pow(int(a[i]), e)
 
 
 def _x_order_mod(poly: int, m: int) -> int:

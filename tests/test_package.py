@@ -113,7 +113,6 @@ def test_only_these_definitions_live_for_the_benchmark():
     only_perfbench = _reached(_perfbench_identifiers()) - _reached(set())
     assert sorted(only_perfbench) == [
         "corpus.CorpusResult.passed",
-        "gf2m.FieldTable.mul_arr",
         "irred.find_simple_point",
         "orbit.SieveEngine.pack_state",
         "search.finalize_catalog",

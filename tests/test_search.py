@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-import multiprocessing.pool
+import multiprocessing
 import os
 import random
 import signal
@@ -10,6 +10,7 @@ import struct
 import threading
 import time
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -631,13 +632,12 @@ class _Deadline:
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_dead_worker_fails_the_search_and_the_same_command_resumes(
         tmp_path, monkeypatch, capsys, jobs):
-    # A pool replaces a worker that dies but never returns the batch it
-    # held.  A worker that exits on its second batch makes the search raise
-    # WorkerLost within seconds, with no child process left, and the same
-    # configuration resumes from its checkpoint to the bytes of an
-    # uninterrupted run.  The CLI prints one error line and exits with 4.
-    # With more workers than cores, a start lost from the shared count
-    # would hide the respawn, and the search would wait forever.
+    # A worker that exits on its second batch takes that batch with it and
+    # breaks the pool: the search raises WorkerLost within seconds, with no
+    # child process left, and the same configuration resumes from its
+    # checkpoint to the bytes of an uninterrupted run.  The CLI prints one
+    # error line and exits with 4.  At jobs=4 there are more workers than
+    # cores.
     full, out, ck, died, pids = (tmp_path / n for n in (
         "full.jsonl", "out.jsonl", "ck.bin", "died", "pids"))
     cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=jobs,
@@ -681,6 +681,70 @@ def test_dead_worker_fails_the_search_and_the_same_command_resumes(
     capsys.readouterr()
     monkeypatch.setattr(search, "_encode_orbits", encode)
     die_at = 1  # one range of four batches: a worker may get only one
+    with _Deadline(60):
+        assert main(argv) == cli.EXIT_WORKER == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_idle_worker_death_fails_the_search(tmp_path, monkeypatch, capsys):
+    # A worker killed while it waits for work, between two ranges, fails the
+    # search just as a death mid-batch does: WorkerLost within seconds, with
+    # no child process left, and the same configuration resumes from its
+    # checkpoint to the bytes of an uninterrupted run.  At degree 4 over F_8
+    # and F_64 in ranges of 2^10 masks, the third range holds two batches and
+    # the fourth none, so once the third is checkpointed no batch is out.
+    # The third range's last batch sleeps in the worker that is then killed,
+    # so the other worker was waiting on the queue first.
+    engine = SieveEngine(4)
+    engine.skip_line_divisible()
+    ranges = [[i for i in engine.run_range(n) if not i.trivially_reducible]
+              for n in (1, 1 << 10, 1 << 10, 1 << 10, 1 << 10)]
+    assert [len(r) for r in ranges] == [0, 113, 65, 0, 18]
+    last, idle_from = ranges[2][64].rep_bits, 1 + 3 * (1 << 10)
+    full, out, ck, pid = (tmp_path / n for n in ("full.jsonl", "out.jsonl",
+                                                   "ck.bin", "pid"))
+    cfg = SearchConfig(degree=4, fields=(8, 64), range_bits=10, jobs=2,
+                       out_path=str(out), checkpoint_path=str(ck))
+    assert run_search(replace(cfg, out_path=str(full), checkpoint_path=None)) == b""
+    real_encode, real_save = search._encode_orbits, search._checkpoint_save
+
+    def encode(batch, pipe, margin):
+        if batch[0].rep_bits == last:
+            time.sleep(0.5)
+            pid.write_text(str(os.getpid()))
+        return real_encode(batch, pipe, margin)
+
+    def save(path, cfg, bounds, position, *rest):
+        real_save(path, cfg, bounds, position, *rest)
+        if position == idle_from:
+            os.kill(int(pid.read_text()), signal.SIGKILL)
+
+    def kill_when_idle():
+        monkeypatch.setattr(search, "_encode_orbits", encode)
+        monkeypatch.setattr(search, "_checkpoint_save", save)
+
+    kill_when_idle()
+    start = time.monotonic()
+    with _Deadline(60), pytest.raises(WorkerLost):
+        run_search(cfg)
+    assert time.monotonic() - start < 15
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert run_search(cfg) == b""
+    assert out.read_bytes() == full.read_bytes()
+
+    for path in (out, ck, pid):
+        path.unlink()
+    argv = ["search", "--degree", "4", "--fields", "8,64", "--jobs", "2",
+            "--checkpoint", str(ck), "--out", str(out)]
+    capsys.readouterr()
+    kill_when_idle()
+    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, range_bits=10))
     with _Deadline(60):
         assert main(argv) == cli.EXIT_WORKER == 4
     err = capsys.readouterr().err.splitlines()
@@ -764,11 +828,12 @@ def test_run_search_is_reentrant():
 def _watch_parent(monkeypatch) -> list:
     """Patch the search so that its parent records, in order, each pool it
     forks ("fork") and each sieve range it runs, as (the range's first
-    mask, whether the joint counter then holds its degree-4 table)."""
+    mask, whether the joint counter then holds its degree-4 table).  Under
+    fork an executor starts all its workers at once, at its first submit."""
     events, joints = [], []
     real_table = JointCounter.monomial_table
     real_range = SieveEngine.run_range
-    real_pool = multiprocessing.pool.Pool.__init__
+    real_launch = ProcessPoolExecutor._launch_processes
 
     def monomial_table(self, d):
         joints.append(self)
@@ -779,13 +844,13 @@ def _watch_parent(monkeypatch) -> list:
                        bool(joints) and joints[-1]._tables.get(4) is not None))
         return real_range(self, span)
 
-    def pool(self, *args, **kwargs):
+    def launch(self):
         events.append("fork")
-        real_pool(self, *args, **kwargs)
+        real_launch(self)
 
     monkeypatch.setattr(JointCounter, "monomial_table", monomial_table)
     monkeypatch.setattr(SieveEngine, "run_range", run_range)
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", pool)
+    monkeypatch.setattr(ProcessPoolExecutor, "_launch_processes", launch)
     return events
 
 
